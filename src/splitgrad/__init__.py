@@ -36,7 +36,7 @@ from .encoders import (
     optimizer_step,
     save_params_file,
 )
-from .kernels import BACKEND_ENV_VAR, active_backend
+from .kernels import active_backend
 from .loss import Batch, aligned_batch, analytic_rep_grads, contrastive_loss, direct_param_grads
 from .memtrace import BudgetExceededError, MemCounter, use_meter
 from .multiworker import WorkerGroup, all_gather, reduce_grads, train_step_multi
@@ -50,7 +50,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "Batch",
     "BudgetExceededError",
     "CacheNotFilledError",

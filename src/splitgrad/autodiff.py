@@ -2,9 +2,10 @@
 
 The engine records operations on an append-only tape; node inputs always
 point at earlier nodes, so the tape is topologically ordered by
-construction. ``backward`` seeds a scalar node and sweeps the tape once
-in reverse, accumulating gradients additively; nodes unreachable from
-the seed keep a zero gradient. A tape is single-use: rerunning backward
+construction. ``backward`` seeds a node (a scalar, or any node given a
+seed gradient of its shape) and sweeps the tape once in reverse,
+accumulating gradients additively; nodes unreachable from the seed keep
+a zero gradient. A tape is single-use: rerunning backward
 requires ``reset_grads``.
 
 A graph-less mode (``no_graph``) executes the same arithmetic without
@@ -117,20 +118,30 @@ class Tape:
         idx = self.add_node("leaf", (), arr, (), None)
         return Tensor(arr, self.token, idx)
 
-    def backward(self, seed):
-        """Backpropagate from a scalar-valued node through the tape."""
-        idx = self._resolve(seed)
+    def backward(self, node, grad=None):
+        """Backpropagate from a node through the tape.
+
+        grad seeds the node's gradient and must have its shape; it is used
+        as given, neither copied nor counted again. Without a seed the
+        node must be a scalar and is seeded with one.
+        """
+        idx = self._resolve(node)
         out = self.nodes[idx].output
-        if out.size != 1:
+        if grad is None and out.size != 1:
             raise ValueError(
-                f"backward requires a scalar seed, got shape {tuple(out.shape)}"
+                f"backward without a seed gradient requires a scalar node, "
+                f"got shape {tuple(out.shape)}"
             )
+        if grad is not None and grad.shape != out.shape:
+            raise _shape_error("backward seed", grad.shape, out.shape)
         if self._backward_done:
             raise TapeReuseError(
                 "backward already run on this tape; call reset_grads() first"
             )
         self._backward_done = True
-        self.grads[idx] = register_activation(np.ones_like(out))
+        if grad is None:
+            grad = register_activation(np.ones_like(out))
+        self.grads[idx] = grad
         for k in range(idx, -1, -1):
             g = self.grads[k]
             if g is None:
@@ -213,12 +224,6 @@ def no_graph():
         yield
     finally:
         st.no_graph_depth -= 1
-
-
-def no_graph_scope(fn, *args, **kwargs):
-    """Run a computation graph-lessly and return its result."""
-    with no_graph():
-        return fn(*args, **kwargs)
 
 
 def leaf(data):
@@ -344,28 +349,17 @@ def _bw_mean(ctx, g):
     return (np.full(shape, g / size),)
 
 
-def _fw_transpose(attrs, x):
-    if x.ndim != 2:
-        raise _shape_error("transpose", x.shape)
-    return x.T.copy(), ()
+def _fw_reshape(attrs, x):
+    shape = attrs["shape"]
+    try:
+        out = x.reshape(shape)
+    except ValueError:
+        raise _shape_error("reshape", x.shape, shape) from None
+    return out.copy(), (x.shape,)
 
 
-def _bw_transpose(ctx, g):
-    return (g.T.copy(),)
-
-
-def _fw_concat_rows(attrs, *parts):
-    width = parts[0].shape[1:]
-    for p in parts:
-        if p.shape[1:] != width:
-            raise _shape_error("concat-rows", *(p.shape for p in parts))
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-    return np.concatenate(parts, axis=0), (bounds,)
-
-
-def _bw_concat_rows(ctx, g):
-    bounds = ctx[0]
-    return tuple(g[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:]))
+def _bw_reshape(ctx, g):
+    return (g.reshape(ctx[0]).copy(),)
 
 
 def _fw_index_rows(attrs, x):
@@ -405,8 +399,7 @@ OPS = {
     "exp": (_fw_exp, _bw_exp),
     "sum": (_fw_sum, _bw_sum),
     "mean": (_fw_mean, _bw_mean),
-    "transpose": (_fw_transpose, _bw_transpose),
-    "concat-rows": (_fw_concat_rows, _bw_concat_rows),
+    "reshape": (_fw_reshape, _bw_reshape),
     "index-rows": (_fw_index_rows, _bw_index_rows),
     "dot-product-matrix": (_fw_dot_product_matrix, _bw_dot_product_matrix),
 }
@@ -486,12 +479,8 @@ def mean_all(x):
     return record("mean", x)
 
 
-def transpose(x):
-    return record("transpose", x)
-
-
-def concat_rows(*parts):
-    return record("concat-rows", *parts)
+def reshape(x, shape):
+    return record("reshape", x, shape=tuple(shape))
 
 
 def index_rows(x, idx):

@@ -31,7 +31,6 @@ METRICS_FIELDS = (
     "step", "loss", "fwd_count", "bwd_count", "act_peak", "cache_floats",
     "wall_ms",
 )
-MODES = ("direct", "cache", "accumulation", "sequential", "deep", "multi")
 
 
 class ConfigError(ValueError):
@@ -93,6 +92,28 @@ def validate_config(cfg):
     return cfg
 
 
+def split_sizes(cfg):
+    """(n_train, n_eval): eval pairs are the held-out tail of n_pairs."""
+    n_eval = int(round(cfg.n_pairs * cfg.eval_frac))
+    return cfg.n_pairs - n_eval, n_eval
+
+
+def check_task_fits(cfg, train=True):
+    """Reject a batch larger than the training split (when training) and
+    a k larger than the eval split, before any step runs."""
+    n_train, n_eval = split_sizes(cfg)
+    if train and cfg.batch_size > n_train:
+        raise ConfigError(
+            f"batch_size {cfg.batch_size} exceeds the {n_train} training "
+            f"pairs"
+        )
+    if max(cfg.eval_k) > n_eval:
+        raise ConfigError(
+            f"eval_k {max(cfg.eval_k)} exceeds the {n_eval} eval pairs"
+        )
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # synthetic task
 # ---------------------------------------------------------------------------
@@ -137,8 +158,7 @@ def generate_task(cfg, mix_anchor=None, mix_target=None):
     z = rng.normal(size=(cfg.n_pairs, cfg.latent_dim))
     anchors = z @ A + cfg.noise * rng.normal(size=(cfg.n_pairs, A.shape[1]))
     targets = z @ B + cfg.noise * rng.normal(size=(cfg.n_pairs, B.shape[1]))
-    n_eval = int(round(cfg.n_pairs * cfg.eval_frac))
-    n_train = cfg.n_pairs - n_eval
+    n_train, _ = split_sizes(cfg)
     return SyntheticTask(
         train_anchors=anchors[:n_train],
         train_targets=targets[:n_train],
@@ -209,10 +229,29 @@ def _epoch_batches(task, cfg, shuffle_rng):
         )
 
 
-def run_experiment(cfg):
-    """Train under one mode and collect per-step metrics plus final eval."""
-    validate_config(cfg)
-    task = generate_task(cfg)
+@dataclass
+class RunState:
+    """What a run carries from step to step, plus its memory meter."""
+
+    params_f: encoders.EncoderParams
+    params_g: encoders.EncoderParams
+    opt_state: encoders.OptimizerState
+    meter: memtrace.MemCounter
+    head: deep_mod.DistanceHead = None
+    group: multiworker.WorkerGroup = None
+
+    def advance(self, res):
+        """Take the step's new parameters; multi keeps them in its group."""
+        if self.group is not None:
+            self.params_f = self.group.params_f[0]
+            self.params_g = self.group.params_g[0]
+            return
+        self.params_f, self.params_g = res.params_f, res.params_g
+        self.opt_state, self.head = res.opt_state, res.head
+
+
+def init_state(cfg):
+    """Seeded encoders (and head or worker group), optimizer and meter."""
     params_f = encoders.init_params(
         cfg.seed + 1,
         [cfg.in_dim_s, cfg.encoder_hidden, cfg.embed_dim],
@@ -223,79 +262,72 @@ def run_experiment(cfg):
         [cfg.in_dim_t, cfg.encoder_hidden, cfg.embed_dim],
         cfg.encoder_activation,
     )
-    head = None
-    group = None
-    if cfg.mode == "deep":
-        head = deep_mod.init_distance_head(
-            cfg.seed + 3, cfg.embed_dim, cfg.phi_hidden
-        )
     opt_state = encoders.init_optimizer(cfg.optimizer, cfg.lr)
-    if cfg.mode == "multi":
-        group = multiworker.WorkerGroup(cfg.workers, params_f, params_g, opt_state)
-
-    train_cfg = trainer.TrainConfig(
-        tau=cfg.temperature,
-        sub_batch_s=cfg.sub_batch_s,
-        sub_batch_t=cfg.sub_batch_t,
-    )
-    deep_cfg = deep_mod.DeepConfig(
-        tau=cfg.temperature,
-        sub_batch_s=cfg.sub_batch_s,
-        sub_batch_t=cfg.sub_batch_t,
-        train_encoders=cfg.train_encoders,
-    )
-
     meter = memtrace.MemCounter(activation_budget=cfg.activation_budget)
     for arr in encoders.param_arrays(params_f) + encoders.param_arrays(params_g):
         meter.track_alloc("parameters", arr.size)
+    state = RunState(params_f, params_g, opt_state, meter)
+    if cfg.mode == "deep":
+        state.head = deep_mod.init_distance_head(
+            cfg.seed + 3, cfg.embed_dim, cfg.phi_hidden
+        )
+    if cfg.mode == "multi":
+        state.group = multiworker.WorkerGroup(
+            cfg.workers, params_f, params_g, opt_state
+        )
+    return state
 
+
+def _train_config(cfg):
+    return trainer.TrainConfig(cfg.temperature, cfg.sub_batch_s, cfg.sub_batch_t)
+
+
+def _direct(st, batch, cfg):
+    return trainer.train_step_direct(
+        batch, st.params_f, st.params_g, st.opt_state, cfg.temperature
+    )
+
+
+# Every mode and its step(state, batch, cfg); sequential is direct at
+# small batch.
+STEPS = {
+    "direct": _direct,
+    "cache": lambda st, batch, cfg: trainer.train_step_cached(
+        batch, st.params_f, st.params_g, st.opt_state, _train_config(cfg)),
+    "accumulation": lambda st, batch, cfg: trainer.train_step_accumulation(
+        batch, st.params_f, st.params_g, st.opt_state, cfg.sub_batch_s,
+        cfg.temperature),
+    "sequential": _direct,
+    "deep": lambda st, batch, cfg: deep_mod.train_step_deep(
+        batch, st.params_f, st.params_g, st.head, st.opt_state,
+        deep_mod.DeepConfig(cfg.temperature, cfg.sub_batch_s,
+                            cfg.sub_batch_t, cfg.train_encoders)),
+    "multi": lambda st, batch, cfg: multiworker.train_step_multi(
+        st.group, batch, _train_config(cfg)),
+}
+MODES = tuple(STEPS)
+
+
+def run_experiment(cfg):
+    """Train under one mode and collect per-step metrics plus final eval."""
+    check_task_fits(validate_config(cfg))
+    task = generate_task(cfg)
+    state = init_state(cfg)
+    step = STEPS[cfg.mode]
     shuffle_rng = np.random.default_rng(cfg.seed + 17)
     metrics = []
     step_idx = 0
-    with meter.activate():
+    with state.meter.activate():
         for _ in range(cfg.epochs):
             for batch in _epoch_batches(task, cfg, shuffle_rng):
                 t0 = time.perf_counter()
-                if cfg.mode in ("direct", "sequential"):
-                    res = trainer.train_step_direct(
-                        batch, params_f, params_g, opt_state, cfg.temperature
-                    )
-                    params_f, params_g, opt_state = (
-                        res.params_f, res.params_g, res.opt_state
-                    )
-                    loss_value, stats = res.loss, res.stats
-                elif cfg.mode == "cache":
-                    res = trainer.train_step_cached(
-                        batch, params_f, params_g, opt_state, train_cfg
-                    )
-                    params_f, params_g, opt_state = (
-                        res.params_f, res.params_g, res.opt_state
-                    )
-                    loss_value, stats = res.loss, res.stats
-                elif cfg.mode == "accumulation":
-                    res = trainer.train_step_accumulation(
-                        batch, params_f, params_g, opt_state,
-                        cfg.sub_batch_s, cfg.temperature,
-                    )
-                    params_f, params_g, opt_state = (
-                        res.params_f, res.params_g, res.opt_state
-                    )
-                    loss_value, stats = res.loss, res.stats
-                elif cfg.mode == "deep":
-                    res = deep_mod.train_step_deep(
-                        batch, params_f, params_g, head, opt_state, deep_cfg
-                    )
-                    params_f, params_g, head, opt_state = (
-                        res.params_f, res.params_g, res.head, res.opt_state
-                    )
-                    loss_value, stats = res.loss, res.stats
-                else:
-                    res = multiworker.train_step_multi(group, batch, train_cfg)
-                    loss_value, stats = res.loss, res.stats
+                res = step(state, batch, cfg)
+                state.advance(res)
                 wall_ms = (time.perf_counter() - t0) * 1e3
+                stats = res.stats
                 metrics.append({
                     "step": step_idx,
-                    "loss": loss_value,
+                    "loss": res.loss,
                     "fwd_count": stats.fwd_rows,
                     "bwd_count": stats.bwd_rows,
                     "act_peak": stats.act_peak,
@@ -303,10 +335,7 @@ def run_experiment(cfg):
                     "wall_ms": wall_ms,
                 })
                 step_idx += 1
-
-    if cfg.mode == "multi":
-        params_f = group.params_f[0]
-        params_g = group.params_g[0]
+    params_f, params_g = state.params_f, state.params_g
 
     ks = tuple(cfg.eval_k)
     hits = evaluate_topk(
@@ -338,7 +367,7 @@ def run_experiment(cfg):
         summary=summary,
         params_f=params_f,
         params_g=params_g,
-        head=head,
+        head=state.head,
         hits=hits,
         ranks=ranks,
     )
@@ -390,38 +419,27 @@ def save_run_checkpoint(result, path):
 def profile_single_step(mode, batch_size, sub_batch, seed=0, tau=1.0,
                         in_dim=24, hidden=32, embed_dim=16):
     """One training step under a fresh counter; per-category peaks."""
+    if mode == "multi":
+        raise ConfigError(
+            "profile cannot measure multi: its worker threads record into "
+            "their own meters; profile direct, cache, accumulation, "
+            "sequential or deep"
+        )
+    cfg = validate_config(RunConfig(
+        mode=mode, batch_size=batch_size, sub_batch_s=sub_batch,
+        sub_batch_t=sub_batch, temperature=tau, seed=seed, lr=1e-3,
+        encoder_hidden=hidden, embed_dim=embed_dim, in_dim_s=in_dim,
+        in_dim_t=in_dim,
+    ))
     rng = np.random.default_rng(seed)
     batch = loss_mod.aligned_batch(
         rng.normal(size=(batch_size, in_dim)),
         rng.normal(size=(batch_size, in_dim)),
     )
-    params_f = encoders.init_params(seed + 1, [in_dim, hidden, embed_dim])
-    params_g = encoders.init_params(seed + 2, [in_dim, hidden, embed_dim])
-    opt_state = encoders.init_optimizer("adam", 1e-3)
-    meter = memtrace.MemCounter()
-    for arr in encoders.param_arrays(params_f) + encoders.param_arrays(params_g):
-        meter.track_alloc("parameters", arr.size)
+    state = init_state(cfg)
+    meter = state.meter
     with meter.activate():
-        if mode == "direct":
-            res = trainer.train_step_direct(
-                batch, params_f, params_g, opt_state, tau
-            )
-        elif mode == "cache":
-            cfg = trainer.TrainConfig(
-                tau=tau, sub_batch_s=sub_batch, sub_batch_t=sub_batch
-            )
-            res = trainer.train_step_cached(
-                batch, params_f, params_g, opt_state, cfg
-            )
-        elif mode == "accumulation":
-            res = trainer.train_step_accumulation(
-                batch, params_f, params_g, opt_state, sub_batch, tau
-            )
-        else:
-            raise ConfigError(f"profile supports direct|cache|accumulation, "
-                              f"got {mode!r}")
-        stats = res.stats
-        del res
+        stats = STEPS[mode](state, batch, cfg).stats
     return {
         "mode": mode,
         "batch_size": batch_size,
@@ -441,28 +459,9 @@ def config_from_mapping(mapping):
     return apply_overrides(cfg, mapping)
 
 
+# Fields whose annotated type cannot parse a string value.
 _COERCERS = {
-    "mode": str,
-    "batch_size": int,
-    "sub_batch_s": int,
-    "sub_batch_t": int,
-    "workers": int,
-    "temperature": float,
-    "epochs": int,
-    "seed": int,
-    "optimizer": str,
-    "lr": float,
-    "encoder_hidden": int,
-    "embed_dim": int,
-    "encoder_activation": str,
-    "phi_hidden": int,
     "train_encoders": lambda v: str(v).strip().lower() in ("1", "true", "yes"),
-    "n_pairs": int,
-    "in_dim_s": int,
-    "in_dim_t": int,
-    "latent_dim": int,
-    "noise": float,
-    "eval_frac": float,
     "eval_k": lambda v: tuple(int(x) for x in str(v).split(",") if x.strip()),
     "activation_budget": lambda v: None if str(v).lower() in ("none", "") else int(v),
 }
@@ -470,12 +469,12 @@ _COERCERS = {
 
 def apply_overrides(cfg, mapping):
     """Overlay key/value overrides onto a config; unknown keys error."""
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name: f.type for f in fields(RunConfig)}
     updates = {}
     for key, value in mapping.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        coerce = _COERCERS.get(key, str)
+        coerce = _COERCERS.get(key, known[key])
         if isinstance(value, str):
             try:
                 value = coerce(value)

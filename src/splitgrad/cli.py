@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-Verbs: generate (write a synthetic dataset), train (one run, emitting
-metrics.jsonl / summary.csv / params.json), eval (rank held-out pairs
-with saved parameters), sweep (batch-size series in one summary), and
-profile (per-category float peaks for a single step).
+Verbs: train (one run, emitting metrics.jsonl / summary.csv /
+params.json), eval (rank held-out pairs with saved parameters), sweep
+(batch-size series in one summary), and profile (per-category float
+peaks for a single step).
 
 Flags override config-file values; exit code 0 on success, 2 for
 configuration errors, 3 when the activation budget is exceeded.
@@ -13,9 +13,7 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import bench, encoders, memtrace
+from . import bench, encoders
 from .bench import ConfigError
 from .memtrace import BudgetExceededError
 
@@ -49,9 +47,6 @@ def build_parser():
         description="memory-constant contrastive training experiments",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_gen = sub.add_parser("generate", help="write a synthetic paired dataset")
-    _add_run_flags(p_gen)
 
     p_train = sub.add_parser("train", help="train one run and emit reports")
     _add_run_flags(p_train)
@@ -106,22 +101,6 @@ def _ensure_out(args):
     return args.out
 
 
-def cmd_generate(args):
-    cfg = bench.validate_config(_build_config(args))
-    task = bench.generate_task(cfg)
-    out = _ensure_out(args)
-    path = os.path.join(out, "task.npz")
-    np.savez(
-        path,
-        train_anchors=task.train_anchors,
-        train_targets=task.train_targets,
-        eval_anchors=task.eval_anchors,
-        eval_targets=task.eval_targets,
-    )
-    print(f"task={path} train_pairs={task.n_train} eval_pairs={task.n_eval}")
-    return 0
-
-
 def cmd_train(args):
     cfg = _build_config(args)
     result = bench.run_experiment(cfg)
@@ -145,7 +124,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = bench.validate_config(_build_config(args))
+    cfg = bench.check_task_fits(
+        bench.validate_config(_build_config(args)), train=False
+    )
     params_path = args.params or os.path.join(args.out, "params.json")
     try:
         groups = encoders.load_params_file(params_path)
@@ -169,10 +150,15 @@ def cmd_eval(args):
 def cmd_sweep(args):
     base = _build_config(args)
     sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
+    configs = [
+        bench.check_task_fits(bench.validate_config(
+            bench.apply_overrides(base, {"batch_size": size})
+        ))
+        for size in sizes
+    ]
     out = _ensure_out(args)
     rows = []
-    for size in sizes:
-        cfg = bench.apply_overrides(base, {"batch_size": size})
+    for size, cfg in zip(sizes, configs):
         result = bench.run_experiment(cfg)
         bench.emit_metrics_jsonl(
             result.metrics, os.path.join(out, f"metrics_bs{size}.jsonl")
@@ -190,18 +176,17 @@ def cmd_sweep(args):
 def cmd_profile(args):
     cfg = bench.validate_config(_build_config(args))
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in ("direct", "cache", "accumulation"):
-            raise ConfigError(
-                f"profile supports direct|cache|accumulation, got {mode!r}"
-            )
     if args.batch_sizes is not None:
         sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
     else:
         sizes = [cfg.batch_size]
-    rows = memtrace.profile_step(
-        modes, sizes, cfg.sub_batch_s, seed=cfg.seed, tau=cfg.temperature
-    )
+    rows = [
+        bench.profile_single_step(
+            mode, size, cfg.sub_batch_s, seed=cfg.seed, tau=cfg.temperature
+        )
+        for mode in modes
+        for size in sizes
+    ]
     for row in rows:
         print(f"mode={row['mode']} batch_size={row['batch_size']} "
               f"act_peak={row['act_peak']} "
@@ -212,7 +197,6 @@ def cmd_profile(args):
 
 
 _COMMANDS = {
-    "generate": cmd_generate,
     "train": cmd_train,
     "eval": cmd_eval,
     "sweep": cmd_sweep,

@@ -31,7 +31,6 @@ from .trainer import (
     RepresentationGradientCache,
     _begin_step,
     _phase,
-    _phase_peak,
     _register,
     count,
     counter_snapshot,
@@ -61,18 +60,7 @@ class DistanceHead:
     activation: str = "tanh"
 
     def copy(self):
-        if self.kind == "dot":
-            return DistanceHead(kind="dot", d=self.d)
-        return DistanceHead(
-            kind="mlp",
-            d=self.d,
-            w1a=self.w1a.copy(),
-            w1b=self.w1b.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            activation=self.activation,
-        )
+        return head_from_arrays(self, [a.copy() for a in head_arrays(self)])
 
 
 def init_distance_head(seed, d, hidden=8, activation="tanh"):
@@ -95,10 +83,13 @@ def dot_head(d):
     return DistanceHead(kind="dot", d=d)
 
 
+HEAD_ARRAYS = ("w1a", "w1b", "b1", "w2", "b2")
+
+
 def head_arrays(head):
     if head.kind == "dot":
         return []
-    return [head.w1a, head.w1b, head.b1, head.w2, head.b2]
+    return [getattr(head, name) for name in HEAD_ARRAYS]
 
 
 def head_from_arrays(head, arrays):
@@ -119,7 +110,8 @@ class HeadLeaves:
 
 
 def make_head_leaves(head):
-    """Register head parameters as leaves on the active tape."""
+    """Register head parameters as leaves on the active tape (as
+    constants when nothing is recording)."""
     if head.kind == "dot":
         return HeadLeaves(kind="dot", tensors=[])
     return HeadLeaves(
@@ -149,12 +141,7 @@ def phi_pairs(head_leaves, Fb, Gb):
         return ad.matmul(ad.mul(xf, xg), np.ones((d, 1)))
     w1a, w1b, b1, w2, b2 = head_leaves.tensors
     pre = ad.add(ad.add(ad.matmul(xf, w1a), ad.matmul(xg, w1b)), b1)
-    if head_leaves.activation == "tanh":
-        hidden = ad.tanh(pre)
-    elif head_leaves.activation == "relu":
-        hidden = ad.relu(pre)
-    else:
-        hidden = pre
+    hidden = encoders.apply_activation(head_leaves.activation, pre)
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
@@ -174,12 +161,12 @@ def forward_collect(batch, params_f, params_g, head, plan):
         d_vals = _register(
             np.empty((batch.n_anchors, batch.n_targets)), "representation-store"
         )
-        head_const = make_head_leaves_const(head)
         with ad.no_graph():
+            head_leaves = make_head_leaves(head)
             for a_lo, a_hi in plan.anchor_chunks:
                 for b_lo, b_hi in plan.target_chunks:
                     block = phi_pairs(
-                        head_const,
+                        head_leaves,
                         ad.constant(F[a_lo:a_hi]),
                         ad.constant(G[b_lo:b_hi]),
                     )
@@ -188,17 +175,6 @@ def forward_collect(batch, params_f, params_g, head, plan):
                     )
                     count("phi_fwd_pairs", (a_hi - a_lo) * (b_hi - b_lo))
     return F, G, d_vals
-
-
-def make_head_leaves_const(head):
-    """Head parameters as constants, for graph-less evaluation."""
-    if head.kind == "dot":
-        return HeadLeaves(kind="dot", tensors=[])
-    return HeadLeaves(
-        kind="mlp",
-        tensors=[ad.constant(a) for a in head_arrays(head)],
-        activation=head.activation,
-    )
 
 
 def build_distance_cache(d_vals, r, tau):
@@ -246,11 +222,9 @@ def update_omega_and_fold(F, G, head, dcache, plan, order=None):
                 f_leaf = tape.leaf(F[a_lo:a_hi])
                 g_leaf = tape.leaf(G[b_lo:b_hi])
                 out = phi_pairs(head_leaves, f_leaf, g_leaf)
-                w_block = dcache.w[a_lo:a_hi, b_lo:b_hi].reshape(-1, 1)
-                surrogate = ad.sum_all(ad.mul(out, ad.constant(w_block)))
             n_pairs = (a_hi - a_lo) * (b_hi - b_lo)
             count("phi_fwd_pairs", n_pairs)
-            tape.backward(surrogate)
+            tape.backward(out, dcache.w[a_lo:a_hi, b_lo:b_hi].reshape(-1, 1))
             count("phi_bwd_pairs", n_pairs)
             u_rows[a_lo:a_hi] += tape.grad(f_leaf)
             v_rows[b_lo:b_hi] += tape.grad(g_leaf)
@@ -266,16 +240,6 @@ class DeepConfig:
     sub_batch_s: int = 8
     sub_batch_t: int = 8
     train_encoders: bool = True
-
-
-@dataclass
-class DeepStepResult:
-    loss: float
-    params_f: encoders.EncoderParams
-    params_g: encoders.EncoderParams
-    head: DistanceHead
-    opt_state: encoders.OptimizerState
-    stats: trainer.StepStats
 
 
 def train_step_deep(batch, params_f, params_g, head, opt_state, config):
@@ -310,33 +274,20 @@ def train_step_deep(batch, params_f, params_g, head, opt_state, config):
         )
         new_f, new_g = params_f, params_g
         new_head = head_from_arrays(head, new_arrays)
-    counters = counter_snapshot()
-    stats = trainer.StepStats(
-        fwd_rows=counters["fwd_rows"],
-        bwd_rows=counters["bwd_rows"],
-        act_peak=max(
-            _phase_peak("step1"),
-            _phase_peak("pairs"),
-            _phase_peak("omega"),
-            _phase_peak("step3"),
-        ),
-        loss_phase_peak=_phase_peak("step2"),
-        cache_floats=max(
-            _phase_peak("step2", "gradient-cache"),
-            _phase_peak("omega", "gradient-cache"),
-        ),
+    stats = trainer.step_stats(
+        counter_snapshot(), ("step1", "pairs", "omega", "step3"), ("step2",),
+        ("step2", "omega"),
     )
-    return DeepStepResult(
-        loss_value, new_f, new_g, new_head, new_state, stats
+    return trainer.StepResult(
+        loss_value, new_f, new_g, new_state, stats, head=new_head
     )
 
 
 def deep_direct_grads(batch, params_f, params_g, head, tau=1.0):
     """Everything in one graph: encoders, head, loss.
 
-    The per-pair scores come back as a column; rows belonging to one
-    anchor are sliced out, transposed, and stacked to rebuild the
-    [n_anchors x n_targets] score matrix inside the graph.
+    The per-pair scores come back as an anchor-major column, which
+    reshapes to the [n_anchors x n_targets] score matrix inside the graph.
     """
     n_s, n_t = batch.n_anchors, batch.n_targets
     tape = ad.Tape()
@@ -347,11 +298,7 @@ def deep_direct_grads(batch, params_f, params_g, head, tau=1.0):
         G_t = encoders.encode_graph(leaves_g, ad.constant(batch.targets))
         head_leaves = make_head_leaves(head)
         out = phi_pairs(head_leaves, F_t, G_t)
-        pieces = []
-        for i in range(n_s):
-            rows = ad.index_rows(out, np.arange(i * n_t, (i + 1) * n_t))
-            pieces.append(ad.transpose(rows))
-        d_mat = ad.concat_rows(*pieces)
+        d_mat = ad.reshape(out, (n_s, n_t))
         z = ad.scalar_mul(1.0 / tau, d_mat)
         loss_t = loss_mod.loss_graph_from_logits(z, batch.r)
     count("phi_fwd_pairs", n_s * n_t)
@@ -375,9 +322,7 @@ def head_to_group(head):
     }
     if head.kind == "mlp":
         group["meta"]["activation"] = head.activation
-        for name, arr in zip(
-            ("w1a", "w1b", "b1", "w2", "b2"), head_arrays(head)
-        ):
+        for name, arr in zip(HEAD_ARRAYS, head_arrays(head)):
             group["arrays"][name] = arr.tolist()
     return group
 
@@ -388,15 +333,8 @@ def head_from_group(group):
         return dot_head(int(meta["d"]))
     arrays = [
         np.asarray(group["arrays"][name], dtype=np.float64)
-        for name in ("w1a", "w1b", "b1", "w2", "b2")
+        for name in HEAD_ARRAYS
     ]
-    return DistanceHead(
-        kind="mlp",
-        d=int(meta["d"]),
-        w1a=arrays[0],
-        w1b=arrays[1],
-        b1=arrays[2],
-        w2=arrays[3],
-        b2=arrays[4],
-        activation=meta.get("activation", "tanh"),
-    )
+    shell = DistanceHead(kind="mlp", d=int(meta["d"]),
+                         activation=meta.get("activation", "tanh"))
+    return head_from_arrays(shell, arrays)

@@ -80,7 +80,7 @@ def identity_params(dim):
     )
 
 
-def _apply_activation(name, x):
+def apply_activation(name, x):
     if name == "tanh":
         return ad.tanh(x)
     if name == "relu":
@@ -109,25 +109,11 @@ def encode(params, inputs, taped=False):
     _check_input(params, inputs)
     if not taped:
         with ad.no_graph():
-            return _encode_value(params, inputs)
+            return encode_graph(params, ad.constant(inputs)).data
     if ad.active_tape() is None:
         with ad.recording(ad.Tape()):
-            return _encode_taped_value(params, inputs)
-    return _encode_taped_value(params, inputs)
-
-
-def _encode_value(params, inputs):
-    x = ad.constant(inputs)
-    for (w, b), act in zip(params.layers, params.activations):
-        x = _apply_activation(act, ad.add(ad.matmul(x, w), b))
-    return x.data
-
-
-def _encode_taped_value(params, inputs):
-    x = ad.leaf(inputs)
-    for (w, b), act in zip(params.layers, params.activations):
-        x = _apply_activation(act, ad.add(ad.matmul(x, w), b))
-    return x.data
+            return encode_graph(params, ad.leaf(inputs)).data
+    return encode_graph(params, ad.leaf(inputs)).data
 
 
 @dataclass
@@ -137,13 +123,6 @@ class EncoderLeaves:
     layers: list
     activations: list
 
-    def flat(self):
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
-
 
 def make_leaves(params):
     """Register every parameter array as a leaf on the active tape."""
@@ -151,15 +130,15 @@ def make_leaves(params):
     return EncoderLeaves(layers=layers, activations=list(params.activations))
 
 
-def encode_graph(leaves, x):
-    """Embed a Tensor of input rows through leaf parameters."""
-    for (w, b), act in zip(leaves.layers, leaves.activations):
-        x = _apply_activation(act, ad.add(ad.matmul(x, w), b))
+def encode_graph(params, x):
+    """Embed a Tensor of input rows through parameter arrays or leaves."""
+    for (w, b), act in zip(params.layers, params.activations):
+        x = apply_activation(act, ad.add(ad.matmul(x, w), b))
     return x
 
 
 def param_arrays(params):
-    """Flat list of parameter arrays in a fixed order (w, b per layer)."""
+    """Flat list of arrays or leaves in a fixed order (w, b per layer)."""
     out = []
     for w, b in params.layers:
         out.append(w)
@@ -182,7 +161,7 @@ def params_from_arrays(params, arrays):
 
 def leaf_grads(tape, leaves):
     """Gradients of the flat parameter list after a backward pass."""
-    return [tape.grad(t) for t in leaves.flat()]
+    return [tape.grad(t) for t in param_arrays(leaves)]
 
 
 def total_floats(params):

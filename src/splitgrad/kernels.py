@@ -1,99 +1,72 @@
-"""Hot numeric kernels, with a numba-jitted lane and a pure-numpy fallback.
-
-Backend selection happens once at import time via the ``SPLITGRAD_BACKEND``
-environment variable:
-
-* ``auto`` (default) - use numba when it is importable, numpy otherwise
-* ``numba``          - require numba, fail loudly if missing
-* ``numpy``          - force the pure-numpy fallback
+"""Hot numeric kernels, in numpy.
 
 The matmul-style kernels are deliberately *not* routed through BLAS: BLAS
 gemm picks different accumulation strategies for different row counts, so
 the product of a row subset is not bit-identical to the same rows of the
-full product. Both lanes here accumulate over the reduction axis in a fixed
-order per output element, which makes chunked forwards reproduce full-batch
-forwards exactly. Everything runs in float64.
-
-Both implementations of every kernel stay importable (``NUMPY_IMPLS`` /
-``NUMBA_IMPLS``) so the benchmark and parity tests can compare them
-regardless of which lane is bound.
+full product. ``einsum`` without ``optimize`` accumulates over the
+reduction axis in a fixed order per output element, which makes chunked
+forwards reproduce full-batch forwards exactly. Everything runs in float64.
 """
-
-import os
 
 import numpy as np
 
-BACKEND_ENV_VAR = "SPLITGRAD_BACKEND"
-
-_requested = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"{BACKEND_ENV_VAR} must be one of auto|numba|numpy, got {_requested!r}"
-    )
-
-_have_numba = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        _have_numba = True
-    except ImportError:
-        if _requested == "numba":
-            raise ImportError(
-                f"{BACKEND_ENV_VAR}={_requested} but numba is not importable"
-            )
-
-USING_NUMBA = _have_numba
-BACKEND = "numba" if USING_NUMBA else "numpy"
-
 
 def active_backend() -> str:
-    """Name of the kernel lane bound at import time."""
-    return BACKEND
+    """Name of the kernel lane in use."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
+def _c64(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
 
-def np_matmul(x, w):
+
+def _einsum_matmul(x, w):
     # einsum without optimize never calls BLAS; fixed loop order keeps the
     # per-row accumulation identical for any row subset.
     return np.einsum("ij,jk->ik", x, w, optimize=False)
 
 
-def np_pair_scores(a, b):
-    """All pairwise dot products, a @ b.T with block-stable accumulation."""
-    # routed through np_matmul so both lanes share one accumulation order
-    return np_matmul(a, np.ascontiguousarray(b.T))
+def matmul(x, w):
+    """Row-deterministic x @ w: rows of a chunk match the full product."""
+    return _einsum_matmul(_c64(x), _c64(w))
 
 
-def np_row_softmax(x):
+def pair_scores(a, b):
+    """Block-deterministic a @ b.T over all row pairs."""
+    return _einsum_matmul(_c64(a), np.ascontiguousarray(_c64(b).T))
+
+
+def row_softmax(x):
+    x = _c64(x)
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def np_row_softmax_vjp(p, g):
+def row_softmax_vjp(p, g):
+    p, g = _c64(p), _c64(g)
     s = (g * p).sum(axis=1, keepdims=True)
     return p * (g - s)
 
 
-def np_scatter_add_rows(out, idx, rows):
-    np.add.at(out, idx, rows)
+def scatter_add_rows(out, idx, rows):
+    """out[idx[k]] += rows[k], accumulated in ascending k order."""
+    np.add.at(out, np.ascontiguousarray(idx, dtype=np.int64), _c64(rows))
     return out
 
 
-def np_relu_vjp(x, g):
-    return g * (x > 0.0)
+def relu_vjp(x, g):
+    return _c64(g) * (_c64(x) > 0.0)
 
 
-def np_tanh_vjp(y, g):
-    return g * (1.0 - y * y)
+def tanh_vjp(y, g):
+    y = _c64(y)
+    return _c64(g) * (1.0 - y * y)
 
 
-def np_adam_update(p, m, v, g, lr, beta1, beta2, eps, t):
+def adam_update(p, m, v, g, lr, beta1, beta2, eps, t):
     """One bias-corrected Adam step, in place on p, m, v."""
+    g = _c64(g)
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
@@ -102,154 +75,3 @@ def np_adam_update(p, m, v, g, lr, beta1, beta2, eps, t):
     vhat = v / (1.0 - beta2 ** t)
     p -= lr * mhat / (np.sqrt(vhat) + eps)
     return p
-
-
-NUMPY_IMPLS = {
-    "matmul": np_matmul,
-    "pair_scores": np_pair_scores,
-    "row_softmax": np_row_softmax,
-    "row_softmax_vjp": np_row_softmax_vjp,
-    "scatter_add_rows": np_scatter_add_rows,
-    "relu_vjp": np_relu_vjp,
-    "tanh_vjp": np_tanh_vjp,
-    "adam_update": np_adam_update,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-NUMBA_IMPLS = {}
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _nb_matmul(x, w):
-        n_rows, k = x.shape
-        n_cols = w.shape[1]
-        out = np.empty((n_rows, n_cols))
-        for i in range(n_rows):
-            for j in range(n_cols):
-                acc = 0.0
-                for r in range(k):
-                    acc += x[i, r] * w[r, j]
-                out[i, j] = acc
-        return out
-
-    def _nb_pair_scores(a, b):
-        return _nb_matmul(a, np.ascontiguousarray(b.T))
-
-    @njit(cache=True)
-    def _nb_scatter_add_rows(out, idx, rows):
-        n, d = rows.shape
-        for k in range(n):
-            i = idx[k]
-            for j in range(d):
-                out[i, j] += rows[k, j]
-        return out
-
-    @njit(cache=True)
-    def _nb_relu_vjp(x, g):
-        out = np.empty_like(g)
-        flat_x = x.ravel()
-        flat_g = g.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_x.size):
-            flat_o[i] = flat_g[i] if flat_x[i] > 0.0 else 0.0
-        return out
-
-    @njit(cache=True)
-    def _nb_tanh_vjp(y, g):
-        out = np.empty_like(g)
-        flat_y = y.ravel()
-        flat_g = g.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_y.size):
-            flat_o[i] = flat_g[i] * (1.0 - flat_y[i] * flat_y[i])
-        return out
-
-    @njit(cache=True)
-    def _nb_adam_core(p, m, v, g, lr, beta1, beta2, eps, c1, c2):
-        fp = p.ravel()
-        fm = m.ravel()
-        fv = v.ravel()
-        fg = g.ravel()
-        for i in range(fp.size):
-            fm[i] = beta1 * fm[i] + (1.0 - beta1) * fg[i]
-            fv[i] = beta2 * fv[i] + (1.0 - beta2) * fg[i] * fg[i]
-            mhat = fm[i] / c1
-            vhat = fv[i] / c2
-            fp[i] -= lr * mhat / (np.sqrt(vhat) + eps)
-        return p
-
-    def _nb_adam_update(p, m, v, g, lr, beta1, beta2, eps, t):
-        # bias corrections use python pow so both lanes share rounding
-        c1 = 1.0 - beta1 ** t
-        c2 = 1.0 - beta2 ** t
-        return _nb_adam_core(p, m, v, g, lr, beta1, beta2, eps, c1, c2)
-
-    # row_softmax and its vjp are row-local (no cross-row accumulation),
-    # so the vectorized forms are shared by both lanes: a compiled variant
-    # would differ at the ulp level through libm exp and change nothing
-    # about chunk determinism.
-    NUMBA_IMPLS = {
-        "matmul": _nb_matmul,
-        "pair_scores": _nb_pair_scores,
-        "row_softmax": np_row_softmax,
-        "row_softmax_vjp": np_row_softmax_vjp,
-        "scatter_add_rows": _nb_scatter_add_rows,
-        "relu_vjp": _nb_relu_vjp,
-        "tanh_vjp": _nb_tanh_vjp,
-        "adam_update": _nb_adam_update,
-    }
-
-
-# ---------------------------------------------------------------------------
-# bound lane
-# ---------------------------------------------------------------------------
-
-_impls = NUMBA_IMPLS if USING_NUMBA else NUMPY_IMPLS
-
-
-def _c64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def matmul(x, w):
-    """Row-deterministic x @ w: rows of a chunk match the full product."""
-    return _impls["matmul"](_c64(x), _c64(w))
-
-
-def pair_scores(a, b):
-    """Block-deterministic a @ b.T over all row pairs."""
-    return _impls["pair_scores"](_c64(a), _c64(b))
-
-
-def row_softmax(x):
-    return _impls["row_softmax"](_c64(x))
-
-
-def row_softmax_vjp(p, g):
-    return _impls["row_softmax_vjp"](_c64(p), _c64(g))
-
-
-def scatter_add_rows(out, idx, rows):
-    """out[idx[k]] += rows[k], accumulated in ascending k order."""
-    return _impls["scatter_add_rows"](
-        out, np.ascontiguousarray(idx, dtype=np.int64), _c64(rows)
-    )
-
-
-def relu_vjp(x, g):
-    return _impls["relu_vjp"](_c64(x), _c64(g))
-
-
-def tanh_vjp(y, g):
-    return _impls["tanh_vjp"](_c64(y), _c64(g))
-
-
-def adam_update(p, m, v, g, lr, beta1, beta2, eps, t):
-    return _impls["adam_update"](
-        p, m, v, _c64(g), float(lr), float(beta1), float(beta2), float(eps), int(t)
-    )

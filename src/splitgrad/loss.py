@@ -39,7 +39,6 @@ class Batch:
     anchors: np.ndarray
     targets: np.ndarray
     r: np.ndarray
-    hard_negative_count: int = 0
 
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=np.float64)

@@ -184,26 +184,3 @@ def merge_reports(counters):
                 merged[c] += counter.peak[c]
     return merged
 
-
-def profile_step(modes, batch_sizes, sub_batch, seed=0, tau=1.0):
-    """Run one training step per (mode, batch size) with fresh counters.
-
-    Returns a list of dicts with per-category peaks. Uses a fixed
-    synthetic batch and the default two-layer encoders; the point is the
-    memory shape, not the loss values.
-    """
-    from . import bench
-
-    rows = []
-    for mode in modes:
-        for batch_size in batch_sizes:
-            rows.append(
-                bench.profile_single_step(
-                    mode=mode,
-                    batch_size=batch_size,
-                    sub_batch=sub_batch,
-                    seed=seed,
-                    tau=tau,
-                )
-            )
-    return rows

@@ -251,16 +251,10 @@ def train_step_multi(group, batch, config):
                 raise exc
         raise real_errors[0]
 
-    merged = memtrace.merge_reports(meters)
-    stats = trainer.StepStats(
-        fwd_rows=sum(c["fwd_rows"] for c in counters),
-        bwd_rows=sum(c["bwd_rows"] for c in counters),
-        act_peak=max(
-            max(m.phase_peak("step1"), m.phase_peak("step3")) for m in meters
-        ),
-        loss_phase_peak=max(m.phase_peak("step2") for m in meters),
-        cache_floats=merged["gradient-cache"],
+    totals = {k: sum(c[k] for c in counters) for k in counters[0]}
+    stats = trainer.step_stats(
+        totals, ("step1", "step3"), ("step2",), ("step2",), meters
     )
     return MultiStepResult(
-        loss=losses[0], stats=stats, worker_peaks=merged
+        loss=losses[0], stats=stats, worker_peaks=memtrace.merge_reports(meters)
     )

@@ -43,8 +43,6 @@ class SubBatchPlan:
 
     anchor_chunks: list
     target_chunks: list
-    sub_batch_size_s: int
-    sub_batch_size_t: int
 
 
 def _chunk_ranges(n, size):
@@ -58,8 +56,6 @@ def plan_subbatches(n_anchors, n_targets, bs_s, bs_t):
     return SubBatchPlan(
         anchor_chunks=_chunk_ranges(n_anchors, bs_s),
         target_chunks=_chunk_ranges(n_targets, bs_t),
-        sub_batch_size_s=bs_s,
-        sub_batch_size_t=bs_t,
     )
 
 
@@ -107,6 +103,7 @@ class StepResult:
     params_g: encoders.EncoderParams
     opt_state: encoders.OptimizerState
     stats: StepStats
+    head: object = None  # the distance head, in deep mode
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +156,32 @@ def _begin_step():
         meter.begin_step()
 
 
-def _phase_peak(name, category="activation"):
-    meter = memtrace.current_meter()
-    if meter is None:
-        return 0
-    return meter.phase_peak(name, category)
+def step_stats(counters, act_phases, loss_phases=(), cache_phases=(),
+               meters=None):
+    """The StepStats of a step, from its row counters and phase windows.
+
+    Each peak is the largest over its phases: activation floats for
+    act_peak and loss_phase_peak, gradient-cache floats for cache_floats.
+    With one meter per worker, peaks take the max across workers and
+    cache floats the sum, as in ``memtrace.merge_reports``. ``meters``
+    defaults to the active meter; without one every peak is 0.
+    """
+    if meters is None:
+        meters = [memtrace.current_meter()]
+    meters = [m for m in meters if m is not None]
+
+    def peak(meter, names, category="activation"):
+        return max((meter.phase_peak(n, category) for n in names), default=0)
+
+    return StepStats(
+        fwd_rows=counters["fwd_rows"],
+        bwd_rows=counters["bwd_rows"],
+        act_peak=max((peak(m, act_phases) for m in meters), default=0),
+        loss_phase_peak=max((peak(m, loss_phases) for m in meters), default=0),
+        cache_floats=sum(
+            peak(m, cache_phases, "gradient-cache") for m in meters
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +231,13 @@ def _zero_grads(params):
 
 
 def _accumulate_chunk(params, rows, seed_rows, grad_accumulators):
-    """Taped encode of one chunk, backward seeded with cached rows.
-
-    The seed enters through a surrogate scalar sum(out * seed): its
-    gradient with respect to the chunk output is exactly the seed rows,
-    so the parameter gradients are the seeded vector-Jacobian products.
-    """
+    """Taped encode of one chunk, backward seeded with its cached rows."""
     tape = ad.Tape()
     with ad.recording(tape):
         leaves = encoders.make_leaves(params)
         out = encoders.encode_graph(leaves, ad.constant(rows))
-        surrogate = ad.sum_all(ad.mul(out, ad.constant(seed_rows)))
     count("fwd_rows", rows.shape[0])
-    tape.backward(surrogate)
+    tape.backward(out, seed_rows)
     count("bwd_rows", rows.shape[0])
     for acc, g in zip(grad_accumulators, encoders.leaf_grads(tape, leaves)):
         acc += g
@@ -292,13 +304,8 @@ def train_step_cached(batch, params_f, params_g, opt_state, config):
     new_f, new_g, new_state = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
-    counters = counter_snapshot()
-    stats = StepStats(
-        fwd_rows=counters["fwd_rows"],
-        bwd_rows=counters["bwd_rows"],
-        act_peak=max(_phase_peak("step1"), _phase_peak("step3")),
-        loss_phase_peak=_phase_peak("step2"),
-        cache_floats=_phase_peak("step2", "gradient-cache"),
+    stats = step_stats(
+        counter_snapshot(), ("step1", "step3"), ("step2",), ("step2",)
     )
     return StepResult(loss_value, new_f, new_g, new_state, stats)
 
@@ -321,14 +328,7 @@ def train_step_direct(batch, params_f, params_g, opt_state, tau=1.0):
     new_f, new_g, new_state = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
-    counters = counter_snapshot()
-    stats = StepStats(
-        fwd_rows=counters["fwd_rows"],
-        bwd_rows=counters["bwd_rows"],
-        act_peak=_phase_peak("direct"),
-        loss_phase_peak=0,
-        cache_floats=0,
-    )
+    stats = step_stats(counter_snapshot(), ("direct",))
     return StepResult(loss_value, new_f, new_g, new_state, stats)
 
 
@@ -387,14 +387,7 @@ def train_step_accumulation(batch, params_f, params_g, opt_state,
     new_f, new_g, new_state = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
-    counters = counter_snapshot()
-    stats = StepStats(
-        fwd_rows=counters["fwd_rows"],
-        bwd_rows=counters["bwd_rows"],
-        act_peak=_phase_peak("accumulation"),
-        loss_phase_peak=0,
-        cache_floats=0,
-    )
+    stats = step_stats(counter_snapshot(), ("accumulation",))
     return StepResult(
         float(np.mean(chunk_losses)), new_f, new_g, new_state, stats
     )

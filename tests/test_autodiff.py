@@ -121,8 +121,7 @@ def test_forward_values_match_numpy():
         (ad.exp(ad.constant(a)), np.exp(a)),
         (ad.sum_all(ad.constant(a)), np.asarray(a.sum())),
         (ad.mean_all(ad.constant(a)), np.asarray(a.mean())),
-        (ad.transpose(ad.constant(a)), a.T),
-        (ad.concat_rows(ad.constant(a), ad.constant(a)), np.vstack([a, a])),
+        (ad.reshape(ad.constant(a), (2, 10)), a.reshape(2, 10)),
         (ad.index_rows(ad.constant(a), np.array([2, 0, 2])), a[[2, 0, 2]]),
         (ad.dot_product_matrix(ad.constant(a), ad.constant(a)), a @ a.T),
     ]
@@ -156,10 +155,10 @@ def test_add_broadcasts_bias_row():
 def test_ops_allocate_fresh_arrays():
     # mutating an input after the op must not change the recorded output
     x = np.ones((3, 3))
-    out_t = ad.transpose(ad.constant(x))
+    out_r = ad.reshape(ad.constant(x), (9, 1))
     out_i = ad.index_rows(ad.constant(x), np.array([0, 1]))
     x[:] = 7.0
-    np.testing.assert_array_equal(out_t.data, np.ones((3, 3)))
+    np.testing.assert_array_equal(out_r.data, np.ones((9, 1)))
     np.testing.assert_array_equal(out_i.data, np.ones((2, 3)))
 
 
@@ -196,19 +195,48 @@ def test_index_rows_repeated_indices_accumulate():
     )
 
 
-def test_concat_rows_vjp_splits_by_block():
+def test_reshape_vjp_restores_input_shape():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(4, 3))
-    w = rng.normal(size=(6, 3))
+    a = rng.normal(size=(6, 1))
+    w = rng.normal(size=(2, 3))
     tape = Tape()
     with ad.recording(tape):
         xa = tape.leaf(a)
-        xb = tape.leaf(b)
-        s = ad.sum_all(ad.mul(ad.concat_rows(xa, xb), ad.constant(w)))
+        s = ad.sum_all(ad.mul(ad.reshape(xa, (2, 3)), ad.constant(w)))
     tape.backward(s)
-    np.testing.assert_allclose(tape.grad(xa), w[:2], rtol=1e-15)
-    np.testing.assert_allclose(tape.grad(xb), w[2:], rtol=1e-15)
+    # anchor-major: row i * 3 + j of the column is entry (i, j)
+    np.testing.assert_array_equal(tape.grad(xa), w.reshape(6, 1))
+    with pytest.raises(ShapeMismatchError, match="reshape"):
+        ad.reshape(xa, (4, 2))
+
+
+def _chunk_tape(seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(5, 4))
+    w = rng.normal(size=(4, 3))
+    tape = Tape()
+    with ad.recording(tape):
+        wl = tape.leaf(w)
+        out = ad.tanh(ad.matmul(ad.constant(x), wl))
+    return tape, wl, out, rng.normal(size=(5, 3))
+
+
+def test_seeded_backward_matches_surrogate_bitwise():
+    tape, wl, out, seed = _chunk_tape()
+    tape.backward(out, grad=seed)
+    seeded = tape.grad(wl).copy()
+
+    tape, wl, out, seed = _chunk_tape()
+    with ad.recording(tape):
+        surrogate = ad.sum_all(ad.mul(out, ad.constant(seed)))
+    tape.backward(surrogate)
+    assert np.array_equal(seeded, tape.grad(wl))
+
+
+def test_seeded_backward_checks_seed_shape():
+    tape, _, out, seed = _chunk_tape()
+    with pytest.raises(ShapeMismatchError, match="backward seed"):
+        tape.backward(out, grad=seed.T)
 
 
 def test_shape_mismatch_names_op_kind():
@@ -270,10 +298,11 @@ def test_vjp_structure_ops():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 3))
     idx = np.array([4, 0, 4, 2])
-    wt = rng.normal(size=(3, 6))
+    wr = rng.normal(size=(2, 9))
     wi = rng.normal(size=(4, 3))
     other = rng.normal(size=(5, 3))
-    _check(lambda t: ad.sum_all(ad.mul(ad.transpose(t), ad.constant(wt))), x)
+    _check(lambda t: ad.sum_all(ad.mul(ad.reshape(t, (2, 9)),
+                                       ad.constant(wr))), x)
     _check(lambda t: ad.sum_all(ad.mul(ad.index_rows(t, idx),
                                        ad.constant(wi))), x)
     _check(lambda t: ad.sum_all(ad.tanh(ad.dot_product_matrix(

@@ -228,6 +228,13 @@ def test_profile_single_step_rejects_unknown_mode():
         profile_single_step("multi", 32, 8)
 
 
+def test_profile_single_step_runs_sequential_and_deep():
+    assert profile_single_step("sequential", 32, 8)["act_peak"] > 0
+    rows = [profile_single_step("deep", n, 16) for n in (32, 64, 128, 256)]
+    assert len({row["act_peak"] for row in rows}) == 1, rows
+    assert all(row["activation_live_end"] == 0 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -323,15 +330,44 @@ def test_cli_eval_missing_checkpoint_is_config_error(tmp_path):
     assert "config error" in proc.stderr
 
 
-def test_cli_generate_writes_npz(tmp_path):
-    out = tmp_path / "data"
-    proc = _cli("generate", "--config", _fast_config(tmp_path),
-                "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    with np.load(out / "task.npz") as data:
-        assert set(data.files) == {"train_anchors", "train_targets",
-                                   "eval_anchors", "eval_targets"}
-        assert data["train_anchors"].shape == (54, 8)
+def _k10_config(tmp_path):
+    path = tmp_path / "k10.cfg"
+    with open(_fast_config(tmp_path)) as fh:
+        path.write_text(fh.read() + "eval_k = 1,10\n")
+    return str(path)
+
+
+def test_cli_train_rejects_batch_larger_than_train_split(tmp_path):
+    out = tmp_path / "run"
+    proc = _cli("train", "--mode", "cache", "--config", _fast_config(tmp_path),
+                "--batch-size", "64", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "batch_size 64" in proc.stderr and "54 training" in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_sweep_checks_every_size_before_running(tmp_path):
+    out = tmp_path / "sweep"
+    proc = _cli("sweep", "--mode", "cache", "--config", _fast_config(tmp_path),
+                "--batch-sizes", "8,64", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "batch_size 64" in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_train_and_eval_reject_k_larger_than_eval_split(tmp_path):
+    out = tmp_path / "run"
+    proc = _cli("train", "--mode", "direct", "--config", _k10_config(tmp_path),
+                *_FAST, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "eval_k 10" in proc.stderr and "6 eval" in proc.stderr
+    assert not out.exists()
+    assert _cli("train", "--mode", "direct", "--config",
+                _fast_config(tmp_path), *_FAST,
+                "--out", str(out)).returncode == 0
+    proc = _cli("eval", "--config", _k10_config(tmp_path), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_sweep_emits_per_size_metrics(tmp_path):

@@ -18,7 +18,7 @@ from splitgrad.deep import (
     head_from_group,
     head_to_group,
     init_distance_head,
-    make_head_leaves_const,
+    make_head_leaves,
     phi_pairs,
     train_step_deep,
     update_omega_and_fold,
@@ -80,7 +80,7 @@ def test_phi_pairs_matches_manual_mlp():
     F = rng.normal(size=(3, 4))
     G = rng.normal(size=(5, 4))
     with ad.no_graph():
-        out = phi_pairs(make_head_leaves_const(h),
+        out = phi_pairs(make_head_leaves(h),
                         ad.constant(F), ad.constant(G))
     vals = out.data.reshape(3, 5)
     for i in range(3):
@@ -95,7 +95,7 @@ def test_phi_pairs_dot_kind_is_dot_product():
     F = rng.normal(size=(4, 6))
     G = rng.normal(size=(3, 6))
     with ad.no_graph():
-        out = phi_pairs(make_head_leaves_const(dot_head(6)),
+        out = phi_pairs(make_head_leaves(dot_head(6)),
                         ad.constant(F), ad.constant(G))
     assert np.allclose(out.data.reshape(4, 3), F @ G.T, rtol=1e-12)
 

@@ -4,7 +4,6 @@ import threading
 import numpy as np
 import pytest
 
-from splitgrad import memtrace
 from splitgrad.memtrace import (
     BudgetExceededError,
     CATEGORIES,
@@ -173,12 +172,3 @@ def test_report_lists_all_categories():
     assert rep["peak"]["parameters"] == 3
     assert rep["peak"]["activation"] == 0
 
-
-def test_profile_step_delegates_to_runner():
-    rows = memtrace.profile_step(["cache"], [32], 8, seed=0, tau=1.0)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["mode"] == "cache"
-    assert row["batch_size"] == 32
-    assert row["gradient_cache"] == 2 * 32 * 16
-    assert row["activation_live_end"] == 0
