@@ -17,7 +17,8 @@ Design choices that equivalence tests depend on:
 
 * everything is float64;
 * the gradient of relu at exactly 0 is 0;
-* row-softmax subtracts the row max before exponentiation;
+* row-softmax and row-logsumexp subtract the row max before
+  exponentiation;
 * operations allocate fresh output arrays (no views), so the memory
   accounting in ``memtrace`` sees true lifetimes.
 """
@@ -315,6 +316,20 @@ def _bw_row_softmax(ctx, g):
     return (kernels.row_softmax_vjp(ctx[0], g),)
 
 
+def _fw_row_logsumexp(attrs, x):
+    if x.ndim != 2:
+        raise _shape_error("row-logsumexp", x.shape)
+    scale = attrs["scale"]
+    out, p = kernels.row_logsumexp(x, scale)
+    # the softmax is saved for backward: count it while the tape holds it
+    return out, (scale, register_activation(p))
+
+
+def _bw_row_logsumexp(ctx, g):
+    scale, p = ctx
+    return ((scale * g) * p,)
+
+
 def _fw_log(attrs, x):
     return np.log(x), (x,)
 
@@ -395,6 +410,7 @@ OPS = {
     "relu": (_fw_relu, _bw_relu),
     "tanh": (_fw_tanh, _bw_tanh),
     "row-softmax": (_fw_row_softmax, _bw_row_softmax),
+    "row-logsumexp": (_fw_row_logsumexp, _bw_row_logsumexp),
     "log": (_fw_log, _bw_log),
     "exp": (_fw_exp, _bw_exp),
     "sum": (_fw_sum, _bw_sum),
@@ -461,6 +477,11 @@ def tanh(x):
 
 def row_softmax(x):
     return record("row-softmax", x)
+
+
+def row_logsumexp(x, scale=1.0):
+    """[n x 1] log-sum-exp of the rows of scale * x."""
+    return record("row-logsumexp", x, scale=float(scale))
 
 
 def log(x):

@@ -37,6 +37,10 @@ class ConfigError(ValueError):
     """A run configuration failed validation."""
 
 
+class NonFiniteError(RuntimeError):
+    """A training step produced a non-finite loss or parameter."""
+
+
 @dataclass
 class RunConfig:
     mode: str = "direct"
@@ -308,6 +312,24 @@ STEPS = {
 MODES = tuple(STEPS)
 
 
+def _check_finite(mode, step_idx, loss, state):
+    """Stop a run whose loss or updated parameters left the finite floats."""
+    arrays = (encoders.param_arrays(state.params_f)
+              + encoders.param_arrays(state.params_g))
+    if state.head is not None:
+        arrays += deep_mod.head_arrays(state.head)
+    if not np.isfinite(loss):
+        what = f"loss {loss}"
+    elif not all(np.isfinite(a).all() for a in arrays):
+        what = "parameters"
+    else:
+        return
+    raise NonFiniteError(
+        f"mode {mode}, step {step_idx}: non-finite {what}; check the "
+        f"temperature and learning rate"
+    )
+
+
 def run_experiment(cfg):
     """Train under one mode and collect per-step metrics plus final eval."""
     check_task_fits(validate_config(cfg))
@@ -324,6 +346,7 @@ def run_experiment(cfg):
                 res = step(state, batch, cfg)
                 state.advance(res)
                 wall_ms = (time.perf_counter() - t0) * 1e3
+                _check_finite(cfg.mode, step_idx, res.loss, state)
                 stats = res.stats
                 metrics.append({
                     "step": step_idx,
@@ -378,10 +401,11 @@ def run_experiment(cfg):
 # ---------------------------------------------------------------------------
 
 def emit_metrics_jsonl(metrics, path):
-    """One json object per step, fields in METRICS_FIELDS order."""
+    """One strict json object per step, fields in METRICS_FIELDS order."""
     with open(path, "w") as fh:
         for row in metrics:
-            fh.write(json.dumps({k: row[k] for k in METRICS_FIELDS}))
+            fh.write(json.dumps({k: row[k] for k in METRICS_FIELDS},
+                                allow_nan=False))
             fh.write("\n")
     return path
 

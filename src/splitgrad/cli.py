@@ -6,7 +6,8 @@ params.json), eval (rank held-out pairs with saved parameters), sweep
 peaks for a single step).
 
 Flags override config-file values; exit code 0 on success, 2 for
-configuration errors, 3 when the activation budget is exceeded.
+configuration errors, 3 when the activation budget is exceeded, 4 when
+training produces a non-finite loss or parameter.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import bench, encoders
-from .bench import ConfigError
+from .bench import ConfigError, NonFiniteError
 from .memtrace import BudgetExceededError
 
 
@@ -218,6 +219,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"activation budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteError as exc:
+        print(f"non-finite training: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

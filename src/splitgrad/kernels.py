@@ -43,6 +43,23 @@ def row_softmax(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def row_logsumexp(x, scale=1.0):
+    """Log-sum-exp of each row of scale * x, and that row softmax.
+
+    Returns (lse [n x 1], p [n x m]). The scaled rows are shifted by
+    their max before exponentiation, so no finite input overflows, and p
+    is the only n x m buffer made: scale, subtract, exp and normalise all
+    run in place on it.
+    """
+    p = scale * _c64(x)
+    m = p.max(axis=1, keepdims=True)
+    p -= m
+    np.exp(p, out=p)
+    s = p.sum(axis=1, keepdims=True)
+    p /= s
+    return m + np.log(s), p
+
+
 def row_softmax_vjp(p, g):
     p, g = _c64(p), _c64(g)
     s = (g * p).sum(axis=1, keepdims=True)

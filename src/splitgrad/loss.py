@@ -1,22 +1,29 @@
 """Batch contrastive loss over paired sets, three ways.
 
 Given anchor embeddings F, target embeddings G, and a positive map r,
-the loss is the mean negative log of the softmax probability assigned
-to each anchor's positive target, with a temperature dividing the
-logits:
+the loss is the mean cross-entropy of each anchor's positive target
+under a softmax over temperature-scaled logits, written as a
+log-sum-exp minus the positive logit:
 
-    L = -(1/|S|) sum_i log p_{i, r_i},
-    p_ij = softmax_j(F_i . G_j / tau).
+    L = (1/|S|) sum_i [lse_i - pos_i],
+    lse_i = log sum_j exp(F_i . G_j / tau),   pos_i = F_i . G_{r_i} / tau.
+
+lse is the uniformity term and pos the alignment term of Wang & Isola
+(arXiv 2005.10242). ``kernels.row_logsumexp`` computes lse stably (it
+subtracts the row max), folds 1/tau in, and keeps the row softmax as
+its only n_s x n_t buffer; no probability is ever logged, so the loss
+stays finite whenever the scaled scores F_i . G_j / tau are.
 
 Three implementations coexist on purpose:
 
 * ``contrastive_loss``: plain-numpy reference producing logits, p, loss;
-* ``loss_graph_from_logits``: the taped graph used by training paths;
+* ``loss_graph_from_reps`` / ``loss_graph_from_logits``: the taped
+  graphs used by training paths;
 * ``analytic_rep_grads``: closed-form gradients with respect to F and G,
   kept independent of the tape as a cross-check oracle.
 
-The reference and the taped graph call the same kernels in the same
-order, so their loss values agree bitwise.
+The reference and the taped graph from representations call the same
+kernels in the same order, so their loss values agree bitwise.
 """
 
 from dataclasses import dataclass
@@ -89,14 +96,6 @@ class RepresentationGradients:
     epsilon: np.ndarray
 
 
-def positive_mask(n_anchors, n_targets, r):
-    """0/1 matrix with a single 1 per row at the positive column."""
-    validate_positive_map(r, n_targets)
-    mask = np.zeros((n_anchors, n_targets))
-    mask[np.arange(n_anchors), r] = 1.0
-    return mask
-
-
 def contrastive_loss(F, G, r, tau=1.0):
     """Reference loss over embedding matrices; returns logits, p, loss."""
     F = np.asarray(F, dtype=np.float64)
@@ -107,29 +106,39 @@ def contrastive_loss(F, G, r, tau=1.0):
             f"contrastive_loss: embedding dims differ, {F.shape} vs {G.shape}"
         )
     validate_positive_map(r, G.shape[0])
-    n_s = F.shape[0]
-    logits = (1.0 / tau) * kernels.pair_scores(F, G)
-    p = kernels.row_softmax(logits)
-    mask = positive_mask(n_s, G.shape[0], r)
-    picked = kernels.matmul(p * mask, np.ones((G.shape[0], 1)))
-    loss = (-1.0 / n_s) * np.log(picked).sum()
-    return SimilarityResult(logits=logits, p=p, loss=float(loss))
+    scores = kernels.pair_scores(F, G)
+    lse, p = kernels.row_logsumexp(scores, 1.0 / tau)
+    neg_pos = (-1.0 / tau) * kernels.matmul(F * G[r], np.ones((F.shape[1], 1)))
+    loss = (1.0 / F.shape[0]) * (lse + neg_pos).sum()
+    return SimilarityResult(logits=(1.0 / tau) * scores, p=p, loss=float(loss))
+
+
+def _mean_gap(lse, neg_pos):
+    """Taped (1/n_s) * sum_i (lse_i - pos_i), given lse and -pos."""
+    n_s = lse.data.shape[0]
+    return ad.scalar_mul(1.0 / n_s, ad.sum_all(ad.add(lse, neg_pos)))
 
 
 def loss_graph_from_logits(z, r):
     """Taped loss tail from scaled logits [n_s x n_t] to a scalar Tensor."""
     n_s, n_t = z.data.shape
-    p = ad.row_softmax(z)
-    mask = positive_mask(n_s, n_t, r)
-    picked = ad.matmul(ad.mul(p, mask), np.ones((n_t, 1)))
-    logp = ad.log(picked)
-    return ad.scalar_mul(-1.0 / n_s, ad.sum_all(logp))
+    validate_positive_map(r, n_t)
+    flat_pos = np.arange(n_s) * n_t + np.asarray(r, dtype=np.int64)
+    pos = ad.index_rows(ad.reshape(z, (n_s * n_t, 1)), flat_pos)
+    return _mean_gap(ad.row_logsumexp(z), ad.scalar_mul(-1.0, pos))
 
 
 def loss_graph_from_reps(F_t, G_t, r, tau):
-    """Taped loss from embedding Tensors, temperature inside the logits."""
-    z = ad.scalar_mul(1.0 / tau, ad.dot_product_matrix(F_t, G_t))
-    return loss_graph_from_logits(z, r)
+    """Taped loss from embedding Tensors; 1/tau folds into the tail.
+
+    The positive logit is the O(n_s * d) alignment row sum of F * G[r],
+    so no scaled n_s x n_t logits array or its gradient is ever built.
+    """
+    validate_positive_map(r, G_t.data.shape[0])
+    ones = np.ones((F_t.data.shape[1], 1))
+    aligned = ad.matmul(ad.mul(F_t, ad.index_rows(G_t, r)), ones)
+    lse = ad.row_logsumexp(ad.dot_product_matrix(F_t, G_t), 1.0 / tau)
+    return _mean_gap(lse, ad.scalar_mul(-1.0 / tau, aligned))
 
 
 def analytic_rep_grads(F, G, r, tau=1.0, result=None):

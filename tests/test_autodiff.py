@@ -124,6 +124,8 @@ def test_forward_values_match_numpy():
         (ad.reshape(ad.constant(a), (2, 10)), a.reshape(2, 10)),
         (ad.index_rows(ad.constant(a), np.array([2, 0, 2])), a[[2, 0, 2]]),
         (ad.dot_product_matrix(ad.constant(a), ad.constant(a)), a @ a.T),
+        (ad.row_logsumexp(ad.constant(a), 0.5),
+         np.log(np.exp(0.5 * a).sum(axis=1, keepdims=True))),
     ]
     for out, expect in cases:
         np.testing.assert_allclose(out.data, expect, rtol=1e-13)
@@ -138,6 +140,22 @@ def test_row_softmax_matches_reference_and_survives_large_logits():
     big = ad.row_softmax(ad.constant(z + 1000.0)).data
     assert np.all(np.isfinite(big))
     np.testing.assert_allclose(big.sum(axis=1), np.ones(5), rtol=1e-12)
+
+
+def test_row_logsumexp_matches_reference_and_survives_large_logits():
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=(5, 7))
+    expect = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    lse = ad.row_logsumexp(ad.constant(z)).data
+    assert lse.shape == (5, 1)
+    np.testing.assert_allclose(lse, expect, rtol=1e-14)
+    big = ad.row_logsumexp(ad.constant(z + 1000.0)).data
+    assert np.all(np.isfinite(big))
+    np.testing.assert_allclose(big, expect + 1000.0, rtol=1e-14)
+    # the scale multiplies the logits before the max is taken
+    np.testing.assert_allclose(
+        ad.row_logsumexp(ad.constant(z), 0.25).data,
+        np.log(np.exp(0.25 * z).sum(axis=1, keepdims=True)), rtol=1e-14)
 
 
 def test_add_broadcasts_bias_row():
@@ -157,9 +175,11 @@ def test_ops_allocate_fresh_arrays():
     x = np.ones((3, 3))
     out_r = ad.reshape(ad.constant(x), (9, 1))
     out_i = ad.index_rows(ad.constant(x), np.array([0, 1]))
+    out_l = ad.row_logsumexp(ad.constant(x))
     x[:] = 7.0
     np.testing.assert_array_equal(out_r.data, np.ones((9, 1)))
     np.testing.assert_array_equal(out_i.data, np.ones((2, 3)))
+    np.testing.assert_array_equal(out_l.data, np.full((3, 1), 1.0 + np.log(3.0)))
 
 
 def test_add_vjp_outputs_are_distinct_arrays():
@@ -292,6 +312,15 @@ def test_vjp_softmax_log_pipeline():
         return ad.scalar_mul(-0.2, ad.sum_all(ad.log(picked)))
 
     _check(f, z)
+
+
+def test_vjp_row_logsumexp():
+    rng = np.random.default_rng(9)
+    z = rng.normal(size=(5, 8))
+    w = rng.normal(size=(5, 1))
+    for scale in (1.0, 0.25):
+        _check(lambda t: ad.sum_all(ad.mul(ad.row_logsumexp(t, scale),
+                                           ad.constant(w))), z)
 
 
 def test_vjp_structure_ops():

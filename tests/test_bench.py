@@ -223,6 +223,14 @@ def test_profile_single_step_peaks():
     assert d_big["act_peak"] > d_small["act_peak"]
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_cache_loss_phase_holds_about_three_n_squared_floats(n):
+    # scores, their softmax and the scores' gradient, each counted; no
+    # mask, p * mask or log(p)
+    row = profile_single_step("cache", n, 32)
+    assert 3 * n * n <= row["loss_phase_peak"] <= 3.5 * n * n
+
+
 def test_profile_single_step_rejects_unknown_mode():
     with pytest.raises(ConfigError, match="direct|cache|accumulation"):
         profile_single_step("multi", 32, 8)
@@ -368,6 +376,26 @@ def test_cli_train_and_eval_reject_k_larger_than_eval_split(tmp_path):
     proc = _cli("eval", "--config", _k10_config(tmp_path), "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_train_non_finite_exits_4(tmp_path):
+    # 1/tau overflows to inf: the first step's loss is nan
+    out = tmp_path / "run"
+    proc = _cli("train", "--mode", "cache", "--config", _fast_config(tmp_path),
+                *_FAST, "--temperature", "1e-310", "--out", str(out))
+    assert proc.returncode == 4, proc.stderr
+    assert "mode cache, step 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    for path in out.glob("*"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
+def test_emit_metrics_jsonl_rejects_non_finite(tmp_path):
+    row = dict.fromkeys(METRICS_FIELDS, 0)
+    row["loss"] = float("nan")
+    with pytest.raises(ValueError):
+        emit_metrics_jsonl([row], tmp_path / "m.jsonl")
 
 
 def test_cli_sweep_emits_per_size_metrics(tmp_path):

@@ -102,6 +102,38 @@ def test_taped_loss_graph_bitwise_matches_reference():
         assert float(loss_t.data) == ref.loss
 
 
+@pytest.mark.parametrize("tau", [5e-4, 1e-3])
+def test_stable_tail_at_small_temperature(tau):
+    """The tail neither overflows nor logs an underflowed probability."""
+    rng = np.random.default_rng(10)
+    F = rng.normal(size=(64, 16))
+    G = rng.normal(size=(64, 16))
+    r = rng.permutation(64)
+    ref = contrastive_loss(F, G, r, tau)
+    tape = ad.Tape()
+    with ad.recording(tape):
+        f_leaf = tape.leaf(F)
+        g_leaf = tape.leaf(G)
+        loss_t = loss_mod.loss_graph_from_reps(f_leaf, g_leaf, r, tau)
+    tape.backward(loss_t)
+    assert math.isfinite(ref.loss)
+    assert float(loss_t.data) == ref.loss
+    got = analytic_rep_grads(F, G, r, tau, result=ref)
+    assert max_rel_err(tape.grad(f_leaf), got.u) <= 1e-10
+    assert max_rel_err(tape.grad(g_leaf), got.v) <= 1e-10
+
+
+def test_taped_graphs_reject_bad_positive_index():
+    # a wrapped or spilled index would gather some other pair's logit
+    F, G = np.ones((2, 3)), np.ones((3, 3))
+    with pytest.raises(ValueError, match="invalid r index"):
+        loss_mod.loss_graph_from_reps(ad.constant(F), ad.constant(G),
+                                      np.array([0, -1]), 1.0)
+    with pytest.raises(ValueError, match="invalid r index"):
+        loss_mod.loss_graph_from_logits(ad.constant(np.ones((2, 3))),
+                                        np.array([0, 3]))
+
+
 # ---------------------------------------------------------------------------
 # representation gradients
 # ---------------------------------------------------------------------------
