@@ -391,6 +391,20 @@ def _bw_index_rows(ctx, g):
     return (out,)
 
 
+def _fw_pick_per_row(attrs, x):
+    idx = attrs["idx"]
+    if x.ndim != 2 or idx.shape != (x.shape[0], 1):
+        raise _shape_error("pick-per-row", x.shape, idx.shape)
+    return np.take_along_axis(x, idx, axis=1), (x.shape, idx)
+
+
+def _bw_pick_per_row(ctx, g):
+    shape, idx = ctx
+    out = np.zeros(shape)
+    np.put_along_axis(out, idx, g, axis=1)
+    return (out,)
+
+
 def _fw_dot_product_matrix(attrs, a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise _shape_error("dot-product-matrix", a.shape, b.shape)
@@ -417,6 +431,7 @@ OPS = {
     "mean": (_fw_mean, _bw_mean),
     "reshape": (_fw_reshape, _bw_reshape),
     "index-rows": (_fw_index_rows, _bw_index_rows),
+    "pick-per-row": (_fw_pick_per_row, _bw_pick_per_row),
     "dot-product-matrix": (_fw_dot_product_matrix, _bw_dot_product_matrix),
 }
 
@@ -506,6 +521,12 @@ def reshape(x, shape):
 
 def index_rows(x, idx):
     return record("index-rows", x, idx=np.asarray(idx, dtype=np.int64))
+
+
+def pick_per_row(x, idx):
+    """[n x 1] column holding x[i, idx[i]] for every row i of x."""
+    return record("pick-per-row", x,
+                  idx=np.asarray(idx, dtype=np.int64).reshape(-1, 1))
 
 
 def dot_product_matrix(a, b):

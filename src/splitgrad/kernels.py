@@ -1,14 +1,25 @@
 """Hot numeric kernels, in numpy.
 
-The matmul-style kernels are deliberately *not* routed through BLAS: BLAS
-gemm picks different accumulation strategies for different row counts, so
-the product of a row subset is not bit-identical to the same rows of the
-full product. ``einsum`` without ``optimize`` accumulates over the
-reduction axis in a fixed order per output element, which makes chunked
-forwards reproduce full-batch forwards exactly. Everything runs in float64.
+The matmul-style kernels run on BLAS through one tiled lane. A plain
+gemm picks its blocking and accumulation order from the shape it is
+given, so the product of a row subset is not bit-identical to the same
+rows of the full product. ``_tiled_matmul`` therefore hands BLAS only
+products of one shape: the rows of x are cut into tiles of ``TILE`` rows
+(a ragged tail is zero-padded to a full tile) and every tile is one
+``TILE x k @ k x m`` gemm. On a BLAS that computes every row of a tile
+alike, a row's result then depends only on its own values and on w,
+never on its offset or on the rows around it, which makes chunked
+forwards reproduce full-batch forwards exactly. Everything runs in
+float64.
+
+Nothing here checks that property at run time; the chunk-invariance
+tests in ``tests/test_kernels.py`` check it on the BLAS in use, at the
+default thread count and with one thread.
 """
 
 import numpy as np
+
+TILE = 16
 
 
 def active_backend() -> str:
@@ -20,20 +31,36 @@ def _c64(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _einsum_matmul(x, w):
-    # einsum without optimize never calls BLAS; fixed loop order keeps the
-    # per-row accumulation identical for any row subset.
-    return np.einsum("ij,jk->ik", x, w, optimize=False)
+def _tiled_matmul(x, w):
+    # one gemm shape for every tile: TILE rows of x (zero-padded in the
+    # ragged tail) times all of w, written into a fresh n x m array
+    n, k = x.shape
+    m = w.shape[1]
+    tiles, ragged = divmod(n, TILE)
+    body = n - ragged
+    out = np.empty((n, m))
+    np.matmul(x[:body].reshape(tiles, TILE, k), w,
+              out=out[:body].reshape(tiles, TILE, m))
+    if ragged:
+        tail = np.zeros((TILE, k))
+        tail[:ragged] = x[body:]
+        out[body:] = np.matmul(tail, w)[:ragged]
+    return out
 
 
 def matmul(x, w):
     """Row-deterministic x @ w: rows of a chunk match the full product."""
-    return _einsum_matmul(_c64(x), _c64(w))
+    return _tiled_matmul(_c64(x), _c64(w))
 
 
 def pair_scores(a, b):
-    """Block-deterministic a @ b.T over all row pairs."""
-    return _einsum_matmul(_c64(a), np.ascontiguousarray(_c64(b).T))
+    """a @ b.T over all row pairs, row-deterministic in a only.
+
+    Any row subset of a gives bitwise the same rows as the full product.
+    A column slice (a subset of the rows of b) changes the gemm shape and
+    may change the last bits; no caller slices b.
+    """
+    return _tiled_matmul(_c64(a), np.ascontiguousarray(_c64(b).T))
 
 
 def row_softmax(x):

@@ -121,10 +121,8 @@ def _mean_gap(lse, neg_pos):
 
 def loss_graph_from_logits(z, r):
     """Taped loss tail from scaled logits [n_s x n_t] to a scalar Tensor."""
-    n_s, n_t = z.data.shape
-    validate_positive_map(r, n_t)
-    flat_pos = np.arange(n_s) * n_t + np.asarray(r, dtype=np.int64)
-    pos = ad.index_rows(ad.reshape(z, (n_s * n_t, 1)), flat_pos)
+    validate_positive_map(r, z.data.shape[1])
+    pos = ad.pick_per_row(z, r)
     return _mean_gap(ad.row_logsumexp(z), ad.scalar_mul(-1.0, pos))
 
 

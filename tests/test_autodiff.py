@@ -123,6 +123,8 @@ def test_forward_values_match_numpy():
         (ad.mean_all(ad.constant(a)), np.asarray(a.mean())),
         (ad.reshape(ad.constant(a), (2, 10)), a.reshape(2, 10)),
         (ad.index_rows(ad.constant(a), np.array([2, 0, 2])), a[[2, 0, 2]]),
+        (ad.pick_per_row(ad.constant(a), np.array([4, 0, 4, 1])),
+         a[np.arange(4), [4, 0, 4, 1]][:, None]),
         (ad.dot_product_matrix(ad.constant(a), ad.constant(a)), a @ a.T),
         (ad.row_logsumexp(ad.constant(a), 0.5),
          np.log(np.exp(0.5 * a).sum(axis=1, keepdims=True))),
@@ -176,10 +178,12 @@ def test_ops_allocate_fresh_arrays():
     out_r = ad.reshape(ad.constant(x), (9, 1))
     out_i = ad.index_rows(ad.constant(x), np.array([0, 1]))
     out_l = ad.row_logsumexp(ad.constant(x))
+    out_p = ad.pick_per_row(ad.constant(x), np.array([0, 2, 1]))
     x[:] = 7.0
     np.testing.assert_array_equal(out_r.data, np.ones((9, 1)))
     np.testing.assert_array_equal(out_i.data, np.ones((2, 3)))
     np.testing.assert_array_equal(out_l.data, np.full((3, 1), 1.0 + np.log(3.0)))
+    np.testing.assert_array_equal(out_p.data, np.ones((3, 1)))
 
 
 def test_add_vjp_outputs_are_distinct_arrays():
@@ -213,6 +217,22 @@ def test_index_rows_repeated_indices_accumulate():
     np.testing.assert_array_equal(
         tape.grad(x), np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
     )
+
+
+def test_pick_per_row_vjp_writes_one_entry_per_row():
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(3, 1))
+    idx = np.array([2, 2, 0])
+    tape = Tape()
+    with ad.recording(tape):
+        x = tape.leaf(rng.normal(size=(3, 4)))
+        s = ad.sum_all(ad.mul(ad.pick_per_row(x, idx), ad.constant(w)))
+    tape.backward(s)
+    expect = np.zeros((3, 4))
+    expect[np.arange(3), idx] = w[:, 0]
+    np.testing.assert_array_equal(tape.grad(x), expect)
+    with pytest.raises(ShapeMismatchError, match="pick-per-row"):
+        ad.pick_per_row(x, np.array([0, 1]))
 
 
 def test_reshape_vjp_restores_input_shape():
@@ -330,10 +350,13 @@ def test_vjp_structure_ops():
     wr = rng.normal(size=(2, 9))
     wi = rng.normal(size=(4, 3))
     other = rng.normal(size=(5, 3))
+    wp = rng.normal(size=(6, 1))
     _check(lambda t: ad.sum_all(ad.mul(ad.reshape(t, (2, 9)),
                                        ad.constant(wr))), x)
     _check(lambda t: ad.sum_all(ad.mul(ad.index_rows(t, idx),
                                        ad.constant(wi))), x)
+    _check(lambda t: ad.sum_all(ad.mul(ad.pick_per_row(t, [2, 0, 1, 1, 2, 0]),
+                                       ad.constant(wp))), x)
     _check(lambda t: ad.sum_all(ad.tanh(ad.dot_product_matrix(
         t, ad.constant(other)))), x)
 

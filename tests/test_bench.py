@@ -73,6 +73,9 @@ def test_validate_config_errors():
         (dict(mode="cache", sub_batch_s=0), "sub-batch"),
         (dict(mode="multi", workers=0), "workers"),
         (dict(temperature=0.0), "temperature"),
+        (dict(temperature=float("nan")), "temperature"),
+        (dict(temperature=float("inf")), "temperature"),
+        (dict(temperature=1e-310), "temperature"),
         (dict(epochs=0), "epochs"),
         (dict(optimizer="lbfgs"), "optimizer"),
         (dict(eval_frac=1.5), "eval_frac"),
@@ -223,12 +226,19 @@ def test_profile_single_step_peaks():
     assert d_big["act_peak"] > d_small["act_peak"]
 
 
-@pytest.mark.parametrize("n", [256, 1024])
-def test_cache_loss_phase_holds_about_three_n_squared_floats(n):
-    # scores, their softmax and the scores' gradient, each counted; no
-    # mask, p * mask or log(p)
-    row = profile_single_step("cache", n, 32)
-    assert 3 * n * n <= row["loss_phase_peak"] <= 3.5 * n * n
+@pytest.mark.parametrize("mode, n, sub, lo, hi", [
+    pytest.param("cache", 256, 32, 3.0, 3.5, id="cache-256"),
+    pytest.param("cache", 1024, 32, 3.0, 3.5, id="cache-1024"),
+    pytest.param("deep", 128, 16, 4.0, 4.2, id="deep-128"),
+    pytest.param("deep", 256, 16, 4.0, 4.2, id="deep-256"),
+])
+def test_loss_phase_holds_a_few_n_squared_floats(mode, n, sub, lo, hi):
+    # cache: scores, their softmax and the scores' gradient, each counted;
+    # no mask, p * mask or log(p). deep: z, its softmax, and the
+    # gradients of z and of the distances; the positives are picked
+    # from z in place, with no copy of z
+    row = profile_single_step(mode, n, sub)
+    assert lo * n * n <= row["loss_phase_peak"] <= hi * n * n
 
 
 def test_profile_single_step_rejects_unknown_mode():
@@ -379,16 +389,32 @@ def test_cli_train_and_eval_reject_k_larger_than_eval_split(tmp_path):
 
 
 def test_cli_train_non_finite_exits_4(tmp_path):
-    # 1/tau overflows to inf: the first step's loss is nan
+    # an lr of 1e308 sends the parameters to inf on the first update, so
+    # the check after step 1 fails
+    config = _fast_config(tmp_path)
+    with open(config, "a") as fh:
+        fh.write("lr = 1e308\n")
     out = tmp_path / "run"
-    proc = _cli("train", "--mode", "cache", "--config", _fast_config(tmp_path),
-                *_FAST, "--temperature", "1e-310", "--out", str(out))
+    proc = _cli("train", "--mode", "cache", "--config", config, *_FAST,
+                "--out", str(out))
     assert proc.returncode == 4, proc.stderr
-    assert "mode cache, step 0" in proc.stderr
+    assert "mode cache, step 1" in proc.stderr
     assert "Traceback" not in proc.stderr
     for path in out.glob("*"):
         text = path.read_text()
         assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("tau", ["1e-310", "nan", "inf"])
+def test_cli_train_untrainable_temperature_exits_2(tmp_path, tau):
+    # 1e-310 is positive, but its inverse overflows to inf
+    out = tmp_path / "run"
+    proc = _cli("train", "--mode", "cache", "--config", _fast_config(tmp_path),
+                *_FAST, "--temperature", tau, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "temperature" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_emit_metrics_jsonl_rejects_non_finite(tmp_path):

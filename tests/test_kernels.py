@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from splitgrad import kernels
@@ -14,28 +18,74 @@ def test_matmul_matches_blas_within_tolerance():
     np.testing.assert_allclose(kernels.matmul(a, b), a @ b, rtol=1e-12)
 
 
+T = kernels.TILE
+
+
+def _row_slices(n):
+    # every offset from 0 to 2T, so each position within a tile is hit;
+    # sizes inside a tile, across a tile edge and up to the end
+    for lo in range(2 * T + 1):
+        for size in (1, T - 1, T + 1, 2 * T + 3, n - lo):
+            yield lo, lo + size
+
+
+def _assert_close_to_blas(got, ref):
+    # sums that cancel to near zero carry reassociation noise of the
+    # order of the largest entry times eps, so atol scales with it
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def _assert_row_stable(product, x, full):
+    for lo, hi in _row_slices(x.shape[0]):
+        assert np.array_equal(product(x[lo:hi]), full[lo:hi]), (lo, hi)
+
+
 def test_matmul_row_chunks_bitwise_stable():
     # any row subset of the product must equal the same rows of the full
-    # product; this is the property BLAS does not guarantee
+    # product; this is the property a plain BLAS gemm does not guarantee
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(64, 33))
-    b = rng.normal(size=(33, 16))
-    full = kernels.matmul(a, b)
-    for size in (1, 7, 16, 64):
-        for lo in range(0, 64, size):
-            part = kernels.matmul(a[lo:lo + size], b)
-            assert np.array_equal(part, full[lo:lo + size])
+    for n, k, m in ((64, 33, 16), (1024, 24, 32), (256, 128, 128)):
+        a = rng.normal(size=(n, k))
+        b = rng.normal(size=(k, m))
+        full = kernels.matmul(a, b)
+        _assert_close_to_blas(full, a @ b)
+        for size in (1, 7, 16, 64):
+            for lo in range(0, 64, size):
+                part = kernels.matmul(a[lo:lo + size], b)
+                assert np.array_equal(part, full[lo:lo + size])
+        _assert_row_stable(lambda rows: kernels.matmul(rows, b), a, full)
 
 
 def test_pair_scores_block_stable():
+    # stable over row subsets of the anchors only; no caller slices G
     rng = np.random.default_rng(2)
-    F = rng.normal(size=(48, 12))
-    G = rng.normal(size=(36, 12))
-    full = kernels.pair_scores(F, G)
-    np.testing.assert_allclose(full, F @ G.T, rtol=1e-12)
-    for lo in range(0, 48, 8):
-        assert np.array_equal(kernels.pair_scores(F[lo:lo + 8], G),
-                              full[lo:lo + 8])
+    for n_a, n_b, d in ((48, 36, 12), (1024, 1024, 16)):
+        F = rng.normal(size=(n_a, d))
+        G = rng.normal(size=(n_b, d))
+        full = kernels.pair_scores(F, G)
+        _assert_close_to_blas(full, F @ G.T)
+        for lo in range(0, 48, 8):
+            assert np.array_equal(kernels.pair_scores(F[lo:lo + 8], G),
+                                  full[lo:lo + 8])
+        _assert_row_stable(lambda rows: kernels.pair_scores(rows, G), F,
+                           full)
+
+
+def test_row_contract_holds_with_one_blas_thread():
+    # the suite runs BLAS at its default thread count and stepbench pins
+    # it to one thread; rerun the contract tests in a child at one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    ids = [f"{__file__}::{name}" for name in (
+        "test_matmul_row_chunks_bitwise_stable",
+        "test_pair_scores_block_stable")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout, proc.stdout
 
 
 def test_row_softmax_rows_sum_to_one():
