@@ -60,7 +60,7 @@ def pair_scores(a, b):
     A column slice (a subset of the rows of b) changes the gemm shape and
     may change the last bits; no caller slices b.
     """
-    return _tiled_matmul(_c64(a), np.ascontiguousarray(_c64(b).T))
+    return matmul(a, b.T)
 
 
 def row_softmax(x):

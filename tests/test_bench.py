@@ -389,8 +389,8 @@ def test_cli_train_and_eval_reject_k_larger_than_eval_split(tmp_path):
 
 
 def test_cli_train_non_finite_exits_4(tmp_path):
-    # an lr of 1e308 sends the parameters to inf on the first update, so
-    # the check after step 1 fails
+    # Adam moves the parameters by about 1e308 on step 0 (still finite);
+    # step 1's forward overflows, so the check after step 1 fails
     config = _fast_config(tmp_path)
     with open(config, "a") as fh:
         fh.write("lr = 1e308\n")

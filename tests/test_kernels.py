@@ -60,16 +60,20 @@ def test_matmul_row_chunks_bitwise_stable():
 def test_pair_scores_block_stable():
     # stable over row subsets of the anchors only; no caller slices G
     rng = np.random.default_rng(2)
-    for n_a, n_b, d in ((48, 36, 12), (1024, 1024, 16)):
-        F = rng.normal(size=(n_a, d))
-        G = rng.normal(size=(n_b, d))
-        full = kernels.pair_scores(F, G)
-        _assert_close_to_blas(full, F @ G.T)
-        for lo in range(0, 48, 8):
-            assert np.array_equal(kernels.pair_scores(F[lo:lo + 8], G),
-                                  full[lo:lo + 8])
-        _assert_row_stable(lambda rows: kernels.pair_scores(rows, G), F,
-                           full)
+    F = rng.normal(size=(48, 12))
+    G = rng.normal(size=(36, 12))
+    full = kernels.pair_scores(F, G)
+    np.testing.assert_allclose(full, F @ G.T, rtol=1e-12)
+    for lo in range(0, 48, 8):
+        assert np.array_equal(kernels.pair_scores(F[lo:lo + 8], G),
+                              full[lo:lo + 8])
+    _assert_row_stable(lambda rows: kernels.pair_scores(rows, G), F, full)
+
+    F = rng.normal(size=(1024, 16))
+    G = rng.normal(size=(1024, 16))
+    full = kernels.pair_scores(F, G)
+    _assert_close_to_blas(full, F @ G.T)
+    _assert_row_stable(lambda rows: kernels.pair_scores(rows, G), F, full)
 
 
 def test_row_contract_holds_with_one_blas_thread():
