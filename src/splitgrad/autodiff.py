@@ -330,6 +330,22 @@ def _bw_row_logsumexp(ctx, g):
     return ((scale * g) * p,)
 
 
+def _fw_strip_lse_loss(attrs, F, G, neg_pos):
+    n = F.shape[0]
+    if (F.ndim != 2 or G.ndim != 2 or F.shape[1] != G.shape[1]
+            or neg_pos.shape != (n, 1)):
+        raise _shape_error("strip-lse-loss", F.shape, G.shape, neg_pos.shape)
+    w = 1.0 / n
+    lse, dF, dG = kernels.strip_logsumexp(F, G, attrs["scale"], w)
+    # the same adds, sum and scaling as the dense tail's taped ops
+    return w * np.asarray((lse + neg_pos).sum()), (dF, dG, w)
+
+
+def _bw_strip_lse_loss(ctx, g):
+    dF, dG, w = ctx
+    return g * dF, g * dG, np.full((dF.shape[0], 1), w * g)
+
+
 def _fw_log(attrs, x):
     return np.log(x), (x,)
 
@@ -412,8 +428,10 @@ def _fw_dot_product_matrix(attrs, a, b):
 
 
 def _bw_dot_product_matrix(ctx, g):
+    # the rows of g @ b go through the row-deterministic lane, so the
+    # streamed tail (kernels.strip_logsumexp) gives the same rows bitwise
     a, b = ctx
-    return np.matmul(g, b), np.matmul(g.T, a)
+    return kernels.matmul(g, b), np.matmul(g.T, a)
 
 
 OPS = {
@@ -425,6 +443,7 @@ OPS = {
     "tanh": (_fw_tanh, _bw_tanh),
     "row-softmax": (_fw_row_softmax, _bw_row_softmax),
     "row-logsumexp": (_fw_row_logsumexp, _bw_row_logsumexp),
+    "strip-lse-loss": (_fw_strip_lse_loss, _bw_strip_lse_loss),
     "log": (_fw_log, _bw_log),
     "exp": (_fw_exp, _bw_exp),
     "sum": (_fw_sum, _bw_sum),
@@ -497,6 +516,16 @@ def row_softmax(x):
 def row_logsumexp(x, scale=1.0):
     """[n x 1] log-sum-exp of the rows of scale * x."""
     return record("row-logsumexp", x, scale=float(scale))
+
+
+def strip_lse_loss(F, G, neg_pos, scale):
+    """(1/n) sum_i [lse_i(scale * F @ G.T) + neg_pos_i], a scalar.
+
+    The gradients with respect to F and G are computed in the forward
+    pass, strip by strip (``kernels.strip_logsumexp``), and saved; no
+    n x m array outlives a strip.
+    """
+    return record("strip-lse-loss", F, G, neg_pos, scale=float(scale))
 
 
 def log(x):

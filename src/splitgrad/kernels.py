@@ -19,7 +19,12 @@ default thread count and with one thread.
 
 import numpy as np
 
+from .memtrace import register_activation
+
 TILE = 16
+# anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
+# the last strip can end in a zero-padded tile
+STRIP = 64
 
 
 def active_backend() -> str:
@@ -85,6 +90,40 @@ def row_logsumexp(x, scale=1.0):
     s = p.sum(axis=1, keepdims=True)
     p /= s
     return m + np.log(s), p
+
+
+def strip_logsumexp(F, G, scale, weight):
+    """Row log-sum-exp of scale * F @ G.T, with its gradients, in strips.
+
+    For a loss that gives every lse_i the gradient weight, returns
+    (lse [n x 1], dF [n x d], dG [m x d]) with dF = gS @ G and
+    dG = gS.T @ F, where gS = (scale * weight) * softmax(scale * F @ G.T).
+    The n x m scores never exist: anchors go in strips of STRIP rows, and
+    each strip's scores and softmax are dropped before the next strip
+    starts. Every row goes through the row-stable pair_scores,
+    row_logsumexp and matmul, so lse and dF are bitwise the dense ones
+    whatever STRIP is; dG sums the strips in order. The live state is two
+    STRIP x m buffers plus the O((n + m) * d) outputs, and every buffer
+    of STRIP or more rows is counted by the active meter.
+    """
+    F, G = _c64(F), _c64(G)
+    n, m = F.shape[0], G.shape[0]
+    # G.T once, contiguous: pair_scores(a, Gt.T) then copies nothing
+    Gt = register_activation(_c64(G.T))
+    lse = register_activation(np.empty((n, 1)))
+    dF = register_activation(np.empty(F.shape))
+    dG = register_activation(np.zeros(G.shape))
+    coef = scale * weight
+    for lo in range(0, n, STRIP):
+        hi = min(lo + STRIP, n)
+        scores = register_activation(pair_scores(F[lo:hi], Gt.T))
+        lse[lo:hi], p = row_logsumexp(scores, scale)
+        register_activation(p)
+        del scores
+        p *= coef
+        dF[lo:hi] = register_activation(matmul(p, G))
+        dG += register_activation(np.matmul(p.T, F[lo:hi]))
+    return lse, dF, dG
 
 
 def row_softmax_vjp(p, g):

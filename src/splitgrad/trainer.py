@@ -3,7 +3,11 @@
 Four step flavors share one optimizer path:
 
 * ``train_step_direct``: one taped pass over the whole batch; the
-  ground-truth baseline.
+  ground-truth baseline. It keeps the dense n x n loss tail: it then
+  shares no strip code with the cached step it checks, and its memory
+  grows with the batch as plain large-batch training's does (the
+  acceptance suite requires at least 3.9x from batch 64 to 256; with the
+  streamed tail it grew 3.81x).
 * ``train_step_cached``: the memory-constant procedure. A graph-less
   forward collects all representations (step1); a small tape over the
   representation matrices alone backpropagates the loss into per-row
@@ -11,7 +15,10 @@ Four step flavors share one optimizer path:
   sub-batch is then re-encoded with a tape and backpropagated with its
   cached rows as the seed, accumulating parameter gradients (step3);
   finally the optimizer runs once (step4). Peak activation memory in
-  steps 1 and 3 depends only on the sub-batch size.
+  steps 1 and 3 depends only on the sub-batch size. Step2 streams the
+  loss over strips of ``kernels.STRIP`` anchors and holds about
+  2 * STRIP * n + O(n * d) floats for a batch of n, never the n x n
+  scores.
 * ``train_step_accumulation``: classic gradient accumulation. Chunks
   are independent small batches, so negatives come only from within a
   chunk; this is deliberately NOT equivalent to the direct step.

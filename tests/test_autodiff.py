@@ -128,6 +128,10 @@ def test_forward_values_match_numpy():
         (ad.dot_product_matrix(ad.constant(a), ad.constant(a)), a @ a.T),
         (ad.row_logsumexp(ad.constant(a), 0.5),
          np.log(np.exp(0.5 * a).sum(axis=1, keepdims=True))),
+        (ad.strip_lse_loss(ad.constant(a), ad.constant(a[:3]),
+                           ad.constant(a[:, :1]), 0.5),
+         np.asarray(np.mean(np.log(np.exp(0.5 * a @ a[:3].T).sum(axis=1))
+                            + a[:, 0]))),
     ]
     for out, expect in cases:
         np.testing.assert_allclose(out.data, expect, rtol=1e-13)
@@ -179,11 +183,14 @@ def test_ops_allocate_fresh_arrays():
     out_i = ad.index_rows(ad.constant(x), np.array([0, 1]))
     out_l = ad.row_logsumexp(ad.constant(x))
     out_p = ad.pick_per_row(ad.constant(x), np.array([0, 2, 1]))
+    out_s = ad.strip_lse_loss(ad.constant(x), ad.constant(x),
+                              ad.constant(x[:, :1]), 1.0)
     x[:] = 7.0
     np.testing.assert_array_equal(out_r.data, np.ones((9, 1)))
     np.testing.assert_array_equal(out_i.data, np.ones((2, 3)))
     np.testing.assert_array_equal(out_l.data, np.full((3, 1), 1.0 + np.log(3.0)))
     np.testing.assert_array_equal(out_p.data, np.ones((3, 1)))
+    np.testing.assert_allclose(out_s.data, 4.0 + np.log(3.0), rtol=1e-15)
 
 
 def test_add_vjp_outputs_are_distinct_arrays():
@@ -343,6 +350,28 @@ def test_vjp_row_logsumexp():
                                            ad.constant(w))), z)
 
 
+def test_strip_lse_loss_vjp_scales_saved_gradients_by_seed():
+    rng = np.random.default_rng(10)
+    F = rng.normal(size=(5, 3))
+    G = rng.normal(size=(7, 3))
+    col = rng.normal(size=(5, 1))
+    scale, g = 0.5, 2.5
+    tape = Tape()
+    with ad.recording(tape):
+        leaves = [tape.leaf(a) for a in (F, G, col)]
+        out = ad.strip_lse_loss(*leaves, scale)
+    tape.backward(out, grad=np.asarray(g))
+    z = scale * F @ G.T
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    c = g * scale / 5
+    for leaf, expect in zip(leaves, (c * p @ G, c * p.T @ F,
+                                     np.full((5, 1), g / 5))):
+        np.testing.assert_allclose(tape.grad(leaf), expect, rtol=1e-13)
+    with pytest.raises(ShapeMismatchError, match="strip-lse-loss"):
+        ad.strip_lse_loss(F, G, col[:4], scale)
+
+
 def test_vjp_structure_ops():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 3))
@@ -359,6 +388,11 @@ def test_vjp_structure_ops():
                                        ad.constant(wp))), x)
     _check(lambda t: ad.sum_all(ad.tanh(ad.dot_product_matrix(
         t, ad.constant(other)))), x)
+    # the streamed loss over each of its inputs: F, G and the -pos column
+    F, G, col = ad.constant(x), ad.constant(other), ad.constant(wp)
+    _check(lambda t: ad.strip_lse_loss(t, G, col, 0.7), x)
+    _check(lambda t: ad.strip_lse_loss(F, t, col, 0.7), other)
+    _check(lambda t: ad.strip_lse_loss(F, G, t, 0.7), wp)
 
 
 def test_finite_diff_check_samples_large_arrays():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ def test_batch_rejects_bad_positive_index():
         Batch(np.ones((2, 3)), np.ones((4, 3)), [0, 4])
     with pytest.raises(ValueError, match="invalid r index"):
         Batch(np.ones((2, 3)), np.ones((4, 3)), [-1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_rows(bad):
+    rows = np.ones((4, 3))
+    rows[1, 2] = bad
+    rows[3, 0] = bad
+    with pytest.raises(ValueError, match="anchors hold 2 non-finite"):
+        Batch(rows, np.ones((4, 3)), [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="targets hold 2 non-finite"):
+        Batch(np.ones((4, 3)), rows, [0, 1, 2, 3])
 
 
 def test_batch_rejects_length_mismatch():
@@ -121,6 +133,68 @@ def test_stable_tail_at_small_temperature(tau):
     got = analytic_rep_grads(F, G, r, tau, result=ref)
     assert max_rel_err(tape.grad(f_leaf), got.u) <= 1e-10
     assert max_rel_err(tape.grad(g_leaf), got.v) <= 1e-10
+
+
+def _taped_loss_and_grads(graph, F, G, r, tau):
+    tape = ad.Tape()
+    with ad.recording(tape):
+        f_leaf = tape.leaf(F)
+        g_leaf = tape.leaf(G)
+        loss_t = graph(f_leaf, g_leaf, r, tau)
+    tape.backward(loss_t)
+    return float(loss_t.data), tape.grad(f_leaf), tape.grad(g_leaf)
+
+
+def _strip_instance(case):
+    rng = np.random.default_rng(11)
+    n_s, n_t = {"ragged": (41, 41), "hard-negatives": (33, 70),
+                "repeated-positives": (40, 50)}[case]
+    F = rng.normal(size=(n_s, 8))
+    G = rng.normal(size=(n_t, 8))
+    if case == "repeated-positives":
+        r = rng.integers(0, 10, size=n_s)
+    else:
+        r = rng.permutation(n_t)[:n_s]
+    return F, G, r
+
+
+@pytest.mark.parametrize("tau", [0.7, 5e-4])
+@pytest.mark.parametrize("case", ["ragged", "hard-negatives",
+                                  "repeated-positives"])
+def test_strip_height_changes_no_loss_or_anchor_gradient_bit(
+        monkeypatch, case, tau):
+    # every anchor row is scored, normalised and multiplied by G in its
+    # own strip, so only dG's sum over strips may reorder
+    F, G, r = _strip_instance(case)
+    ref = contrastive_loss(F, G, r, tau).loss
+    results = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for strip in (1, 16, 17, 1024):
+            monkeypatch.setattr(kernels, "STRIP", strip)
+            results[strip] = _taped_loss_and_grads(
+                loss_mod.loss_graph_from_reps, F, G, r, tau)
+    loss0, dF0, dG0 = results[1024]
+    assert loss0 == ref
+    for loss_value, dF, dG in results.values():
+        assert loss_value == loss0
+        assert np.array_equal(dF, dF0)
+        assert np.abs(dG - dG0).max() <= 1e-13 * np.abs(dG0).max()
+
+
+def test_streamed_and_dense_graphs_agree_bitwise_within_one_strip():
+    rng = np.random.default_rng(12)
+    shapes = [(None, None, None)] * 8 + [(kernels.STRIP, 90, 16)]
+    for n_s, n_t, d in shapes:
+        F, G, r = _random_instance(rng, n_s, n_t, d)
+        tau = float(rng.uniform(0.05, 2.0))
+        streamed = _taped_loss_and_grads(
+            loss_mod.loss_graph_from_reps, F, G, r, tau)
+        dense = _taped_loss_and_grads(
+            loss_mod._dense_loss_graph_from_reps, F, G, r, tau)
+        assert streamed[0] == dense[0]
+        assert np.array_equal(streamed[1], dense[1])
+        assert np.array_equal(streamed[2], dense[2])
 
 
 def test_taped_graphs_reject_bad_positive_index():
