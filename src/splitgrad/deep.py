@@ -1,21 +1,31 @@
 """Cached training through a parameterized distance head.
 
 Instead of a dot product, pair scores come from a scalar head phi
-applied to each (anchor embedding, target embedding) pair. The cached
-procedure then links two caches:
+applied to each (anchor embedding, target embedding) pair,
+phi(f, g) = act(f w1a + g w1b + b1) w2 + b2. Its first layer is
+separable, so the cached step splits at A = F w1a and B = G w1b and runs
+phi once per pair, forward and backward, in three phases:
 
-1. a graph-less forward collects all representations and all pairwise
-   distances (in sub-batch pair blocks);
-2. a tape over the distance matrix alone backpropagates the loss into
-   per-pair gradients w_ij, the distance gradient cache;
-3. pair blocks are re-run taped through phi, seeded with their w block;
-   this simultaneously accumulates the head's parameter gradient and
-   folds w into per-row u_i, v_j, i.e. a representation gradient cache
-   the encoder step3 can consume as usual.
+1. ``forward_collect``: a graph-less forward collects all
+   representations F and G (the encoder step1) and then A and B, kept as
+   the representation store; O(n * (d + h)) floats.
+2. ``build_distance_cache``: ``kernels.head_strip_loss`` walks the
+   anchors in strips of ``kernels.HEAD_STRIP`` rows. Each strip runs the
+   rest of phi over all its pairs, takes the softmax loss of the scaled
+   distances and runs phi's backward straight away, into dL/dA rows,
+   dL/dB and the b1, w2 and b2 gradients. It holds one strip of hidden
+   units, distances and softmax at a time, never an n x n array; the
+   dL/dA and dL/dB rows are the distance gradient cache.
+3. ``update_omega_and_fold``: folds that cache through the first layer,
+   u = gA w1a^T and v = gB w1b^T, a representation gradient cache the
+   encoder step3 consumes as usual, and adds the w1a and w1b gradients.
 
-A fixed dot-product head (no parameters) reduces the whole construction
-to the plain trainer; identity encoders give the early-interaction case
-where all learning lives in the head.
+A fixed dot-product head (no parameters) runs the plain trainer's step2
+over F and G, so it reduces to the plain trainer by construction;
+identity encoders give the early-interaction case where all learning
+lives in the head. ``deep_direct_grads`` keeps the whole pair graph
+(``phi_pairs`` and the dense loss tail) on one tape as the independent
+reference.
 """
 
 from dataclasses import dataclass
@@ -24,6 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders
+from . import kernels
 from . import loss as loss_mod
 from . import trainer
 from .trainer import (
@@ -146,90 +157,100 @@ def phi_pairs(head_leaves, Fb, Gb):
 
 
 @dataclass
-class DistanceGradientCache:
-    """Per-pair loss gradients w_ij plus the collected distances."""
+class PairInputs:
+    """What the loss phase reads: the head and its first layer, per side.
 
-    w: np.ndarray
-    d_vals: np.ndarray
+    For an mlp head A = F @ w1a and B = G @ w1b; the dot head has no
+    first layer, and A and B are F and G themselves.
+    """
+
+    head: DistanceHead
+    A: np.ndarray
+    B: np.ndarray
+
+
+@dataclass
+class DistanceGradientCache:
+    """dL/dA and dL/dB rows, plus the gradients of b1, w2 and b2."""
+
+    gA: np.ndarray
+    gB: np.ndarray
+    grad_tail: list  # [b1, w2, b2] gradients; empty for the dot head
     filled: bool = False
 
 
 def forward_collect(batch, params_f, params_g, head, plan):
-    """Graph-less pass: all representations plus all pair distances."""
+    """Graph-less pass: all representations and the head's first layer.
+
+    The first layer is separable, act(F_i w1a + G_j w1b + b1), so its two
+    products are taken once per row here, not once per pair.
+    """
     F, G = trainer.step1_graphless_forward(batch, params_f, params_g, plan)
+    if head.kind == "dot":
+        return F, G, PairInputs(head, F, G)
     with _phase("pairs"):
-        d_vals = _register(
-            np.empty((batch.n_anchors, batch.n_targets)), "representation-store"
-        )
-        with ad.no_graph():
-            head_leaves = make_head_leaves(head)
-            for a_lo, a_hi in plan.anchor_chunks:
-                for b_lo, b_hi in plan.target_chunks:
-                    block = phi_pairs(
-                        head_leaves,
-                        ad.constant(F[a_lo:a_hi]),
-                        ad.constant(G[b_lo:b_hi]),
-                    )
-                    d_vals[a_lo:a_hi, b_lo:b_hi] = block.data.reshape(
-                        a_hi - a_lo, b_hi - b_lo
-                    )
-                    count("phi_fwd_pairs", (a_hi - a_lo) * (b_hi - b_lo))
-    return F, G, d_vals
+        A = _register(kernels.matmul(F, head.w1a), "representation-store")
+        B = _register(kernels.matmul(G, head.w1b), "representation-store")
+    return F, G, PairInputs(head, A, B)
 
 
-def build_distance_cache(d_vals, r, tau):
-    """Tape over the distance matrix alone; backward fills w."""
-    with _phase("step2"):
-        tape = ad.Tape()
-        with ad.recording(tape):
-            d_leaf = tape.leaf(d_vals)
-            z = ad.scalar_mul(1.0 / tau, d_leaf)
-            loss_t = loss_mod.loss_graph_from_logits(z, r)
-        tape.backward(loss_t)
-        w = _register(tape.grad(d_leaf).copy(), "gradient-cache")
-    return DistanceGradientCache(w=w, d_vals=d_vals, filled=True), float(loss_t.data)
+def build_distance_cache(pairs, r, tau):
+    """Loss over every pair, with dL/dA, dL/dB and the later head grads.
+
+    The mlp head runs ``kernels.head_strip_loss`` over strips of anchors:
+    each pair goes through the head forward and backward once, and no
+    n x m array is held. The dot head's loss is the plain cached step's
+    step2 over F and G.
+    """
+    n_pairs = pairs.A.shape[0] * pairs.B.shape[0]
+    if pairs.head.kind == "dot":
+        cache, loss_value = trainer.step2_build_cache(pairs.A, pairs.B, r, tau)
+        dcache = DistanceGradientCache(cache.u_rows, cache.v_rows, [], True)
+    else:
+        loss_mod.validate_positive_map(r, pairs.B.shape[0])
+        head = pairs.head
+        with _phase("step2"):
+            loss_value, gA, gB, grad_tail = kernels.head_strip_loss(
+                pairs.A, pairs.B, r, 1.0 / tau, head.b1, head.w2, head.b2,
+                head.activation,
+            )
+            dcache = DistanceGradientCache(
+                _register(gA, "gradient-cache"),
+                _register(gB, "gradient-cache"),
+                [_register(g, "parameters") for g in grad_tail],
+                True,
+            )
+    count("phi_fwd_pairs", n_pairs)
+    count("phi_bwd_pairs", n_pairs)
+    return dcache, loss_value
 
 
-def update_omega_and_fold(F, G, head, dcache, plan, order=None):
-    """Per pair block: taped phi seeded with w; collect head grads and u, v.
+def update_omega_and_fold(F, G, head, dcache, plan):
+    """Fold dL/dA, dL/dB back through the first layer: u, v and w1 grads.
 
-    Iterates anchor chunks in the outer loop and target chunks in the
-    inner loop. Returns the head gradient list and a representation
-    gradient cache ready for the encoder step3.
+    u = gA w1a^T and v = gB w1b^T form the representation gradient cache
+    the encoder step3 consumes; F^T gA and G^T gB are the w1a and w1b
+    gradients. Returns the head gradient list, in ``HEAD_ARRAYS`` order,
+    and that cache. The fold works on whole rows, so ``plan`` (taken like
+    the other phases) does not change it.
     """
     if not dcache.filled:
         raise CacheNotFilledError(
             "distance gradient cache consumed before being filled"
         )
     dcache.filled = False
-    with _phase("omega"):
-        grad_head = [
-            _register(np.zeros_like(a), "parameters") for a in head_arrays(head)
-        ]
-        u_rows = _register(np.zeros((F.shape[0], F.shape[1])), "gradient-cache")
-        v_rows = _register(np.zeros((G.shape[0], G.shape[1])), "gradient-cache")
-        blocks = [
-            (a_chunk, b_chunk)
-            for a_chunk in plan.anchor_chunks
-            for b_chunk in plan.target_chunks
-        ]
-        if order is not None:
-            blocks = [blocks[i] for i in order]
-        for (a_lo, a_hi), (b_lo, b_hi) in blocks:
-            tape = ad.Tape()
-            with ad.recording(tape):
-                head_leaves = make_head_leaves(head)
-                f_leaf = tape.leaf(F[a_lo:a_hi])
-                g_leaf = tape.leaf(G[b_lo:b_hi])
-                out = phi_pairs(head_leaves, f_leaf, g_leaf)
-            n_pairs = (a_hi - a_lo) * (b_hi - b_lo)
-            count("phi_fwd_pairs", n_pairs)
-            tape.backward(out, dcache.w[a_lo:a_hi, b_lo:b_hi].reshape(-1, 1))
-            count("phi_bwd_pairs", n_pairs)
-            u_rows[a_lo:a_hi] += tape.grad(f_leaf)
-            v_rows[b_lo:b_hi] += tape.grad(g_leaf)
-            for acc, g in zip(grad_head, head_leaf_grads(tape, head_leaves)):
-                acc += g
+    if head.kind == "dot":
+        u_rows, v_rows, grad_head = dcache.gA, dcache.gB, []
+    else:
+        with _phase("omega"):
+            u_rows = _register(kernels.matmul(dcache.gA, head.w1a.T),
+                               "gradient-cache")
+            v_rows = _register(kernels.matmul(dcache.gB, head.w1b.T),
+                               "gradient-cache")
+            grad_head = [
+                _register(np.matmul(F.T, dcache.gA), "parameters"),
+                _register(np.matmul(G.T, dcache.gB), "parameters"),
+            ] + dcache.grad_tail
     cache = RepresentationGradientCache(u_rows=u_rows, v_rows=v_rows, filled=True)
     return grad_head, cache
 
@@ -249,8 +270,8 @@ def train_step_deep(batch, params_f, params_g, head, opt_state, config):
     plan = plan_subbatches(
         batch.n_anchors, batch.n_targets, config.sub_batch_s, config.sub_batch_t
     )
-    F, G, d_vals = forward_collect(batch, params_f, params_g, head, plan)
-    dcache, loss_value = build_distance_cache(d_vals, batch.r, config.tau)
+    F, G, pairs = forward_collect(batch, params_f, params_g, head, plan)
+    dcache, loss_value = build_distance_cache(pairs, batch.r, config.tau)
     grad_head, rep_cache = update_omega_and_fold(F, G, head, dcache, plan)
     if config.train_encoders:
         grads_f, grads_g = trainer.step3_accumulate(

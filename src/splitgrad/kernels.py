@@ -25,6 +25,9 @@ TILE = 16
 # anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
 # the last strip can end in a zero-padded tile
 STRIP = 64
+# anchor rows per strip of head_strip_loss: a strip holds about
+# HEAD_STRIP * m * (h + 2) floats for m targets and a head h wide
+HEAD_STRIP = 8
 
 
 def active_backend() -> str:
@@ -124,6 +127,94 @@ def strip_logsumexp(F, G, scale, weight):
         dF[lo:hi] = register_activation(matmul(p, G))
         dG += register_activation(np.matmul(p.T, F[lo:hi]))
     return lse, dF, dG
+
+
+def _activate(name, x):
+    if name == "tanh":
+        np.tanh(x, out=x)
+    elif name == "relu":
+        np.maximum(x, 0.0, out=x)
+    elif name != "linear":
+        raise ValueError(f"unknown activation {name!r}")
+
+
+def _activation_slope(name, y):
+    # overwrite the activation's output y with its derivative there
+    if name == "tanh":
+        y *= y
+        np.subtract(1.0, y, out=y)
+    elif name == "relu":
+        np.sign(y, out=y)
+    else:
+        y.fill(1.0)
+
+
+def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
+    """Softmax loss over an MLP head's pair scores, with its gradients.
+
+    The head scores the pair (i, j) as d_ij = act(A_i + B_j + b1) @ w2 + b2,
+    where A = F @ w1a and B = G @ w1b are its first layer, split by side;
+    the loss is L = (1/n) * sum_i [lse_i(z) - z_{i, r_i}] with z = scale * d.
+    Returns (L, gA, gB, [gb1, gw2, gb2]): dL/dA, dL/dB and the gradients
+    of the head's other parameters.
+
+    Anchors go in strips of HEAD_STRIP rows. A strip runs the head forward
+    over all its pairs, takes row_logsumexp and the positives of z, forms
+    dL/dd = scale * ((1/n) * softmax - (1/n) * onehot) and runs the head
+    backward at once, so every pair passes through the head once each way
+    and nothing n x m is ever held. The live buffers are one
+    HEAD_STRIP x m x h hidden layer, reused by every strip and overwritten
+    in place by the backward with dL/dpre; the strip's z and softmax; one
+    m x h row buffer; and the n x 1 per-anchor losses: about
+    HEAD_STRIP * m * (h + 2) + m * h + n floats, each counted by the
+    active meter. Each row goes through the row-stable matmul and
+    row_logsumexp, so L is bitwise that of the same head on a dense tape;
+    L and gA do not depend on HEAD_STRIP, and gB and the parameter
+    gradients sum the strips in order.
+    """
+    A, B = _c64(A), _c64(B)
+    r = np.asarray(r, dtype=np.int64)
+    n, m, h = A.shape[0], B.shape[0], B.shape[1]
+    inv_n = 1.0 / n
+    gap = register_activation(np.empty((n, 1)))
+    gA = np.empty(A.shape)
+    gB = np.zeros(B.shape)
+    gb1, gw2, gb2 = np.zeros(h), np.zeros((h, 1)), np.zeros(1)
+    w2_row = w2[:, 0]
+    strip = register_activation(np.empty((min(HEAD_STRIP, n), m, h)))
+    row = register_activation(np.empty((m, h)))
+    for lo in range(0, n, HEAD_STRIP):
+        hi = min(lo + HEAD_STRIP, n)
+        rows = np.arange(hi - lo)
+        hid = strip[:hi - lo]
+        np.add(A[lo:hi, None], B[None], out=hid)
+        hid += b1
+        _activate(activation, hid)
+        flat = hid.reshape(-1, h)
+        d = register_activation(matmul(flat, w2))
+        d += b2
+        d *= scale
+        z = d.reshape(hi - lo, m)
+        lse, p = row_logsumexp(z)
+        register_activation(p)
+        gap[lo:hi] = lse - z[rows, r[lo:hi]][:, None]
+        del d, z
+        # p becomes dL/dd, then dL/dpre overwrites the hidden layer
+        p *= inv_n
+        p[rows, r[lo:hi]] -= inv_n
+        p *= scale
+        gb2 += p.sum()
+        gw2 += np.matmul(flat.T, p.reshape(-1, 1))
+        _activation_slope(activation, hid)
+        for i in rows:
+            # dL/dpre = (dL/dd * w2) * slope, in the dense tape's order
+            np.multiply(p[i, :, None], w2_row, out=row)
+            hid[i] *= row
+        del p
+        np.sum(hid, axis=1, out=gA[lo:hi])
+        gB += np.sum(hid, axis=0, out=row)
+        gb1 += hid.sum(axis=(0, 1))
+    return inv_n * float(gap.sum()), gA, gB, [gb1, gw2, gb2]
 
 
 def row_softmax_vjp(p, g):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitgrad import deep, encoders, trainer
+from splitgrad import deep, encoders, kernels, trainer
 from splitgrad import autodiff as ad
 from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.deep import (
@@ -100,29 +100,87 @@ def test_phi_pairs_dot_kind_is_dot_product():
     assert np.allclose(out.data.reshape(4, 3), F @ G.T, rtol=1e-12)
 
 
-def test_forward_collect_independent_of_block_size():
+def _loss_phase(batch, pf, pg, head, plan, tau=1.0):
+    """The three deep phases, as train_step_deep runs them."""
+    F, G, pairs = forward_collect(batch, pf, pg, head, plan)
+    dcache, loss_value = build_distance_cache(pairs, batch.r, tau)
+    gA, gB = dcache.gA, dcache.gB
+    grad_head, rep_cache = update_omega_and_fold(F, G, head, dcache, plan)
+    return ([pairs.A, pairs.B, gA, gB] + grad_head
+            + [rep_cache.u_rows, rep_cache.v_rows]), loss_value
+
+
+def test_sub_batch_plan_changes_no_bit_of_the_loss_phase():
     batch, pf, pg, head = _setup()
-    ref = forward_collect(batch, pf, pg, head,
-                          plan_subbatches(12, 15, 12, 15))
+    ref, ref_loss = _loss_phase(batch, pf, pg, head,
+                                plan_subbatches(12, 15, 12, 15))
     for bs in (1, 4, 5, 7):
-        F, G, d_vals = forward_collect(batch, pf, pg, head,
-                                       plan_subbatches(12, 15, bs, bs))
-        assert np.array_equal(F, ref[0])
-        assert np.array_equal(G, ref[1])
-        assert np.array_equal(d_vals, ref[2])
+        got, loss_value = _loss_phase(batch, pf, pg, head,
+                                      plan_subbatches(12, 15, bs, bs))
+        assert loss_value == ref_loss
+        for a, b in zip(got, ref, strict=True):
+            assert np.array_equal(a, b)
 
 
-def test_distance_cache_loss_matches_softmax_on_distances():
+def test_distance_cache_loss_matches_softmax_over_phi_pairs():
     batch, pf, pg, head = _setup()
     plan = plan_subbatches(12, 15, 5, 6)
-    _, _, d_vals = forward_collect(batch, pf, pg, head, plan)
-    dcache, loss_value = build_distance_cache(d_vals, batch.r, 0.5)
-    z = d_vals / 0.5
+    F, G, pairs = forward_collect(batch, pf, pg, head, plan)
+    dcache, loss_value = build_distance_cache(pairs, batch.r, 0.5)
+    with ad.no_graph():
+        d = phi_pairs(make_head_leaves(head), ad.constant(F),
+                      ad.constant(G)).data.reshape(12, 15)
+    z = d / 0.5
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     want = -np.mean(np.log(p[np.arange(12), batch.r]))
     assert math.isclose(loss_value, want, rel_tol=1e-12)
-    assert dcache.w.shape == (12, 15)
+    assert dcache.gA.shape == (12, head.w1a.shape[1])
+    assert dcache.gB.shape == (15, head.w1b.shape[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [0.7, 5e-4])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+def test_cached_step_matches_direct_for_every_head_activation(activation,
+                                                              tau):
+    batch, pf, pg, _ = _setup(seed=4)
+    head = init_distance_head(7, 6, hidden=5, activation=activation)
+    gf, gg, gh, ref_loss = deep_direct_grads(batch, pf, pg, head, tau=tau)
+    res = train_step_deep(batch, pf, pg, head,
+                          encoders.init_optimizer("sgd", 1.0),
+                          DeepConfig(tau=tau, sub_batch_s=5, sub_batch_t=6))
+    assert res.loss == ref_loss
+    old = (encoders.param_arrays(pf) + encoders.param_arrays(pg)
+           + head_arrays(head))
+    new = (encoders.param_arrays(res.params_f)
+           + encoders.param_arrays(res.params_g) + head_arrays(res.head))
+    got = [a - b for a, b in zip(old, new)]
+    assert flat_max_rel_err(gf + gg + gh, got) <= 1e-9
+
+
+def test_unknown_head_activation_raises():
+    batch, pf, pg, _ = _setup()
+    head = init_distance_head(7, 6, hidden=5, activation="gelu")
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        train_step_deep(batch, pf, pg, head,
+                        encoders.init_optimizer("sgd", 1.0), DeepConfig())
+
+
+def test_bad_positive_index_raises_before_the_strip_walk(monkeypatch):
+    batch, pf, pg, head = _setup()
+    plan = plan_subbatches(12, 15, 5, 6)
+    _, _, pairs = forward_collect(batch, pf, pg, head, plan)
+
+    def walked(*args):
+        raise AssertionError("the strip walk ran on a bad positive map")
+
+    monkeypatch.setattr(kernels, "head_strip_loss", walked)
+    bad = batch.r.copy()
+    for value in (15, -1):
+        bad[3] = value
+        with pytest.raises(ValueError, match="invalid r index"):
+            build_distance_cache(pairs, bad, 1.0)
 
 
 def test_cached_deep_step_matches_direct_graph():
@@ -197,30 +255,60 @@ def test_distance_cache_single_use():
         update_omega_and_fold(F, G, head, dcache, plan)
 
 
-def test_fold_block_order_does_not_matter_materially():
-    batch, pf, pg, head = _setup()
-    plan = plan_subbatches(12, 15, 5, 6)
-    F, G, d_vals = forward_collect(batch, pf, pg, head, plan)
-    c1, _ = build_distance_cache(d_vals, batch.r, 1.0)
-    gh1, rc1 = update_omega_and_fold(F, G, head, c1, plan)
-    n_blocks = len(plan.anchor_chunks) * len(plan.target_chunks)
-    c2, _ = build_distance_cache(d_vals, batch.r, 1.0)
-    gh2, rc2 = update_omega_and_fold(F, G, head, c2, plan,
-                                     order=list(range(n_blocks))[::-1])
-    assert flat_max_rel_err(gh1 + [rc1.u_rows, rc1.v_rows],
-                            gh2 + [rc2.u_rows, rc2.v_rows]) < 1e-12
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [0.7, 5e-4])
+def test_head_strip_height_changes_no_loss_or_gA_bit(monkeypatch, tau):
+    # 13 anchors (ragged against strips of 3 and 8), 20 targets of which
+    # 7 are hard negatives, and repeated positives
+    batch, pf, pg, head = _setup(seed=5, n_s=13, n_t=20)
+    batch.r[:4] = batch.r[4]
+    plan = plan_subbatches(13, 20, 5, 6)
+    _, _, pairs = forward_collect(batch, pf, pg, head, plan)
+    runs = []
+    for strip in (1, 3, 8, 13):
+        monkeypatch.setattr(kernels, "HEAD_STRIP", strip)
+        dcache, loss_value = build_distance_cache(pairs, batch.r, tau)
+        runs.append((loss_value, dcache.gA, [dcache.gB] + dcache.grad_tail))
+    ref_loss, ref_gA, ref_rest = runs[-1]
+    for loss_value, gA, rest in runs:
+        assert loss_value == ref_loss
+        assert np.array_equal(gA, ref_gA)
+        for got, want in zip(rest[:-1], ref_rest[:-1], strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # b2's gradient is mathematically zero: pure roundoff, which must
+        # stay far below the w2 gradient it is summed beside
+        assert np.max(np.abs(rest[-1])) <= 1e-13 * np.max(np.abs(rest[-2]))
 
 
-def test_deep_counters_count_pairs_twice_rows_once():
+def test_deep_counters_count_each_pair_once_each_way():
     batch, pf, pg, head = _setup()
     opt = encoders.init_optimizer("sgd", 1e-3)
     train_step_deep(batch, pf, pg, head, opt,
                     DeepConfig(sub_batch_s=5, sub_batch_t=6))
     counters = deep.counter_snapshot()
-    assert counters["phi_fwd_pairs"] == 2 * 12 * 15
+    assert counters["phi_fwd_pairs"] == 12 * 15
     assert counters["phi_bwd_pairs"] == 12 * 15
     assert counters["fwd_rows"] == 2 * (12 + 15)
     assert counters["bwd_rows"] == 12 + 15
+
+
+def test_gate_phase_chain_gives_the_gradients_train_step_deep_applies():
+    # the chain stepbench's correctness gate runs, phase by phase
+    batch, pf, pg, head = _setup()
+    plan = plan_subbatches(12, 15, 5, 6)
+    F, G, pairs = forward_collect(batch, pf, pg, head, plan)
+    dcache, _ = build_distance_cache(pairs, batch.r, 0.7)
+    grad_head, rep_cache = update_omega_and_fold(F, G, head, dcache, plan)
+    gf, gg = trainer.step3_accumulate(batch, pf, pg, plan, rep_cache)
+    res = train_step_deep(batch, pf, pg, head,
+                          encoders.init_optimizer("sgd", 1.0),
+                          DeepConfig(tau=0.7, sub_batch_s=5, sub_batch_t=6))
+    old = (encoders.param_arrays(pf) + encoders.param_arrays(pg)
+           + head_arrays(head))
+    new = (encoders.param_arrays(res.params_f)
+           + encoders.param_arrays(res.params_g) + head_arrays(res.head))
+    for p, g, updated in zip(old, gf + gg + grad_head, new, strict=True):
+        assert np.array_equal(updated, p - 1.0 * g)
 
 
 def test_head_gradient_by_finite_differences():
