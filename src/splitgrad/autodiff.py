@@ -16,6 +16,9 @@ because both call the same kernels.
 Design choices that equivalence tests depend on:
 
 * everything is float64;
+* an encoder layer is one ``dense`` node: it saves its input, weight
+  and output, and its VJP reads the tanh and relu slopes off the output,
+  so no pre-activation is kept;
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation;
@@ -255,6 +258,34 @@ def _bw_matmul(ctx, g):
     return np.matmul(g, w.T), np.matmul(x.T, g)
 
 
+def _fw_dense(attrs, x, w, b):
+    act = attrs["act"]
+    if act not in ("tanh", "relu", "linear"):
+        raise ValueError(f"unknown activation {act!r}")
+    if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise _shape_error("dense", x.shape, w.shape, b.shape)
+    # the matmul, add and activation ops' arithmetic, in their order, on
+    # one fresh array
+    out = kernels.matmul(x, w)
+    out += b
+    if act == "tanh":
+        np.tanh(out, out=out)
+    elif act == "relu":
+        np.maximum(out, 0.0, out=out)
+    return out, (x, w, out, act)
+
+
+def _bw_dense(ctx, g):
+    # relu's slope comes from out: out > 0 exactly where the input was
+    x, w, out, act = ctx
+    if act == "tanh":
+        g = kernels.tanh_vjp(out, g)
+    elif act == "relu":
+        g = kernels.relu_vjp(out, g)
+    return np.matmul(g, w.T), np.matmul(x.T, g), g.sum(axis=0)
+
+
 def _fw_add(attrs, x, y):
     if x.shape == y.shape:
         return x + y, ("same",)
@@ -436,6 +467,7 @@ def _bw_dot_product_matrix(ctx, g):
 
 OPS = {
     "matmul": (_fw_matmul, _bw_matmul),
+    "dense": (_fw_dense, _bw_dense),
     "add": (_fw_add, _bw_add),
     "mul": (_fw_mul, _bw_mul),
     "scalar-mul": (_fw_scalar_mul, _bw_scalar_mul),
@@ -487,6 +519,15 @@ def record(op_kind, *inputs, **attrs):
 
 def matmul(x, w):
     return record("matmul", x, w)
+
+
+def dense(x, w, b, act):
+    """act(x @ w + b) for a bias row b, as one node.
+
+    act is "tanh", "relu" or "linear". The node saves x, w and its output
+    and no pre-activation: both slopes are read off the output.
+    """
+    return record("dense", x, w, b, act=act)
 
 
 def add(x, y):

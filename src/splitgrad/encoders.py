@@ -3,7 +3,9 @@
 Encoders are small dense networks mapping input rows to embedding rows.
 Hidden layers use one activation (tanh or relu); the final layer is
 linear so embeddings are unconstrained. The same code path runs taped
-and graph-less, which is what makes the two modes bit-identical.
+and graph-less, which is what makes the two modes bit-identical. Each
+layer is one ``autodiff.dense`` op, so a taped pass records one node
+per layer.
 
 Optimizer steps are pure functions: they return fresh parameter and
 state objects and never mutate their inputs. That property is what lets
@@ -133,7 +135,7 @@ def make_leaves(params):
 def encode_graph(params, x):
     """Embed a Tensor of input rows through parameter arrays or leaves."""
     for (w, b), act in zip(params.layers, params.activations):
-        x = apply_activation(act, ad.add(ad.matmul(x, w), b))
+        x = ad.dense(x, w, b, act)
     return x
 
 

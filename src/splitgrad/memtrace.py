@@ -2,10 +2,12 @@
 gradient caches, and parameters.
 
 The counting unit is floats, not bytes, so the numbers are precision
-independent. Arrays are tracked by attaching a ``weakref.finalize``
-callback: CPython frees an array the moment its last reference drops, so
-the live count follows actual lifetimes deterministically (the engine
-keeps its object graph cycle-free on purpose).
+independent. Arrays are tracked by a ``weakref.ref`` with a release
+callback, kept in a dict keyed by the ref's id (a ref hashes its
+referent, and arrays are unhashable): CPython frees an array the moment
+its last reference drops, so the live count follows actual lifetimes
+deterministically (the engine keeps its object graph cycle-free on
+purpose).
 
 A counter is made visible to the engine through a thread-local stack
 (``use_meter``); each logical worker activates its own counter. Named
@@ -43,6 +45,7 @@ class MemCounter:
         self.phase_peaks = {}
         self.activation_budget = activation_budget
         self._phase = None
+        self._refs = {}
 
     def track_alloc(self, category, n_floats):
         if n_floats < 0:
@@ -78,16 +81,13 @@ class MemCounter:
         """Count arr now and uncount it automatically when it is freed."""
         n = int(arr.size)
         self.track_alloc(category, n)
-        weakref.finalize(arr, self._release_quiet, category, n)
+        ref = weakref.ref(arr, self._release_ref)
+        self._refs[id(ref)] = (ref, category, n)
         return arr
 
-    def _release_quiet(self, category, n):
-        # Finalizers may run during interpreter shutdown when counting no
-        # longer matters; never let them raise.
-        try:
-            self.track_release(category, n)
-        except Exception:
-            pass
+    def _release_ref(self, ref):
+        _, category, n = self._refs.pop(id(ref))
+        self.track_release(category, n)
 
     @contextmanager
     def phase(self, name):

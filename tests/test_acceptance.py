@@ -285,7 +285,7 @@ def test_criterion_6_constant_memory(capsys):
     ok = flat and cache_floats_exact and growth >= 3.9
     _report(capsys, 6, "constant activation memory", ok,
             f" (cache peak {cache_peaks[64]} flat across 64..512, "
-            f"direct 64->256 grows {growth:.2f}x)")
+            f"direct 64->256 grows {growth:.2f}x, {d64} -> {d256})")
     assert ok
 
 

@@ -12,6 +12,7 @@ from splitgrad.autodiff import (
     flat_max_rel_err,
     max_rel_err,
 )
+from splitgrad.kernels import TILE
 
 
 def test_leaf_and_constant_flags():
@@ -112,6 +113,8 @@ def test_forward_values_match_numpy():
     b = rng.normal(size=(5, 3))
     cases = [
         (ad.matmul(ad.constant(a), ad.constant(b)), a @ b),
+        (ad.dense(ad.constant(a), ad.constant(b), ad.constant(b[0]), "tanh"),
+         np.tanh(a @ b + b[0])),
         (ad.add(ad.constant(a), ad.constant(a)), a + a),
         (ad.mul(ad.constant(a), ad.constant(a)), a * a),
         (ad.scalar_mul(2.5, ad.constant(a)), 2.5 * a),
@@ -183,6 +186,8 @@ def test_ops_allocate_fresh_arrays():
     out_i = ad.index_rows(ad.constant(x), np.array([0, 1]))
     out_l = ad.row_logsumexp(ad.constant(x))
     out_p = ad.pick_per_row(ad.constant(x), np.array([0, 2, 1]))
+    out_d = ad.dense(ad.constant(x), ad.constant(x), ad.constant(x[0]),
+                     "linear")
     out_s = ad.strip_lse_loss(ad.constant(x), ad.constant(x),
                               ad.constant(x[:, :1]), 1.0)
     x[:] = 7.0
@@ -190,6 +195,7 @@ def test_ops_allocate_fresh_arrays():
     np.testing.assert_array_equal(out_i.data, np.ones((2, 3)))
     np.testing.assert_array_equal(out_l.data, np.full((3, 1), 1.0 + np.log(3.0)))
     np.testing.assert_array_equal(out_p.data, np.ones((3, 1)))
+    np.testing.assert_array_equal(out_d.data, np.full((3, 3), 4.0))
     np.testing.assert_allclose(out_s.data, 4.0 + np.log(3.0), rtol=1e-15)
 
 
@@ -294,6 +300,9 @@ def test_shape_mismatch_names_op_kind():
     with pytest.raises(ShapeMismatchError, match="dot-product-matrix"):
         ad.dot_product_matrix(ad.constant(np.ones((2, 3))),
                               ad.constant(np.ones((2, 4))))
+    with pytest.raises(ShapeMismatchError, match="dense"):
+        ad.dense(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))),
+                 ad.constant(np.ones(3)), "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +402,72 @@ def test_vjp_structure_ops():
     _check(lambda t: ad.strip_lse_loss(t, G, col, 0.7), x)
     _check(lambda t: ad.strip_lse_loss(F, t, col, 0.7), other)
     _check(lambda t: ad.strip_lse_loss(F, G, t, 0.7), wp)
+    # the fused layer over each of its inputs, for every activation
+    w = rng.normal(size=(3, 4))
+    b = rng.normal(size=4)
+    wd = rng.normal(size=(6, 4))
+    for act in ("tanh", "relu", "linear"):
+        def layer(xt, wt, bt, act=act):
+            return ad.sum_all(ad.mul(ad.dense(xt, wt, bt, act),
+                                     ad.constant(wd)))
+        _check(lambda t: layer(t, ad.constant(w), ad.constant(b)), x)
+        _check(lambda t: layer(ad.constant(x), t, ad.constant(b)), w)
+        _check(lambda t: layer(ad.constant(x), ad.constant(w), t), b)
+
+
+def _layer_values(op, x, w, b, act, seed):
+    # op builds the layer from three leaves; returns out, dx, dw and db
+    tape = Tape()
+    with ad.recording(tape):
+        leaves = [tape.leaf(a.copy()) for a in (x, w, b)]
+        out = op(*leaves, act)
+    tape.backward(out, grad=seed.copy())
+    return [out.data] + [tape.grad(leaf) for leaf in leaves]
+
+
+def _three_op_layer(x, w, b, act):
+    pre = ad.add(ad.matmul(x, w), b)
+    if act == "tanh":
+        return ad.tanh(pre)
+    if act == "relu":
+        return ad.relu(pre)
+    return pre
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu", "linear"])
+def test_dense_matches_three_op_layer_bitwise(act):
+    # every layer shape of the [24, 32, 16] and [24, 128, 128, 16] encoders
+    shapes = [(24, 32), (32, 16), (24, 128), (128, 128), (128, 16)]
+    rng = np.random.default_rng(11)
+    for k, m in shapes:
+        for n in (1, TILE - 1, TILE + 1, 2 * TILE + 3):
+            x = rng.normal(size=(n, k))
+            w = rng.normal(size=(k, m)) / np.sqrt(k)
+            b = rng.normal(size=m)
+            # a zero row and zero biases make some pre-activations exactly 0
+            x[0] = 0.0
+            b[: m // 4] = 0.0
+            seed = rng.normal(size=(n, m))
+            fused = _layer_values(ad.dense, x, w, b, act, seed)
+            ref = _layer_values(_three_op_layer, x, w, b, act, seed)
+            for name, a, r in zip(("out", "dx", "dw", "db"), fused, ref):
+                assert np.array_equal(a, r), (act, k, m, n, name)
+
+
+def test_dense_vjp_returns_fresh_arrays():
+    # linear has no slope to apply: no gradient may alias the seed
+    rng = np.random.default_rng(12)
+    x, w, b = rng.normal(size=(3, 2)), rng.normal(size=(2, 4)), np.zeros(4)
+    seed = rng.normal(size=(3, 4))
+    tape = Tape()
+    with ad.recording(tape):
+        leaves = [tape.leaf(a) for a in (x, w, b)]
+        out = ad.dense(*leaves, "linear")
+    tape.backward(out, grad=seed)
+    for leaf in leaves:
+        assert not np.shares_memory(tape.grad(leaf), seed)
+    with pytest.raises(ValueError, match="unknown activation"):
+        ad.dense(x, w, b, "swish")
 
 
 def test_finite_diff_check_samples_large_arrays():

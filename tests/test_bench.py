@@ -495,8 +495,17 @@ def test_cli_bad_flag_exits_2():
 
 def test_cli_budget_separates_direct_from_cache(tmp_path):
     """A budget between the two peaks kills direct but admits cache."""
+    budget = 20000
+
+    def step_peak(mode):
+        # the budget bounds every live activation float of the step; the
+        # cached step's largest window is its loss phase, not step3
+        row = profile_single_step(mode, 64, 8)
+        return max(row["act_peak"], row["loss_phase_peak"])
+
+    assert step_peak("cache") < budget < step_peak("direct")
     args = ("--batch-size", "64", "--sub-batch-s", "8", "--sub-batch-t", "8",
-            "--activation-budget", "50000", "--epochs", "1")
+            "--activation-budget", str(budget), "--epochs", "1")
     direct = _cli("train", "--mode", "direct", *args,
                   "--out", str(tmp_path / "d"))
     assert direct.returncode == 3

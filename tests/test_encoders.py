@@ -67,6 +67,20 @@ def test_encode_records_no_graph_by_default():
         assert len(tape) == n_before
 
 
+@pytest.mark.parametrize("dims", [[24, 32, 16], [24, 128, 128, 16]])
+def test_encode_graph_records_one_node_per_layer(dims):
+    # two parameter leaves and one dense node per layer, nothing else
+    p = encoders.init_params(0, dims)
+    tape = ad.Tape()
+    with ad.recording(tape):
+        leaves = encoders.make_leaves(p)
+        encoders.encode_graph(leaves, ad.constant(np.ones((5, dims[0]))))
+    n_layers = len(dims) - 1
+    assert len(tape) == 3 * n_layers
+    kinds = [node.op_kind for node in tape.nodes]
+    assert kinds.count("dense") == n_layers
+
+
 def test_encode_graph_gradients_pass_finite_differences():
     rng = np.random.default_rng(4)
     p = encoders.init_params(5, [5, 6, 3])
