@@ -16,9 +16,12 @@ because both call the same kernels.
 Design choices that equivalence tests depend on:
 
 * everything is float64;
+* ``kernels`` owns the activations (``ACTIVATIONS``, ``activate``,
+  ``activation_vjp``); the ``dense`` and ``activation`` ops call it and
+  never branch on an activation's name;
 * an encoder layer is one ``dense`` node: it saves its input, weight
-  and output, and its VJP reads the tanh and relu slopes off the output,
-  so no pre-activation is kept;
+  and output, and its VJP reads the slope off the output, so no
+  pre-activation is kept;
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation;
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .memtrace import register_activation
+from .memtrace import register
 
 
 class ShapeMismatchError(ValueError):
@@ -144,7 +147,7 @@ class Tape:
             )
         self._backward_done = True
         if grad is None:
-            grad = register_activation(np.ones_like(out))
+            grad = register(np.ones_like(out))
         self.grads[idx] = grad
         for k in range(idx, -1, -1):
             g = self.grads[k]
@@ -160,7 +163,7 @@ class Tape:
                 # ufuncs on 0-d arrays decay to numpy scalars; keep ndarray
                 if not isinstance(in_grad, np.ndarray):
                     in_grad = np.asarray(in_grad, dtype=np.float64)
-                register_activation(in_grad)
+                register(in_grad)
                 if self.grads[in_idx] is None:
                     self.grads[in_idx] = in_grad
                 else:
@@ -259,9 +262,6 @@ def _bw_matmul(ctx, g):
 
 
 def _fw_dense(attrs, x, w, b):
-    act = attrs["act"]
-    if act not in ("tanh", "relu", "linear"):
-        raise ValueError(f"unknown activation {act!r}")
     if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
         raise _shape_error("dense", x.shape, w.shape, b.shape)
@@ -269,20 +269,13 @@ def _fw_dense(attrs, x, w, b):
     # one fresh array
     out = kernels.matmul(x, w)
     out += b
-    if act == "tanh":
-        np.tanh(out, out=out)
-    elif act == "relu":
-        np.maximum(out, 0.0, out=out)
-    return out, (x, w, out, act)
+    kernels.activate(attrs["act"], out)
+    return out, (x, w, out, attrs["act"])
 
 
 def _bw_dense(ctx, g):
-    # relu's slope comes from out: out > 0 exactly where the input was
     x, w, out, act = ctx
-    if act == "tanh":
-        g = kernels.tanh_vjp(out, g)
-    elif act == "relu":
-        g = kernels.relu_vjp(out, g)
+    g = kernels.activation_vjp(act, out, g)
     return np.matmul(g, w.T), np.matmul(x.T, g), g.sum(axis=0)
 
 
@@ -319,21 +312,15 @@ def _bw_scalar_mul(ctx, g):
     return (ctx[0] * g,)
 
 
-def _fw_relu(attrs, x):
-    return np.maximum(x, 0.0), (x,)
+def _fw_activation(attrs, x):
+    act = attrs["act"]
+    out = kernels.activate(act, x.copy())
+    return out, (act, out)
 
 
-def _bw_relu(ctx, g):
-    return (kernels.relu_vjp(ctx[0], g),)
-
-
-def _fw_tanh(attrs, x):
-    out = np.tanh(x)
-    return out, (out,)
-
-
-def _bw_tanh(ctx, g):
-    return (kernels.tanh_vjp(ctx[0], g),)
+def _bw_activation(ctx, g):
+    act, out = ctx
+    return (kernels.activation_vjp(act, out, g),)
 
 
 def _fw_row_softmax(attrs, x):
@@ -353,7 +340,7 @@ def _fw_row_logsumexp(attrs, x):
     scale = attrs["scale"]
     out, p = kernels.row_logsumexp(x, scale)
     # the softmax is saved for backward: count it while the tape holds it
-    return out, (scale, register_activation(p))
+    return out, (scale, register(p))
 
 
 def _bw_row_logsumexp(ctx, g):
@@ -377,38 +364,12 @@ def _bw_strip_lse_loss(ctx, g):
     return g * dF, g * dG, np.full((dF.shape[0], 1), w * g)
 
 
-def _fw_log(attrs, x):
-    return np.log(x), (x,)
-
-
-def _bw_log(ctx, g):
-    return (g / ctx[0],)
-
-
-def _fw_exp(attrs, x):
-    out = np.exp(x)
-    return out, (out,)
-
-
-def _bw_exp(ctx, g):
-    return (g * ctx[0],)
-
-
 def _fw_sum(attrs, x):
     return np.asarray(x.sum()), (x.shape,)
 
 
 def _bw_sum(ctx, g):
     return (np.full(ctx[0], g),)
-
-
-def _fw_mean(attrs, x):
-    return np.asarray(x.mean()), (x.shape, x.size)
-
-
-def _bw_mean(ctx, g):
-    shape, size = ctx
-    return (np.full(shape, g / size),)
 
 
 def _fw_reshape(attrs, x):
@@ -465,21 +426,19 @@ def _bw_dot_product_matrix(ctx, g):
     return kernels.matmul(g, b), np.matmul(g.T, a)
 
 
+# Every op here is recorded by a training step or a reference graph,
+# except row-softmax: the step benchmark still names it.
 OPS = {
     "matmul": (_fw_matmul, _bw_matmul),
     "dense": (_fw_dense, _bw_dense),
     "add": (_fw_add, _bw_add),
     "mul": (_fw_mul, _bw_mul),
     "scalar-mul": (_fw_scalar_mul, _bw_scalar_mul),
-    "relu": (_fw_relu, _bw_relu),
-    "tanh": (_fw_tanh, _bw_tanh),
+    "activation": (_fw_activation, _bw_activation),
     "row-softmax": (_fw_row_softmax, _bw_row_softmax),
     "row-logsumexp": (_fw_row_logsumexp, _bw_row_logsumexp),
     "strip-lse-loss": (_fw_strip_lse_loss, _bw_strip_lse_loss),
-    "log": (_fw_log, _bw_log),
-    "exp": (_fw_exp, _bw_exp),
     "sum": (_fw_sum, _bw_sum),
-    "mean": (_fw_mean, _bw_mean),
     "reshape": (_fw_reshape, _bw_reshape),
     "index-rows": (_fw_index_rows, _bw_index_rows),
     "pick-per-row": (_fw_pick_per_row, _bw_pick_per_row),
@@ -501,7 +460,7 @@ def record(op_kind, *inputs, **attrs):
     arrays = [_as_f64(t.data) for t in tensors]
     out, ctx = forward(attrs, *arrays)
     out = _as_f64(out)
-    register_activation(out)
+    register(out)
     tape = active_tape()
     if tape is None:
         return Tensor(out)
@@ -524,8 +483,8 @@ def matmul(x, w):
 def dense(x, w, b, act):
     """act(x @ w + b) for a bias row b, as one node.
 
-    act is "tanh", "relu" or "linear". The node saves x, w and its output
-    and no pre-activation: both slopes are read off the output.
+    act is one of ``kernels.ACTIVATIONS``. The node saves x, w and its
+    output and no pre-activation: every slope is read off the output.
     """
     return record("dense", x, w, b, act=act)
 
@@ -542,12 +501,11 @@ def scalar_mul(c, x):
     return record("scalar-mul", x, c=float(c))
 
 
-def relu(x):
-    return record("relu", x)
-
-
-def tanh(x):
-    return record("tanh", x)
+def activation(x, act):
+    """The named activation of x; x itself for "linear"."""
+    if act == "linear":
+        return x
+    return record("activation", x, act=act)
 
 
 def row_softmax(x):
@@ -569,20 +527,8 @@ def strip_lse_loss(F, G, neg_pos, scale):
     return record("strip-lse-loss", F, G, neg_pos, scale=float(scale))
 
 
-def log(x):
-    return record("log", x)
-
-
-def exp(x):
-    return record("exp", x)
-
-
 def sum_all(x):
     return record("sum", x)
-
-
-def mean_all(x):
-    return record("mean", x)
 
 
 def reshape(x, shape):

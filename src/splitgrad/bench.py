@@ -92,6 +92,20 @@ def validate_config(cfg):
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     if cfg.optimizer not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+    if not (cfg.lr > 0 and np.isfinite(cfg.lr)):
+        raise ConfigError(f"lr must be finite and > 0, got {cfg.lr}")
+    if cfg.encoder_activation not in kernels.ACTIVATIONS:
+        raise ConfigError(
+            f"unknown encoder_activation {cfg.encoder_activation!r}; choose "
+            f"from {kernels.ACTIVATIONS}"
+        )
+    for name in ("encoder_hidden", "embed_dim", "phi_hidden"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(
+                f"{name} must be >= 1, got {getattr(cfg, name)}"
+            )
+    if not (cfg.noise >= 0 and np.isfinite(cfg.noise)):
+        raise ConfigError(f"noise must be finite and >= 0, got {cfg.noise}")
     if cfg.n_pairs < 2:
         raise ConfigError(f"n_pairs must be >= 2, got {cfg.n_pairs}")
     if not 0.0 < cfg.eval_frac < 1.0:
@@ -192,8 +206,8 @@ def evaluate_ranks(params_f, params_g, anchors, targets, r=None):
         raise ValueError("evaluate: empty eval set")
     if r is None:
         r = np.arange(anchors.shape[0])
-    F = encoders.encode(params_f, anchors, taped=False)
-    G = encoders.encode(params_g, targets, taped=False)
+    F = encoders.encode(params_f, anchors)
+    G = encoders.encode(params_g, targets)
     scores = kernels.pair_scores(F, G)
     order = np.argsort(-scores, axis=1, kind="stable")
     positions = np.argsort(order, axis=1, kind="stable")

@@ -36,13 +36,11 @@ from . import autodiff as ad
 from . import encoders
 from . import kernels
 from . import loss as loss_mod
+from . import memtrace
 from . import trainer
 from .trainer import (
     CacheNotFilledError,
     RepresentationGradientCache,
-    _begin_step,
-    _phase,
-    _register,
     count,
     counter_snapshot,
     plan_subbatches,
@@ -152,7 +150,7 @@ def phi_pairs(head_leaves, Fb, Gb):
         return ad.matmul(ad.mul(xf, xg), np.ones((d, 1)))
     w1a, w1b, b1, w2, b2 = head_leaves.tensors
     pre = ad.add(ad.add(ad.matmul(xf, w1a), ad.matmul(xg, w1b)), b1)
-    hidden = encoders.apply_activation(head_leaves.activation, pre)
+    hidden = ad.activation(pre, head_leaves.activation)
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
@@ -188,9 +186,11 @@ def forward_collect(batch, params_f, params_g, head, plan):
     F, G = trainer.step1_graphless_forward(batch, params_f, params_g, plan)
     if head.kind == "dot":
         return F, G, PairInputs(head, F, G)
-    with _phase("pairs"):
-        A = _register(kernels.matmul(F, head.w1a), "representation-store")
-        B = _register(kernels.matmul(G, head.w1b), "representation-store")
+    with memtrace.phase("pairs"):
+        A = memtrace.register(kernels.matmul(F, head.w1a),
+                              "representation-store")
+        B = memtrace.register(kernels.matmul(G, head.w1b),
+                              "representation-store")
     return F, G, PairInputs(head, A, B)
 
 
@@ -209,15 +209,15 @@ def build_distance_cache(pairs, r, tau):
     else:
         loss_mod.validate_positive_map(r, pairs.B.shape[0])
         head = pairs.head
-        with _phase("step2"):
+        with memtrace.phase("step2"):
             loss_value, gA, gB, grad_tail = kernels.head_strip_loss(
                 pairs.A, pairs.B, r, 1.0 / tau, head.b1, head.w2, head.b2,
                 head.activation,
             )
             dcache = DistanceGradientCache(
-                _register(gA, "gradient-cache"),
-                _register(gB, "gradient-cache"),
-                [_register(g, "parameters") for g in grad_tail],
+                memtrace.register(gA, "gradient-cache"),
+                memtrace.register(gB, "gradient-cache"),
+                [memtrace.register(g, "parameters") for g in grad_tail],
                 True,
             )
     count("phi_fwd_pairs", n_pairs)
@@ -242,14 +242,14 @@ def update_omega_and_fold(F, G, head, dcache, plan):
     if head.kind == "dot":
         u_rows, v_rows, grad_head = dcache.gA, dcache.gB, []
     else:
-        with _phase("omega"):
-            u_rows = _register(kernels.matmul(dcache.gA, head.w1a.T),
-                               "gradient-cache")
-            v_rows = _register(kernels.matmul(dcache.gB, head.w1b.T),
-                               "gradient-cache")
+        with memtrace.phase("omega"):
+            u_rows = memtrace.register(
+                kernels.matmul(dcache.gA, head.w1a.T), "gradient-cache")
+            v_rows = memtrace.register(
+                kernels.matmul(dcache.gB, head.w1b.T), "gradient-cache")
             grad_head = [
-                _register(np.matmul(F.T, dcache.gA), "parameters"),
-                _register(np.matmul(G.T, dcache.gB), "parameters"),
+                memtrace.register(np.matmul(F.T, dcache.gA), "parameters"),
+                memtrace.register(np.matmul(G.T, dcache.gB), "parameters"),
             ] + dcache.grad_tail
     cache = RepresentationGradientCache(u_rows=u_rows, v_rows=v_rows, filled=True)
     return grad_head, cache
@@ -265,7 +265,7 @@ class DeepConfig:
 
 def train_step_deep(batch, params_f, params_g, head, opt_state, config):
     """forward_collect -> distance cache -> fold -> encoder step3 -> update."""
-    _begin_step()
+    memtrace.begin_step()
     reset_counters()
     plan = plan_subbatches(
         batch.n_anchors, batch.n_targets, config.sub_batch_s, config.sub_batch_t

@@ -1,11 +1,11 @@
 """Dual-encoder MLPs and the optimizers that consume their gradients.
 
 Encoders are small dense networks mapping input rows to embedding rows.
-Hidden layers use one activation (tanh or relu); the final layer is
-linear so embeddings are unconstrained. The same code path runs taped
-and graph-less, which is what makes the two modes bit-identical. Each
-layer is one ``autodiff.dense`` op, so a taped pass records one node
-per layer.
+Hidden layers use one activation from ``kernels.ACTIVATIONS``; the final
+layer is linear so embeddings are unconstrained. The same code path runs
+taped and graph-less, which is what makes the two modes bit-identical.
+Each layer is one ``autodiff.dense`` op, so a taped pass records one
+node per layer; ``encode`` is the graph-less, value-level entry.
 
 Optimizer steps are pure functions: they return fresh parameter and
 state objects and never mutate their inputs. That property is what lets
@@ -19,8 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-
-ACTIVATIONS = ("tanh", "relu", "linear")
 
 CHECKPOINT_FORMAT = "splitgrad-params"
 CHECKPOINT_VERSION = 1
@@ -58,7 +56,7 @@ def init_params(seed, dims, activation="tanh"):
     """
     if len(dims) < 2:
         raise ValueError(f"dims needs an input and an output size, got {dims}")
-    if activation not in ACTIVATIONS:
+    if activation not in kernels.ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     layers = []
@@ -82,16 +80,6 @@ def identity_params(dim):
     )
 
 
-def apply_activation(name, x):
-    if name == "tanh":
-        return ad.tanh(x)
-    if name == "relu":
-        return ad.relu(x)
-    if name == "linear":
-        return x
-    raise ValueError(f"unknown activation {name!r}")
-
-
 def _check_input(params, inputs):
     if params.layers and inputs.shape[1] != params.layers[0][0].shape[0]:
         raise ad.ShapeMismatchError(
@@ -100,22 +88,16 @@ def _check_input(params, inputs):
         )
 
 
-def encode(params, inputs, taped=False):
-    """Embed input rows; value-level API returning a plain array.
+def encode(params, inputs):
+    """Embed input rows without recording; returns a plain array.
 
-    taped=False routes through the graph-less scope; taped=True records
-    onto the active tape (or a throwaway one) with the inputs as the
-    leaf, exercising the identical arithmetic.
+    It runs the same ``encode_graph`` arithmetic as a taped pass, so the
+    rows are bitwise those a tape would give.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     _check_input(params, inputs)
-    if not taped:
-        with ad.no_graph():
-            return encode_graph(params, ad.constant(inputs)).data
-    if ad.active_tape() is None:
-        with ad.recording(ad.Tape()):
-            return encode_graph(params, ad.leaf(inputs)).data
-    return encode_graph(params, ad.leaf(inputs)).data
+    with ad.no_graph():
+        return encode_graph(params, ad.constant(inputs)).data
 
 
 @dataclass

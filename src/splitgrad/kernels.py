@@ -15,11 +15,17 @@ float64.
 Nothing here checks that property at run time; the chunk-invariance
 tests in ``tests/test_kernels.py`` check it on the BLAS in use, at the
 default thread count and with one thread.
+
+This module also owns the activations: ``ACTIVATIONS`` names them, and
+``activate`` and ``activation_vjp`` are the only code that dispatches
+on a name (``head_strip_loss`` applies the slope in place through
+``_activation_slope``). The taped ops, the encoders and the config
+check all go through them.
 """
 
 import numpy as np
 
-from .memtrace import register_activation
+from .memtrace import register
 
 TILE = 16
 # anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
@@ -28,6 +34,7 @@ STRIP = 64
 # anchor rows per strip of head_strip_loss: a strip holds about
 # HEAD_STRIP * m * (h + 2) floats for m targets and a head h wide
 HEAD_STRIP = 8
+ACTIVATIONS = ("tanh", "relu", "linear")
 
 
 def active_backend() -> str:
@@ -112,34 +119,50 @@ def strip_logsumexp(F, G, scale, weight):
     F, G = _c64(F), _c64(G)
     n, m = F.shape[0], G.shape[0]
     # G.T once, contiguous: pair_scores(a, Gt.T) then copies nothing
-    Gt = register_activation(_c64(G.T))
-    lse = register_activation(np.empty((n, 1)))
-    dF = register_activation(np.empty(F.shape))
-    dG = register_activation(np.zeros(G.shape))
+    Gt = register(_c64(G.T))
+    lse = register(np.empty((n, 1)))
+    dF = register(np.empty(F.shape))
+    dG = register(np.zeros(G.shape))
     coef = scale * weight
     for lo in range(0, n, STRIP):
         hi = min(lo + STRIP, n)
-        scores = register_activation(pair_scores(F[lo:hi], Gt.T))
+        scores = register(pair_scores(F[lo:hi], Gt.T))
         lse[lo:hi], p = row_logsumexp(scores, scale)
-        register_activation(p)
+        register(p)
         del scores
         p *= coef
-        dF[lo:hi] = register_activation(matmul(p, G))
-        dG += register_activation(np.matmul(p.T, F[lo:hi]))
+        dF[lo:hi] = register(matmul(p, G))
+        dG += register(np.matmul(p.T, F[lo:hi]))
     return lse, dF, dG
 
 
-def _activate(name, x):
+def activate(name, x):
+    """Apply the named activation to x in place; return x."""
     if name == "tanh":
         np.tanh(x, out=x)
     elif name == "relu":
         np.maximum(x, 0.0, out=x)
     elif name != "linear":
         raise ValueError(f"unknown activation {name!r}")
+    return x
+
+
+def activation_vjp(name, y, g):
+    """g times the named activation's slope, read off its output y.
+
+    relu's slope comes from y: y > 0 exactly where the input was, and NaN
+    passes neither test. For linear the result is g itself.
+    """
+    if name == "tanh":
+        return tanh_vjp(y, g)
+    if name == "relu":
+        return relu_vjp(y, g)
+    return g
 
 
 def _activation_slope(name, y):
-    # overwrite the activation's output y with its derivative there
+    # overwrite the activation's output y with its derivative there; the
+    # in-place form of activation_vjp for head_strip_loss's strips
     if name == "tanh":
         y *= y
         np.subtract(1.0, y, out=y)
@@ -176,27 +199,27 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     r = np.asarray(r, dtype=np.int64)
     n, m, h = A.shape[0], B.shape[0], B.shape[1]
     inv_n = 1.0 / n
-    gap = register_activation(np.empty((n, 1)))
+    gap = register(np.empty((n, 1)))
     gA = np.empty(A.shape)
     gB = np.zeros(B.shape)
     gb1, gw2, gb2 = np.zeros(h), np.zeros((h, 1)), np.zeros(1)
     w2_row = w2[:, 0]
-    strip = register_activation(np.empty((min(HEAD_STRIP, n), m, h)))
-    row = register_activation(np.empty((m, h)))
+    strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
+    row = register(np.empty((m, h)))
     for lo in range(0, n, HEAD_STRIP):
         hi = min(lo + HEAD_STRIP, n)
         rows = np.arange(hi - lo)
         hid = strip[:hi - lo]
         np.add(A[lo:hi, None], B[None], out=hid)
         hid += b1
-        _activate(activation, hid)
+        activate(activation, hid)
         flat = hid.reshape(-1, h)
-        d = register_activation(matmul(flat, w2))
+        d = register(matmul(flat, w2))
         d += b2
         d *= scale
         z = d.reshape(hi - lo, m)
         lse, p = row_logsumexp(z)
-        register_activation(p)
+        register(p)
         gap[lo:hi] = lse - z[rows, r[lo:hi]][:, None]
         del d, z
         # p becomes dL/dd, then dL/dpre overwrites the hidden layer

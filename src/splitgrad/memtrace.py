@@ -13,7 +13,10 @@ A counter is made visible to the engine through a thread-local stack
 (``use_meter``); each logical worker activates its own counter. Named
 phase windows let a trainer attribute peaks to individual stages of a
 step, e.g. separate the per-sub-batch encoder peak from the loss-over-
-representations peak.
+representations peak. The module-level hooks ``register``, ``phase``
+and ``begin_step`` are what the engine, the kernels and the trainers
+call; each acts on the active counter and does nothing without one.
+An activation budget that trips names the phase that was open.
 """
 
 import threading
@@ -63,9 +66,11 @@ class MemCounter:
             and self.activation_budget is not None
             and self.live[category] > self.activation_budget
         ):
+            where = (f"in phase {self._phase!r}" if self._phase is not None
+                     else "outside any phase")
             raise BudgetExceededError(
                 f"live activation floats {self.live[category]} exceed "
-                f"budget {self.activation_budget}"
+                f"budget {self.activation_budget} {where}"
             )
 
     def track_release(self, category, n_floats):
@@ -160,27 +165,28 @@ def use_meter(meter):
         stack.pop()
 
 
-def register_activation(arr):
-    """Count an engine-created array under the active meter, if any."""
+def register(arr, category="activation"):
+    """Count arr under the active meter, if any, until it is freed."""
     meter = current_meter()
     if meter is not None:
-        meter.register_array(arr, "activation")
+        meter.register_array(arr, category)
     return arr
 
 
-def merge_reports(counters):
-    """Combine per-worker counters into one report.
+@contextmanager
+def phase(name):
+    """Attribute the active meter's peaks in this block to a window."""
+    meter = current_meter()
+    if meter is None:
+        yield
+    else:
+        with meter.phase(name):
+            yield
 
-    Activation peaks take the max across workers (each worker's claim is
-    about its own peak); stores, caches, and parameters are summed (they
-    coexist).
-    """
-    merged = {c: 0 for c in CATEGORIES}
-    for counter in counters:
-        for c in CATEGORIES:
-            if c == "activation":
-                merged[c] = max(merged[c], counter.peak[c])
-            else:
-                merged[c] += counter.peak[c]
-    return merged
+
+def begin_step():
+    """Reset the active meter's phase windows, if there is a meter."""
+    meter = current_meter()
+    if meter is not None:
+        meter.begin_step()
 

@@ -165,7 +165,6 @@ class WorkerGroup:
 class MultiStepResult:
     loss: float
     stats: trainer.StepStats
-    worker_peaks: dict
 
 
 def train_step_multi(group, batch, config):
@@ -255,6 +254,4 @@ def train_step_multi(group, batch, config):
     stats = trainer.step_stats(
         totals, ("step1", "step3"), ("step2",), ("step2",), meters
     )
-    return MultiStepResult(
-        loss=losses[0], stats=stats, worker_peaks=memtrace.merge_reports(meters)
-    )
+    return MultiStepResult(loss=losses[0], stats=stats)

@@ -29,7 +29,6 @@ processed, so op-count claims are measured rather than assumed.
 """
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,29 +139,6 @@ def count(key, n):
     _counters()[key] += n
 
 
-@contextmanager
-def _phase(name):
-    meter = memtrace.current_meter()
-    if meter is None:
-        yield
-    else:
-        with meter.phase(name):
-            yield
-
-
-def _register(arr, category):
-    meter = memtrace.current_meter()
-    if meter is not None:
-        meter.register_array(arr, category)
-    return arr
-
-
-def _begin_step():
-    meter = memtrace.current_meter()
-    if meter is not None:
-        meter.begin_step()
-
-
 def step_stats(counters, act_phases, loss_phases=(), cache_phases=(),
                meters=None):
     """The StepStats of a step, from its row counters and phase windows.
@@ -170,8 +146,9 @@ def step_stats(counters, act_phases, loss_phases=(), cache_phases=(),
     Each peak is the largest over its phases: activation floats for
     act_peak and loss_phase_peak, gradient-cache floats for cache_floats.
     With one meter per worker, peaks take the max across workers and
-    cache floats the sum, as in ``memtrace.merge_reports``. ``meters``
-    defaults to the active meter; without one every peak is 0.
+    cache floats the sum: each worker's activation peak is its own, and
+    the workers' caches coexist. ``meters`` defaults to the active meter;
+    without one every peak is 0.
     """
     if meters is None:
         meters = [memtrace.current_meter()]
@@ -197,18 +174,16 @@ def step_stats(counters, act_phases, loss_phases=(), cache_phases=(),
 
 def step1_graphless_forward(batch, params_f, params_g, plan):
     """Encode every chunk without recording; collect all representations."""
-    with _phase("step1"):
-        F = _register(
-            np.empty((batch.n_anchors, params_f.out_dim)), "representation-store"
-        )
-        G = _register(
-            np.empty((batch.n_targets, params_g.out_dim)), "representation-store"
-        )
+    with memtrace.phase("step1"):
+        F = memtrace.register(np.empty((batch.n_anchors, params_f.out_dim)),
+                              "representation-store")
+        G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
+                              "representation-store")
         for lo, hi in plan.anchor_chunks:
-            F[lo:hi] = encoders.encode(params_f, batch.anchors[lo:hi], taped=False)
+            F[lo:hi] = encoders.encode(params_f, batch.anchors[lo:hi])
             count("fwd_rows", hi - lo)
         for lo, hi in plan.target_chunks:
-            G[lo:hi] = encoders.encode(params_g, batch.targets[lo:hi], taped=False)
+            G[lo:hi] = encoders.encode(params_g, batch.targets[lo:hi])
             count("fwd_rows", hi - lo)
     return F, G
 
@@ -219,21 +194,23 @@ def step2_build_cache(F, G, r, tau):
     Only F and G are tape leaves; no encoder participates. Returns the
     filled cache and the full-batch loss value.
     """
-    with _phase("step2"):
+    with memtrace.phase("step2"):
         tape = ad.Tape()
         with ad.recording(tape):
             f_leaf = tape.leaf(F)
             g_leaf = tape.leaf(G)
             loss_t = loss_mod.loss_graph_from_reps(f_leaf, g_leaf, r, tau)
         tape.backward(loss_t)
-        u_rows = _register(tape.grad(f_leaf).copy(), "gradient-cache")
-        v_rows = _register(tape.grad(g_leaf).copy(), "gradient-cache")
+        u_rows = memtrace.register(tape.grad(f_leaf).copy(),
+                                   "gradient-cache")
+        v_rows = memtrace.register(tape.grad(g_leaf).copy(),
+                                   "gradient-cache")
     cache = RepresentationGradientCache(u_rows=u_rows, v_rows=v_rows, filled=True)
     return cache, float(loss_t.data)
 
 
 def _zero_grads(params):
-    return [_register(np.zeros_like(p), "parameters")
+    return [memtrace.register(np.zeros_like(p), "parameters")
             for p in encoders.param_arrays(params)]
 
 
@@ -250,31 +227,24 @@ def _accumulate_chunk(params, rows, seed_rows, grad_accumulators):
         acc += g
 
 
-def step3_accumulate(batch, params_f, params_g, plan, cache, order=None):
+def step3_accumulate(batch, params_f, params_g, plan, cache):
     """Per-sub-batch taped passes seeded from the cache; grads summed.
 
-    order optionally permutes chunk processing (used to demonstrate
-    summation-order insensitivity); gradients are mathematically the
-    same either way.
+    Chunks run in the plan's order, which sets the order of the sums.
     """
     if not cache.filled:
         raise CacheNotFilledError(
             "representation gradient cache consumed before being filled"
         )
     cache.filled = False
-    with _phase("step3"):
+    with memtrace.phase("step3"):
         grads_f = _zero_grads(params_f)
         grads_g = _zero_grads(params_g)
-        anchor_chunks = list(plan.anchor_chunks)
-        target_chunks = list(plan.target_chunks)
-        if order is not None:
-            anchor_chunks = [anchor_chunks[i] for i in order["anchors"]]
-            target_chunks = [target_chunks[i] for i in order["targets"]]
-        for lo, hi in anchor_chunks:
+        for lo, hi in plan.anchor_chunks:
             _accumulate_chunk(
                 params_f, batch.anchors[lo:hi], cache.u_rows[lo:hi], grads_f
             )
-        for lo, hi in target_chunks:
+        for lo, hi in plan.target_chunks:
             _accumulate_chunk(
                 params_g, batch.targets[lo:hi], cache.v_rows[lo:hi], grads_g
             )
@@ -300,7 +270,7 @@ def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state):
 
 def train_step_cached(batch, params_f, params_g, opt_state, config):
     """step1 -> step2 -> step3 -> optimizer; loss is the step2 value."""
-    _begin_step()
+    memtrace.begin_step()
     reset_counters()
     plan = plan_subbatches(
         batch.n_anchors, batch.n_targets, config.sub_batch_s, config.sub_batch_t
@@ -323,9 +293,9 @@ def train_step_cached(batch, params_f, params_g, opt_state, config):
 
 def train_step_direct(batch, params_f, params_g, opt_state, tau=1.0):
     """One taped pass over the full batch, then one optimizer step."""
-    _begin_step()
+    memtrace.begin_step()
     reset_counters()
-    with _phase("direct"):
+    with memtrace.phase("direct"):
         grads_f, grads_g, loss_value = loss_mod.direct_param_grads(
             batch, params_f, params_g, tau
         )
@@ -373,9 +343,9 @@ def train_step_accumulation(batch, params_f, params_g, opt_state,
     its own targets as negatives; the reported loss is the mean of chunk
     losses.
     """
-    _begin_step()
+    memtrace.begin_step()
     reset_counters()
-    with _phase("accumulation"):
+    with memtrace.phase("accumulation"):
         grads_f = _zero_grads(params_f)
         grads_g = _zero_grads(params_g)
         chunk_losses = []

@@ -80,6 +80,17 @@ def test_validate_config_errors():
         (dict(optimizer="lbfgs"), "optimizer"),
         (dict(eval_frac=1.5), "eval_frac"),
         (dict(eval_k=()), "eval_k"),
+        (dict(encoder_activation="sigmoid"), "encoder_activation"),
+        (dict(encoder_hidden=0), "encoder_hidden"),
+        (dict(embed_dim=0), "embed_dim"),
+        (dict(mode="deep", phi_hidden=0), "phi_hidden"),
+        (dict(noise=float("nan")), "noise"),
+        (dict(noise=float("inf")), "noise"),
+        (dict(noise=-0.5), "noise"),
+        (dict(lr=0.0), "lr"),
+        (dict(lr=-1e-3), "lr"),
+        (dict(lr=float("nan")), "lr"),
+        (dict(lr=float("inf")), "lr"),
     ]
     for overrides, fragment in cases:
         with pytest.raises(ConfigError, match=fragment):
@@ -480,6 +491,19 @@ def test_cli_flags_override_config_file(tmp_path):
     assert rows[0]["batch_size"] == "16"
 
 
+def test_cli_unknown_activation_exits_2(tmp_path):
+    config = _fast_config(tmp_path)
+    with open(config, "a") as fh:
+        fh.write("encoder_activation = sigmoid\n")
+    out = tmp_path / "run"
+    proc = _cli("train", "--mode", "cache", "--config", config, *_FAST,
+                "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "encoder_activation" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("batchsize = 64\n")
@@ -513,3 +537,16 @@ def test_cli_budget_separates_direct_from_cache(tmp_path):
     cache = _cli("train", "--mode", "cache", *args,
                  "--out", str(tmp_path / "c"))
     assert cache.returncode == 0, cache.stderr
+
+
+def test_cli_budget_error_names_the_loss_phase(tmp_path):
+    # a budget above the reported act_peak still trips in step2, and the
+    # message says so
+    budget = 10000
+    row = profile_single_step("cache", 64, 16)
+    assert row["act_peak"] < budget < row["loss_phase_peak"]
+    proc = _cli("train", "--mode", "cache", "--batch-size", "64",
+                "--activation-budget", str(budget), "--epochs", "1",
+                "--out", str(tmp_path / "c"))
+    assert proc.returncode == 3, proc.stderr
+    assert "in phase 'step2'" in proc.stderr

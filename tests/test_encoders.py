@@ -95,7 +95,8 @@ def test_encode_graph_gradients_pass_finite_differences():
                 layers=[(tensors[0], tensors[1]), (tensors[2], tensors[3])],
                 activations=p.activations,
             )
-            return ad.sum_all(ad.tanh(encoders.encode_graph(leaves, x)))
+            out = encoders.encode_graph(leaves, x)
+            return ad.sum_all(ad.activation(out, "tanh"))
 
         report = finite_diff_check(f, arrays[j])
         assert report.passed, (j, report.max_rel_err)

@@ -10,8 +10,7 @@ from splitgrad.memtrace import (
     MemAccountingError,
     MemCounter,
     current_meter,
-    merge_reports,
-    register_activation,
+    register,
     use_meter,
 )
 
@@ -64,8 +63,14 @@ def test_budget_enforced_on_activation_only():
     c = MemCounter(activation_budget=10)
     c.track_alloc("representation-store", 1000)
     c.track_alloc("activation", 10)
-    with pytest.raises(BudgetExceededError, match="exceed budget"):
+    with pytest.raises(BudgetExceededError,
+                       match="exceed budget 10 outside any phase"):
         c.track_alloc("activation", 1)
+    # the message names the phase that was open
+    c.track_release("activation", 11)
+    with pytest.raises(BudgetExceededError, match="in phase 'step2'"):
+        with c.phase("step2"):
+            c.track_alloc("activation", 11)
 
 
 def test_phase_windows_track_local_peaks():
@@ -136,31 +141,22 @@ def test_meter_stack_is_thread_local():
     assert current_meter() is None
 
 
-def test_register_activation_noop_without_meter():
-    arr = register_activation(np.zeros(5))
+def test_register_noop_without_meter():
+    arr = register(np.zeros(5))
     assert arr.shape == (5,)
 
 
-def test_register_activation_uses_active_meter():
+def test_register_uses_active_meter():
     c = MemCounter()
     with use_meter(c):
-        arr = register_activation(np.zeros(8))
+        arr = register(np.zeros(8))
+        kept = register(np.zeros(3), "gradient-cache")
     assert c.peak["activation"] == 8
-    del arr
+    assert c.live["gradient-cache"] == 3
+    del arr, kept
     gc.collect()
     assert c.live["activation"] == 0
-
-
-def test_merge_reports_max_activation_sum_others():
-    a = MemCounter()
-    b = MemCounter()
-    a.track_alloc("activation", 10)
-    b.track_alloc("activation", 30)
-    a.track_alloc("gradient-cache", 5)
-    b.track_alloc("gradient-cache", 7)
-    merged = merge_reports([a, b])
-    assert merged["activation"] == 30
-    assert merged["gradient-cache"] == 12
+    assert c.live["gradient-cache"] == 0
 
 
 def test_report_lists_all_categories():

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from splitgrad import encoders, trainer
+from splitgrad import encoders, memtrace, trainer
 from splitgrad.autodiff import ShapeMismatchError, flat_max_rel_err
 from splitgrad.loss import Batch, contrastive_loss, direct_param_grads
 from splitgrad.multiworker import (
@@ -161,6 +161,24 @@ def test_counters_sum_worker_rows():
     n = batch.n_anchors + batch.n_targets
     assert res.stats.fwd_rows == 2 * n
     assert res.stats.bwd_rows == n
+
+
+@pytest.mark.parametrize("n_workers", [2, 3, 5])
+def test_step_stats_merge_worker_meters(n_workers):
+    # every worker encodes sub-batches of the same size and takes the loss
+    # over the gathered batch, so its peaks are the cached step's; each
+    # holds the whole batch's cache rows, so the caches add up
+    batch, pf, pg = _setup(n_s=48, n_t=48)
+    opt = encoders.init_optimizer("sgd", 1e-3)
+    config = TrainConfig(1.0, 8, 8)
+    with memtrace.MemCounter().activate():
+        cached = trainer.train_step_cached(batch, pf, pg, opt, config).stats
+    multi = train_step_multi(WorkerGroup(n_workers, pf, pg, opt), batch,
+                             config).stats
+    assert cached.act_peak > 0 and cached.cache_floats > 0
+    assert multi.act_peak == cached.act_peak
+    assert multi.loss_phase_peak == cached.loss_phase_peak
+    assert multi.cache_floats == n_workers * cached.cache_floats
 
 
 def test_worker_failure_raises_root_cause(monkeypatch):

@@ -7,6 +7,7 @@ from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.loss import Batch, direct_param_grads
 from splitgrad.trainer import (
     CacheNotFilledError,
+    SubBatchPlan,
     TrainConfig,
     plan_subbatches,
     step1_graphless_forward,
@@ -102,8 +103,8 @@ def test_chunk_order_does_not_change_gradients_materially():
     cache, _ = step2_build_cache(F, G, batch.r, 1.0)
     fwd = step3_accumulate(batch, pf, pg, plan, cache)
     cache2, _ = step2_build_cache(F, G, batch.r, 1.0)
-    rev = {"anchors": list(range(4))[::-1], "targets": list(range(4))[::-1]}
-    bwd = step3_accumulate(batch, pf, pg, plan, cache2, order=rev)
+    rev = SubBatchPlan(plan.anchor_chunks[::-1], plan.target_chunks[::-1])
+    bwd = step3_accumulate(batch, pf, pg, rev, cache2)
     assert flat_max_rel_err(fwd[0] + fwd[1], bwd[0] + bwd[1]) < 1e-12
 
 
