@@ -222,6 +222,11 @@ def evaluate_topk(params_f, params_g, anchors, targets, ks, r=None):
                 f"evaluate: k={k} exceeds {np.asarray(targets).shape[0]} targets"
             )
     ranks = evaluate_ranks(params_f, params_g, anchors, targets, r)
+    return _hits_at(ranks, ks)
+
+
+def _hits_at(ranks, ks):
+    """hit@k for each k, from the positives' 0-based ranks."""
     return {k: float(np.mean(ranks < k)) for k in ks}
 
 
@@ -264,11 +269,7 @@ class RunState:
     group: multiworker.WorkerGroup = None
 
     def advance(self, res):
-        """Take the step's new parameters; multi keeps them in its group."""
-        if self.group is not None:
-            self.params_f = self.group.params_f[0]
-            self.params_g = self.group.params_g[0]
-            return
+        """Take the step's new parameters (multi: rank 0's replica)."""
         self.params_f, self.params_g = res.params_f, res.params_g
         self.opt_state, self.head = res.opt_state, res.head
 
@@ -380,12 +381,10 @@ def run_experiment(cfg):
     params_f, params_g = state.params_f, state.params_g
 
     ks = tuple(cfg.eval_k)
-    hits = evaluate_topk(
-        params_f, params_g, task.eval_anchors, task.eval_targets, ks
-    )
     ranks = evaluate_ranks(
         params_f, params_g, task.eval_anchors, task.eval_targets
     )
+    hits = _hits_at(ranks, ks)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "mode": cfg.mode,
@@ -459,34 +458,29 @@ def save_run_checkpoint(result, path):
 # memory profiling support
 # ---------------------------------------------------------------------------
 
-def profile_single_step(mode, batch_size, sub_batch, seed=0, tau=1.0,
-                        in_dim=24, hidden=32, embed_dim=16):
-    """One training step under a fresh counter; per-category peaks."""
-    if mode == "multi":
+def profile_single_step(cfg):
+    """One step of the run's config under a fresh counter; per-category
+    peaks. The batch is random, seeded by cfg.seed."""
+    if cfg.mode == "multi":
         raise ConfigError(
-            "profile cannot measure multi: its worker threads record into "
-            "their own meters; profile direct, cache, accumulation, "
-            "sequential or deep"
+            "profile cannot measure multi: each worker records into its "
+            "own meter; profile direct, cache, accumulation, sequential "
+            "or deep"
         )
-    cfg = validate_config(RunConfig(
-        mode=mode, batch_size=batch_size, sub_batch_s=sub_batch,
-        sub_batch_t=sub_batch, temperature=tau, seed=seed, lr=1e-3,
-        encoder_hidden=hidden, embed_dim=embed_dim, in_dim_s=in_dim,
-        in_dim_t=in_dim,
-    ))
-    rng = np.random.default_rng(seed)
+    validate_config(cfg)
+    rng = np.random.default_rng(cfg.seed)
     batch = loss_mod.aligned_batch(
-        rng.normal(size=(batch_size, in_dim)),
-        rng.normal(size=(batch_size, in_dim)),
+        rng.normal(size=(cfg.batch_size, cfg.in_dim_s)),
+        rng.normal(size=(cfg.batch_size, cfg.in_dim_t)),
     )
-    state = init_state(cfg)
+    # measure the whole step: a budget would abort it before the peaks
+    state = init_state(replace(cfg, activation_budget=None))
     meter = state.meter
     with meter.activate():
-        stats = STEPS[mode](state, batch, cfg).stats
+        stats = STEPS[cfg.mode](state, batch, cfg).stats
     return {
-        "mode": mode,
-        "batch_size": batch_size,
-        "sub_batch": sub_batch,
+        "mode": cfg.mode,
+        "batch_size": cfg.batch_size,
         "act_peak": stats.act_peak,
         "loss_phase_peak": stats.loss_phase_peak,
         "representation_store": meter.peak["representation-store"],

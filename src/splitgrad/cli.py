@@ -11,6 +11,7 @@ training produces a non-finite loss or parameter.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -36,10 +37,9 @@ def _add_run_flags(parser):
                         help="output directory")
 
 
-_FLAG_KEYS = (
-    "mode", "batch_size", "sub_batch_s", "sub_batch_t", "workers",
-    "temperature", "epochs", "seed", "activation_budget",
-)
+# RunConfig fields; the run flags set some of them, and argparse leaves
+# the others off the namespace
+_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(bench.RunConfig))
 
 
 def build_parser():
@@ -183,10 +183,10 @@ def cmd_profile(args):
         sizes = [cfg.batch_size]
     rows = [
         bench.profile_single_step(
-            mode, size, cfg.sub_batch_s, seed=cfg.seed, tau=cfg.temperature
+            dataclasses.replace(cfg, mode=m, batch_size=s)
         )
-        for mode in modes
-        for size in sizes
+        for m in modes
+        for s in sizes
     ]
     for row in rows:
         print(f"mode={row['mode']} batch_size={row['batch_size']} "

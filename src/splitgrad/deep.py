@@ -68,9 +68,6 @@ class DistanceHead:
     b2: np.ndarray = None
     activation: str = "tanh"
 
-    def copy(self):
-        return head_from_arrays(self, [a.copy() for a in head_arrays(self)])
-
 
 def init_distance_head(seed, d, hidden=8, activation="tanh"):
     rng = np.random.default_rng(seed)

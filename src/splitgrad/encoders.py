@@ -156,24 +156,24 @@ def total_floats(params):
 # optimizers
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     t: int = 0
     m: list = field(default=None)
     v: list = field(default=None)
 
 
-def init_optimizer(kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps_adam=1e-8):
+def init_optimizer(kind="adam", lr=1e-3):
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    return OptimizerState(
-        kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam
-    )
+    return OptimizerState(kind=kind, lr=lr)
 
 
 def optimizer_step(state, params, grads):
@@ -198,7 +198,7 @@ def optimizer_step(state, params, grads):
     for p, g, mk, vk in zip(params, grads, m, v):
         p2, m2, v2 = p.copy(), mk.copy(), vk.copy()
         kernels.adam_update(
-            p2, m2, v2, g, state.lr, state.beta1, state.beta2, state.eps_adam, t
+            p2, m2, v2, g, state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t
         )
         new_params.append(p2)
         new_m.append(m2)

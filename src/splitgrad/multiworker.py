@@ -15,19 +15,17 @@ because every worker runs the identical pure optimizer update on
 identical inputs, replicas stay bit-identical without broadcasting
 parameters.
 
-Workers are real threads synchronized by barriers; the exchange log
-records every cross-worker data movement so tests can assert there are
-exactly two per step and none during the encoder passes.
+The workers run in lockstep on the calling thread, phase by phase and
+within a phase rank by rank. The exchange log records every
+cross-worker data movement so tests can assert there are exactly two
+per step and none during the encoder passes.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import encoders
-from . import loss as loss_mod
 from . import memtrace
 from . import trainer
 
@@ -143,8 +141,15 @@ class WorkerGroup:
         self.params_f = [params_f.copy() for _ in range(n_workers)]
         self.params_g = [params_g.copy() for _ in range(n_workers)]
         self.opt_states = [opt_state for _ in range(n_workers)]
-        self.exchange_count = 0
         self.exchange_log = []
+
+    @property
+    def exchange_count(self):
+        return len(self.exchange_log)
+
+    def exchange(self, label):
+        """Record one cross-worker data movement."""
+        self.exchange_log.append(label)
 
     def partition(self, batch):
         """Contiguous by rank; worker k gets rows [k*n//N, (k+1)*n//N)."""
@@ -161,97 +166,65 @@ class WorkerGroup:
         return slices
 
 
-@dataclass
-class MultiStepResult:
-    loss: float
-    stats: trainer.StepStats
-
-
 def train_step_multi(group, batch, config):
-    """One synchronized cached step across all workers.
+    """One cached step across all workers, run in lockstep.
 
-    Every worker runs: graph-less forward on its slice, all-gather,
-    loss backward over the gathered representations keeping local rows,
-    per-sub-batch encoder passes (no communication), sum reduction, and
-    the optimizer update on its own replica.
+    Every worker runs, under its own meter with the active meter's
+    budget: graph-less forward on its slice, all-gather, loss backward
+    over the gathered representations keeping local rows, per-sub-batch
+    encoder passes (no communication), sum reduction, and the optimizer
+    update on its own replica. The result carries rank 0's replica.
     """
-    n = group.n_workers
+    ranks = range(group.n_workers)
     local_rows = group.partition(batch)
-    barrier = threading.Barrier(n)
-    rep_slots = [None] * n
-    grad_slots = [None] * n
-    losses = [None] * n
-    counters = [None] * n
-    meters = [memtrace.MemCounter() for _ in range(n)]
-    errors = [None] * n
-
-    def exchange(rank, label):
-        barrier.wait()
-        if rank == 0:
-            group.exchange_count += 1
-            group.exchange_log.append(label)
-        barrier.wait()
-
-    def run_worker(rank):
-        try:
-            with memtrace.use_meter(meters[rank]):
-                trainer.reset_counters()
-                rows = local_rows[rank]
-                plan = trainer.plan_subbatches(
-                    rows.n_anchors, rows.n_targets,
-                    config.sub_batch_s, config.sub_batch_t,
-                )
-                F_n, G_n = trainer.step1_graphless_forward(
-                    rows, group.params_f[rank], group.params_g[rank], plan
-                )
-                rep_slots[rank] = (F_n, G_n)
-                exchange(rank, "all_gather")
-                gathered = all_gather(rep_slots, expected_workers=n)
-                local_cache, loss_value = local_rep_grads(
-                    rank, gathered, batch.r, config.tau
-                )
-                losses[rank] = loss_value
-                grads_f, grads_g = trainer.step3_accumulate(
-                    rows, group.params_f[rank], group.params_g[rank],
-                    plan, local_cache,
-                )
-                grad_slots[rank] = (grads_f, grads_g)
-                exchange(rank, "reduce")
-                reduced_f = reduce_grads([g[0] for g in grad_slots])
-                reduced_g = reduce_grads([g[1] for g in grad_slots])
-                new_f, new_g, new_state = trainer._apply_optimizer(
-                    group.params_f[rank], group.params_g[rank],
-                    reduced_f, reduced_g, group.opt_states[rank],
-                )
-                group.params_f[rank] = new_f
-                group.params_g[rank] = new_g
-                group.opt_states[rank] = new_state
-                counters[rank] = trainer.counter_snapshot()
-        except Exception as exc:
-            errors[rank] = exc
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-
-    threads = [
-        threading.Thread(target=run_worker, args=(rank,)) for rank in range(n)
+    plans = [
+        trainer.plan_subbatches(rows.n_anchors, rows.n_targets,
+                                config.sub_batch_s, config.sub_batch_t)
+        for rows in local_rows
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    real_errors = [e for e in errors if e is not None]
-    if real_errors:
-        # A worker failure aborts the barrier; report the root cause, not
-        # the BrokenBarrierError the other workers see.
-        for exc in real_errors:
-            if not isinstance(exc, threading.BrokenBarrierError):
-                raise exc
-        raise real_errors[0]
+    active = memtrace.current_meter()
+    budget = active.activation_budget if active is not None else None
+    meters = [memtrace.MemCounter(activation_budget=budget) for _ in ranks]
+    trainer.reset_counters()
 
-    totals = {k: sum(c[k] for c in counters) for k in counters[0]}
+    reps = []
+    for k in ranks:
+        with memtrace.use_meter(meters[k]):
+            reps.append(trainer.step1_graphless_forward(
+                local_rows[k], group.params_f[k], group.params_g[k], plans[k]
+            ))
+    group.exchange("all_gather")
+    gathered = all_gather(reps, expected_workers=group.n_workers)
+
+    losses, grads = [], []
+    for k in ranks:
+        with memtrace.use_meter(meters[k]):
+            local_cache, loss_value = local_rep_grads(
+                k, gathered, batch.r, config.tau
+            )
+            losses.append(loss_value)
+            grads.append(trainer.step3_accumulate(
+                local_rows[k], group.params_f[k], group.params_g[k],
+                plans[k], local_cache,
+            ))
+    group.exchange("reduce")
+    reduced_f = reduce_grads([g for g, _ in grads])
+    reduced_g = reduce_grads([g for _, g in grads])
+
+    for k in ranks:
+        with memtrace.use_meter(meters[k]):
+            group.params_f[k], group.params_g[k], group.opt_states[k] = (
+                trainer._apply_optimizer(
+                    group.params_f[k], group.params_g[k],
+                    reduced_f, reduced_g, group.opt_states[k],
+                )
+            )
+
     stats = trainer.step_stats(
-        totals, ("step1", "step3"), ("step2",), ("step2",), meters
+        trainer.counter_snapshot(), ("step1", "step3"), ("step2",),
+        ("step2",), meters,
     )
-    return MultiStepResult(loss=losses[0], stats=stats)
+    return trainer.StepResult(
+        losses[0], group.params_f[0], group.params_g[0], group.opt_states[0],
+        stats,
+    )

@@ -46,6 +46,13 @@ def _flat_params(*param_objs):
     return out
 
 
+def _profile(mode, batch_size, sub_batch):
+    return profile_single_step(RunConfig(
+        mode=mode, batch_size=batch_size, sub_batch_s=sub_batch,
+        sub_batch_t=sub_batch,
+    ))
+
+
 def test_criterion_1_exact_equivalence(capsys):
     """Cached gradients and post-step parameters match direct training
     across encoder depth, temperature, and sub-batch size.
@@ -275,12 +282,12 @@ def test_criterion_6_constant_memory(capsys):
     cache_peaks = {}
     cache_floats_exact = True
     for bs in (64, 128, 256, 512):
-        row = profile_single_step("cache", bs, 8)
+        row = _profile("cache", bs, 8)
         cache_peaks[bs] = row["act_peak"]
         cache_floats_exact &= row["gradient_cache"] == (bs + bs) * 16
     flat = len(set(cache_peaks.values())) == 1
-    d64 = profile_single_step("direct", 64, 8)["act_peak"]
-    d256 = profile_single_step("direct", 256, 8)["act_peak"]
+    d64 = _profile("direct", 64, 8)["act_peak"]
+    d256 = _profile("direct", 256, 8)["act_peak"]
     growth = d256 / d64
     ok = flat and cache_floats_exact and growth >= 3.9
     _report(capsys, 6, "constant activation memory", ok,

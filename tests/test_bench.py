@@ -26,6 +26,13 @@ from splitgrad.bench import (
 )
 
 
+def _profile(mode, batch_size, sub_batch):
+    return profile_single_step(RunConfig(
+        mode=mode, batch_size=batch_size, sub_batch_s=sub_batch,
+        sub_batch_t=sub_batch,
+    ))
+
+
 def _small(**overrides):
     base = dict(mode="direct", n_pairs=60, batch_size=16, sub_batch_s=4,
                 sub_batch_t=4, epochs=1, eval_k=(1, 5), in_dim_s=8,
@@ -227,13 +234,13 @@ def test_checkpoint_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_profile_single_step_peaks():
-    small = profile_single_step("cache", 32, 8)
-    big = profile_single_step("cache", 64, 8)
+    small = _profile("cache", 32, 8)
+    big = _profile("cache", 64, 8)
     assert small["act_peak"] == big["act_peak"]
     assert big["gradient_cache"] == 2 * 64 * 16
     assert big["activation_live_end"] == 0
-    d_small = profile_single_step("direct", 32, 8)
-    d_big = profile_single_step("direct", 64, 8)
+    d_small = _profile("direct", 32, 8)
+    d_big = _profile("direct", 64, 8)
     assert d_big["act_peak"] > d_small["act_peak"]
 
 
@@ -244,13 +251,13 @@ def test_deep_loss_phase_holds_one_head_strip(n):
     # losses; each is counted, so an unregistered one fails the low end
     h = RunConfig().phi_hidden
     strip = kernels.HEAD_STRIP * n * (h + 2) + n * h + n
-    peak = profile_single_step("deep", n, 16)["loss_phase_peak"]
+    peak = _profile("deep", n, 16)["loss_phase_peak"]
     assert strip <= peak <= strip + n
 
 
 def test_deep_loss_phase_grows_linearly_in_batch():
     # the two-pass head held about 4 n^2 floats: doubling n quadrupled it
-    peaks = [profile_single_step("deep", n, 16)["loss_phase_peak"]
+    peaks = [_profile("deep", n, 16)["loss_phase_peak"]
              for n in (256, 512)]
     assert peaks[1] <= 2.1 * peaks[0]
 
@@ -262,25 +269,25 @@ def test_cache_loss_phase_holds_two_strips_and_a_few_n_by_d(n):
     # F * G[r]; each is counted, so an unregistered one fails the low end
     d = 16
     two_strips = 2 * kernels.STRIP * n
-    peak = profile_single_step("cache", n, 32)["loss_phase_peak"]
+    peak = _profile("cache", n, 32)["loss_phase_peak"]
     assert two_strips + 5 * n * d <= peak <= two_strips + 6 * n * d
 
 
 def test_cache_loss_phase_grows_linearly_in_batch():
     # the dense tail held about 3 n^2 floats: doubling n quadrupled it
-    peaks = [profile_single_step("cache", n, 32)["loss_phase_peak"]
+    peaks = [_profile("cache", n, 32)["loss_phase_peak"]
              for n in (1024, 2048)]
     assert peaks[1] <= 2.1 * peaks[0]
 
 
 def test_profile_single_step_rejects_unknown_mode():
     with pytest.raises(ConfigError, match="direct|cache|accumulation"):
-        profile_single_step("multi", 32, 8)
+        _profile("multi", 32, 8)
 
 
 def test_profile_single_step_runs_sequential_and_deep():
-    assert profile_single_step("sequential", 32, 8)["act_peak"] > 0
-    rows = [profile_single_step("deep", n, 16) for n in (32, 64, 128, 256)]
+    assert _profile("sequential", 32, 8)["act_peak"] > 0
+    rows = [_profile("deep", n, 16) for n in (32, 64, 128, 256)]
     assert len({row["act_peak"] for row in rows}) == 1, rows
     assert all(row["activation_live_end"] == 0 for row in rows)
 
@@ -524,7 +531,7 @@ def test_cli_budget_separates_direct_from_cache(tmp_path):
     def step_peak(mode):
         # the budget bounds every live activation float of the step; the
         # cached step's largest window is its loss phase, not step3
-        row = profile_single_step(mode, 64, 8)
+        row = _profile(mode, 64, 8)
         return max(row["act_peak"], row["loss_phase_peak"])
 
     assert step_peak("cache") < budget < step_peak("direct")
@@ -543,10 +550,36 @@ def test_cli_budget_error_names_the_loss_phase(tmp_path):
     # a budget above the reported act_peak still trips in step2, and the
     # message says so
     budget = 10000
-    row = profile_single_step("cache", 64, 16)
+    row = _profile("cache", 64, 16)
     assert row["act_peak"] < budget < row["loss_phase_peak"]
     proc = _cli("train", "--mode", "cache", "--batch-size", "64",
                 "--activation-budget", str(budget), "--epochs", "1",
                 "--out", str(tmp_path / "c"))
     assert proc.returncode == 3, proc.stderr
     assert "in phase 'step2'" in proc.stderr
+
+
+def test_cli_budget_applies_to_each_multi_worker(tmp_path):
+    proc = _cli("train", "--mode", "multi", "--workers", "2",
+                "--batch-size", "64", "--activation-budget", "10",
+                "--out", str(tmp_path / "m"))
+    assert proc.returncode == 3, proc.stderr
+    assert "step1" in proc.stderr
+
+
+def test_cli_profile_reads_the_run_config(tmp_path):
+    # the profiled loss phase at the config's widths is the exact budget
+    # a cached run of that config needs
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("encoder_hidden = 128\nembed_dim = 32\n")
+    args = ("--config", str(cfg), "--batch-size", "64")
+    proc = _cli("profile", "--modes", "cache", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert "loss_phase_peak=18690" in proc.stdout
+    ok = _cli("train", "--mode", "cache", *args, "--activation-budget",
+              "18690", "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    over = _cli("train", "--mode", "cache", *args, "--activation-budget",
+                "18689", "--out", str(tmp_path / "over"))
+    assert over.returncode == 3, over.stderr
+    assert "in phase 'step2'" in over.stderr

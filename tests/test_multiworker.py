@@ -182,8 +182,8 @@ def test_step_stats_merge_worker_meters(n_workers):
 
 
 def test_worker_failure_raises_root_cause(monkeypatch):
-    """One failing worker aborts the barrier; the caller must see the
-    original error, not the BrokenBarrierError the other workers hit."""
+    """One failing worker stops the step; the caller must see the
+    original error, not a BrokenBarrierError."""
     batch, pf, pg = _setup(n_s=9, n_t=9)
     group = WorkerGroup(2, pf, pg, encoders.init_optimizer("sgd", 1e-3))
     real = trainer.step1_graphless_forward
@@ -197,3 +197,17 @@ def test_worker_failure_raises_root_cause(monkeypatch):
     with pytest.raises(RuntimeError, match="encoder exploded") as info:
         train_step_multi(group, batch, TrainConfig(1.0, 4, 4))
     assert not isinstance(info.value, threading.BrokenBarrierError)
+
+
+def test_train_step_multi_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("train_step_multi started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    batch, pf, pg = _setup()
+    group = WorkerGroup(3, pf, pg, encoders.init_optimizer("adam", 1e-2))
+    res = train_step_multi(group, batch, TrainConfig(1.0, 8, 8))
+    assert isinstance(res, trainer.StepResult)
+    assert res.params_f is group.params_f[0]
+    assert res.params_g is group.params_g[0]
+    assert res.opt_state is group.opt_states[0]
