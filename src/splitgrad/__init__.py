@@ -16,7 +16,6 @@ from .autodiff import (
     finite_diff_check,
     flat_max_rel_err,
     max_rel_err,
-    no_graph,
 )
 from .bench import ConfigError, RunConfig, evaluate_topk, generate_task, run_experiment
 from .deep import (
@@ -84,7 +83,6 @@ __all__ = [
     "init_params",
     "load_params_file",
     "max_rel_err",
-    "no_graph",
     "optimizer_step",
     "plan_subbatches",
     "reduce_grads",

@@ -8,10 +8,11 @@ accumulating gradients additively; nodes unreachable from the seed keep
 a zero gradient. A tape is single-use: rerunning backward
 requires ``reset_grads``.
 
-A graph-less mode (``no_graph``) executes the same arithmetic without
-recording anything, which is what keeps forward-only passes cheap in
-activation memory. Values are bit-identical between the two modes
-because both call the same kernels.
+An op records a node only when one of its inputs is a node of the
+active tape (``recording``); an op over constants alone, or run with no
+tape active, records nothing. That is what keeps forward-only passes
+cheap in activation memory, and their values are bitwise the taped
+ones because both run the same kernels.
 
 Design choices that equivalence tests depend on:
 
@@ -30,7 +31,6 @@ Design choices that equivalence tests depend on:
 """
 
 import itertools
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -56,7 +56,7 @@ class Tensor:
     """A float64 array, optionally attached to a tape node.
 
     ``token`` and ``index`` locate the producing node; both are None for
-    constants and for values produced under graph-less mode. Tensors
+    constants and for values computed from constants alone. Tensors
     hold no reference to the tape itself, which keeps the object graph
     free of cycles.
     """
@@ -192,45 +192,24 @@ class Tape:
         return int(ref)
 
 
-_tls = threading.local()
-
-
-def _state():
-    if not hasattr(_tls, "tape"):
-        _tls.tape = None
-        _tls.no_graph_depth = 0
-    return _tls
+_tape = None
 
 
 def active_tape():
-    """The tape recording on this thread, or None (also None inside no_graph)."""
-    st = _state()
-    if st.no_graph_depth > 0:
-        return None
-    return st.tape
+    """The tape that ops record onto, or None."""
+    return _tape
 
 
 @contextmanager
 def recording(tape):
     """Record operations issued in this block onto the given tape."""
-    st = _state()
-    prev = st.tape
-    st.tape = tape
+    global _tape
+    prev = _tape
+    _tape = tape
     try:
         yield tape
     finally:
-        st.tape = prev
-
-
-@contextmanager
-def no_graph():
-    """Execute without recording; produced Tensors carry no tape reference."""
-    st = _state()
-    st.no_graph_depth += 1
-    try:
-        yield
-    finally:
-        st.no_graph_depth -= 1
+        _tape = prev
 
 
 def leaf(data):
@@ -633,18 +612,17 @@ def finite_diff_check(f, params, h=1e-6, tol=1e-5, n_samples=200, seed=0):
         coords = rng.choice(n_coords, size=n_samples, replace=False)
 
     worst = 0.0
-    with no_graph():
-        for k in coords:
-            bumped = flat.copy()
-            bumped[k] = flat[k] + h
-            f_plus = float(f(constant(bumped.reshape(params.shape))).data)
-            bumped[k] = flat[k] - h
-            f_minus = float(f(constant(bumped.reshape(params.shape))).data)
-            fd = (f_plus - f_minus) / (2.0 * h)
-            a = analytic[k]
-            err = abs(a - fd) / max(abs(a), abs(fd), floor)
-            if err > worst:
-                worst = err
+    for k in coords:
+        bumped = flat.copy()
+        bumped[k] = flat[k] + h
+        f_plus = float(f(constant(bumped.reshape(params.shape))).data)
+        bumped[k] = flat[k] - h
+        f_minus = float(f(constant(bumped.reshape(params.shape))).data)
+        fd = (f_plus - f_minus) / (2.0 * h)
+        a = analytic[k]
+        err = abs(a - fd) / max(abs(a), abs(fd), floor)
+        if err > worst:
+            worst = err
     return FiniteDiffReport(
         max_rel_err=worst,
         n_checked=len(coords),

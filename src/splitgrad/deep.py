@@ -108,33 +108,21 @@ def head_from_arrays(head, arrays):
     )
 
 
-@dataclass
-class HeadLeaves:
-    kind: str
-    tensors: list
-    activation: str = "tanh"
-
-
 def make_head_leaves(head):
-    """Register head parameters as leaves on the active tape (as
-    constants when nothing is recording)."""
-    if head.kind == "dot":
-        return HeadLeaves(kind="dot", tensors=[])
-    return HeadLeaves(
-        kind="mlp",
-        tensors=[ad.leaf(a) for a in head_arrays(head)],
-        activation=head.activation,
-    )
+    """The head with every array registered as a leaf on the active tape
+    (as a constant when nothing is recording)."""
+    return head_from_arrays(head, [ad.leaf(a) for a in head_arrays(head)])
 
 
 def head_leaf_grads(tape, head_leaves):
-    return [tape.grad(t) for t in head_leaves.tensors]
+    return [tape.grad(t) for t in head_arrays(head_leaves)]
 
 
-def phi_pairs(head_leaves, Fb, Gb):
+def phi_pairs(head, Fb, Gb):
     """Score every (anchor, target) pair of two embedding blocks.
 
     Output rows are anchor-major: row i * n_b + j is the pair (i, j).
+    The head's arrays may be plain arrays or leaves (``make_head_leaves``).
     """
     n_a = Fb.data.shape[0]
     n_b = Gb.data.shape[0]
@@ -143,11 +131,11 @@ def phi_pairs(head_leaves, Fb, Gb):
     tile = np.tile(np.arange(n_b), n_a)
     xf = ad.index_rows(Fb, rep)
     xg = ad.index_rows(Gb, tile)
-    if head_leaves.kind == "dot":
+    if head.kind == "dot":
         return ad.matmul(ad.mul(xf, xg), np.ones((d, 1)))
-    w1a, w1b, b1, w2, b2 = head_leaves.tensors
+    w1a, w1b, b1, w2, b2 = head_arrays(head)
     pre = ad.add(ad.add(ad.matmul(xf, w1a), ad.matmul(xg, w1b)), b1)
-    hidden = ad.activation(pre, head_leaves.activation)
+    hidden = ad.activation(pre, head.activation)
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
@@ -274,18 +262,11 @@ def train_step_deep(batch, params_f, params_g, head, opt_state, config):
         grads_f, grads_g = trainer.step3_accumulate(
             batch, params_f, params_g, plan, rep_cache
         )
-        arrays = (
-            encoders.param_arrays(params_f)
-            + encoders.param_arrays(params_g)
-            + head_arrays(head)
+        new_f, new_g, new_state, new_head_arrays = trainer._apply_optimizer(
+            params_f, params_g, grads_f, grads_g, opt_state,
+            head_arrays(head), grad_head,
         )
-        grads = grads_f + grads_g + grad_head
-        new_arrays, new_state = encoders.optimizer_step(opt_state, arrays, grads)
-        n_f = len(grads_f)
-        n_g = len(grads_g)
-        new_f = encoders.params_from_arrays(params_f, new_arrays[:n_f])
-        new_g = encoders.params_from_arrays(params_g, new_arrays[n_f:n_f + n_g])
-        new_head = head_from_arrays(head, new_arrays[n_f + n_g:])
+        new_head = head_from_arrays(head, new_head_arrays)
     else:
         new_arrays, new_state = encoders.optimizer_step(
             opt_state, head_arrays(head), grad_head

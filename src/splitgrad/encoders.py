@@ -92,26 +92,18 @@ def encode(params, inputs):
     """Embed input rows without recording; returns a plain array.
 
     It runs the same ``encode_graph`` arithmetic as a taped pass, so the
-    rows are bitwise those a tape would give.
+    rows are bitwise those a tape would give; over plain arrays and a
+    constant input no op records a node, whatever tape is active.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     _check_input(params, inputs)
-    with ad.no_graph():
-        return encode_graph(params, ad.constant(inputs)).data
-
-
-@dataclass
-class EncoderLeaves:
-    """Per-layer leaf Tensors for a params object on one tape."""
-
-    layers: list
-    activations: list
+    return encode_graph(params, ad.constant(inputs)).data
 
 
 def make_leaves(params):
-    """Register every parameter array as a leaf on the active tape."""
-    layers = [(ad.leaf(w), ad.leaf(b)) for w, b in params.layers]
-    return EncoderLeaves(layers=layers, activations=list(params.activations))
+    """The params with every array registered as a leaf on the active tape."""
+    leaves = [ad.leaf(a) for a in param_arrays(params)]
+    return params_from_arrays(params, leaves)
 
 
 def encode_graph(params, x):

@@ -9,8 +9,9 @@ its last reference drops, so the live count follows actual lifetimes
 deterministically (the engine keeps its object graph cycle-free on
 purpose).
 
-A counter is made visible to the engine through a thread-local stack
-(``use_meter``); each logical worker activates its own counter. Named
+A counter is made visible to the engine by pushing it on a stack
+(``use_meter``) and the innermost one is active: the multi-worker step
+pushes each worker's counter over the run's. Named
 phase windows let a trainer attribute peaks to individual stages of a
 step, e.g. separate the per-sub-batch encoder peak from the loss-over-
 representations peak. The module-level hooks ``register``, ``phase``
@@ -19,7 +20,6 @@ call; each acts on the active counter and does nothing without one.
 An activation budget that trips names the phase that was open.
 """
 
-import threading
 import weakref
 from contextlib import contextmanager
 
@@ -131,7 +131,7 @@ class MemCounter:
 
     @contextmanager
     def activate(self):
-        """Make this counter the active one for the current thread."""
+        """Make this counter the active one inside the block."""
         with use_meter(self):
             yield self
 
@@ -140,29 +140,21 @@ class MemCounter:
             raise MemAccountingError(f"unknown category {category!r}")
 
 
-_tls = threading.local()
-
-
-def _stack():
-    if not hasattr(_tls, "meters"):
-        _tls.meters = []
-    return _tls.meters
+_meters = []
 
 
 def current_meter():
-    """The counter active on this thread, or None."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    """The innermost active counter, or None."""
+    return _meters[-1] if _meters else None
 
 
 @contextmanager
 def use_meter(meter):
-    stack = _stack()
-    stack.append(meter)
+    _meters.append(meter)
     try:
         yield meter
     finally:
-        stack.pop()
+        _meters.pop()
 
 
 def register(arr, category="activation"):

@@ -213,7 +213,7 @@ def train_step_multi(group, batch, config):
 
     for k in ranks:
         with memtrace.use_meter(meters[k]):
-            group.params_f[k], group.params_g[k], group.opt_states[k] = (
+            group.params_f[k], group.params_g[k], group.opt_states[k], _ = (
                 trainer._apply_optimizer(
                     group.params_f[k], group.params_g[k],
                     reduced_f, reduced_g, group.opt_states[k],

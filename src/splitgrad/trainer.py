@@ -24,11 +24,10 @@ Four step flavors share one optimizer path:
   chunk; this is deliberately NOT equivalent to the direct step.
 * sequential training is just ``train_step_direct`` on small batches.
 
-Forward/backward work is tallied in per-thread counters as encoder rows
+Forward/backward work is tallied in module counters as encoder rows
 processed, so op-count claims are measured rather than assumed.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,27 +115,20 @@ class StepResult:
 # counters and meter plumbing
 # ---------------------------------------------------------------------------
 
-_tls = threading.local()
-
-_COUNTER_KEYS = ("fwd_rows", "bwd_rows", "phi_fwd_pairs", "phi_bwd_pairs")
-
-
-def _counters():
-    if not hasattr(_tls, "counters"):
-        _tls.counters = {k: 0 for k in _COUNTER_KEYS}
-    return _tls.counters
+_counts = {"fwd_rows": 0, "bwd_rows": 0, "phi_fwd_pairs": 0,
+           "phi_bwd_pairs": 0}
 
 
 def reset_counters():
-    _counters().update({k: 0 for k in _COUNTER_KEYS})
+    _counts.update(dict.fromkeys(_counts, 0))
 
 
 def counter_snapshot():
-    return dict(_counters())
+    return dict(_counts)
 
 
 def count(key, n):
-    _counters()[key] += n
+    _counts[key] += n
 
 
 def step_stats(counters, act_phases, loss_phases=(), cache_phases=(),
@@ -251,21 +243,30 @@ def step3_accumulate(batch, params_f, params_g, plan, cache):
     return grads_f, grads_g
 
 
-def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state):
+def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state,
+                     extra=(), extra_grads=()):
+    """One optimizer step over both encoders and any extra arrays.
+
+    Tied encoders (params_f is params_g) are one parameter set: their
+    two gradients add and it is updated once. The extras (a distance
+    head's arrays) follow the encoders in the optimizer's array list.
+    Returns the new encoders, the new state and the updated extras.
+    """
+    arrays = encoders.param_arrays(params_f)
     if params_f is params_g:
-        combined = [a + b for a, b in zip(grads_f, grads_g)]
-        arrays, new_state = encoders.optimizer_step(
-            opt_state, encoders.param_arrays(params_f), combined
-        )
-        new_f = encoders.params_from_arrays(params_f, arrays)
-        return new_f, new_f, new_state
-    arrays = encoders.param_arrays(params_f) + encoders.param_arrays(params_g)
-    grads = grads_f + grads_g
-    new_arrays, new_state = encoders.optimizer_step(opt_state, arrays, grads)
-    split = len(grads_f)
-    new_f = encoders.params_from_arrays(params_f, new_arrays[:split])
-    new_g = encoders.params_from_arrays(params_g, new_arrays[split:])
-    return new_f, new_g, new_state
+        grads = [a + b for a, b in zip(grads_f, grads_g)]
+    else:
+        arrays = arrays + encoders.param_arrays(params_g)
+        grads = grads_f + grads_g
+    n_enc = len(arrays)
+    new_arrays, new_state = encoders.optimizer_step(
+        opt_state, arrays + list(extra), grads + list(extra_grads)
+    )
+    n_f = len(grads_f)
+    new_f = encoders.params_from_arrays(params_f, new_arrays[:n_f])
+    new_g = new_f if params_f is params_g else encoders.params_from_arrays(
+        params_g, new_arrays[n_f:n_enc])
+    return new_f, new_g, new_state, new_arrays[n_enc:]
 
 
 def train_step_cached(batch, params_f, params_g, opt_state, config):
@@ -278,7 +279,7 @@ def train_step_cached(batch, params_f, params_g, opt_state, config):
     F, G = step1_graphless_forward(batch, params_f, params_g, plan)
     cache, loss_value = step2_build_cache(F, G, batch.r, config.tau)
     grads_f, grads_g = step3_accumulate(batch, params_f, params_g, plan, cache)
-    new_f, new_g, new_state = _apply_optimizer(
+    new_f, new_g, new_state, _ = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
     stats = step_stats(
@@ -302,7 +303,7 @@ def train_step_direct(batch, params_f, params_g, opt_state, tau=1.0):
         rows = batch.n_anchors + batch.n_targets
         count("fwd_rows", rows)
         count("bwd_rows", rows)
-    new_f, new_g, new_state = _apply_optimizer(
+    new_f, new_g, new_state, _ = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
     stats = step_stats(counter_snapshot(), ("direct",))
@@ -361,7 +362,7 @@ def train_step_accumulation(batch, params_f, params_g, opt_state,
             for acc, g in zip(grads_g, gg):
                 acc += g
             chunk_losses.append(chunk_loss)
-    new_f, new_g, new_state = _apply_optimizer(
+    new_f, new_g, new_state, _ = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
     stats = step_stats(counter_snapshot(), ("accumulation",))

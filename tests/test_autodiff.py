@@ -94,17 +94,6 @@ def test_unreached_leaf_gets_zeros():
     np.testing.assert_array_equal(tape.grad(y), np.zeros(3))
 
 
-def test_no_graph_suppresses_recording():
-    tape = Tape()
-    with ad.recording(tape):
-        x = tape.leaf(np.ones(3))
-        with ad.no_graph():
-            out = ad.activation(x, "tanh")
-        assert not out.is_taped
-        s = ad.sum_all(x)
-    tape.backward(s)
-
-
 # ---------------------------------------------------------------------------
 # forward values
 # ---------------------------------------------------------------------------

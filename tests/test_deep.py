@@ -79,9 +79,7 @@ def test_phi_pairs_matches_manual_mlp():
     h = init_distance_head(6, 4, hidden=3)
     F = rng.normal(size=(3, 4))
     G = rng.normal(size=(5, 4))
-    with ad.no_graph():
-        out = phi_pairs(make_head_leaves(h),
-                        ad.constant(F), ad.constant(G))
+    out = phi_pairs(make_head_leaves(h), ad.constant(F), ad.constant(G))
     vals = out.data.reshape(3, 5)
     for i in range(3):
         for j in range(5):
@@ -94,9 +92,8 @@ def test_phi_pairs_dot_kind_is_dot_product():
     rng = np.random.default_rng(6)
     F = rng.normal(size=(4, 6))
     G = rng.normal(size=(3, 6))
-    with ad.no_graph():
-        out = phi_pairs(make_head_leaves(dot_head(6)),
-                        ad.constant(F), ad.constant(G))
+    out = phi_pairs(make_head_leaves(dot_head(6)),
+                    ad.constant(F), ad.constant(G))
     assert np.allclose(out.data.reshape(4, 3), F @ G.T, rtol=1e-12)
 
 
@@ -127,9 +124,8 @@ def test_distance_cache_loss_matches_softmax_over_phi_pairs():
     plan = plan_subbatches(12, 15, 5, 6)
     F, G, pairs = forward_collect(batch, pf, pg, head, plan)
     dcache, loss_value = build_distance_cache(pairs, batch.r, 0.5)
-    with ad.no_graph():
-        d = phi_pairs(make_head_leaves(head), ad.constant(F),
-                      ad.constant(G)).data.reshape(12, 15)
+    d = phi_pairs(make_head_leaves(head), ad.constant(F),
+                  ad.constant(G)).data.reshape(12, 15)
     z = d / 0.5
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
@@ -197,6 +193,29 @@ def test_cached_deep_step_matches_direct_graph():
            + encoders.param_arrays(res.params_g) + head_arrays(res.head))
     got = [a - b for a, b in zip(old, new)]
     assert flat_max_rel_err(gf + gg + gh, got) < 1e-9
+
+
+def test_deep_step_keeps_tied_encoders_tied():
+    rng = np.random.default_rng(4)
+    p = encoders.init_params(5, [6, 8, 4])
+    head = init_distance_head(6, 4, hidden=5)
+    batch = Batch(rng.normal(size=(10, 6)), rng.normal(size=(10, 6)),
+                  np.arange(10))
+    gf, gg, gh, _ = deep_direct_grads(batch, p, p, head)
+    cfg = DeepConfig(tau=1.0, sub_batch_s=4, sub_batch_t=4)
+    res = train_step_deep(batch, p, p, head,
+                          encoders.init_optimizer("sgd", 0.1), cfg)
+    assert res.params_f is res.params_g
+    want = [a - 0.1 * (g1 + g2) for a, g1, g2
+            in zip(encoders.param_arrays(p), gf, gg)]
+    want += [a - 0.1 * g for a, g in zip(head_arrays(head), gh)]
+    assert flat_max_rel_err(
+        want, encoders.param_arrays(res.params_f) + head_arrays(res.head)
+    ) < 1e-9
+    adam = train_step_deep(batch, p, p, head,
+                           encoders.init_optimizer("adam", 1e-3), cfg)
+    n_arrays = len(encoders.param_arrays(p)) + len(head_arrays(head))
+    assert len(adam.opt_state.m) == len(adam.opt_state.v) == n_arrays
 
 
 def test_dot_head_reduces_to_plain_trainer():

@@ -91,10 +91,7 @@ def test_encode_graph_gradients_pass_finite_differences():
         def f(leaf, j=j):
             tensors = [ad.constant(a) for a in arrays]
             tensors[j] = leaf
-            leaves = encoders.EncoderLeaves(
-                layers=[(tensors[0], tensors[1]), (tensors[2], tensors[3])],
-                activations=p.activations,
-            )
+            leaves = encoders.params_from_arrays(p, tensors)
             out = encoders.encode_graph(leaves, x)
             return ad.sum_all(ad.activation(out, "tanh"))
 

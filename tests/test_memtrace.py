@@ -1,5 +1,4 @@
 import gc
-import threading
 
 import numpy as np
 import pytest
@@ -125,19 +124,16 @@ def test_begin_step_clears_phase_peaks_not_category_peaks():
     assert c.peak["activation"] == 9
 
 
-def test_meter_stack_is_thread_local():
-    c = MemCounter()
-    seen = {}
-
-    def worker():
-        seen["inner"] = current_meter()
-
-    with use_meter(c):
-        assert current_meter() is c
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-    assert seen["inner"] is None
+def test_meter_stack_nests_and_restores_on_exit():
+    outer, inner = MemCounter(), MemCounter()
+    with use_meter(outer):
+        with use_meter(inner):
+            assert current_meter() is inner
+        assert current_meter() is outer
+        with pytest.raises(RuntimeError, match="boom"):
+            with use_meter(inner):
+                raise RuntimeError("boom")
+        assert current_meter() is outer
     assert current_meter() is None
 
 
