@@ -23,6 +23,10 @@ Design choices that equivalence tests depend on:
 * an encoder layer is one ``dense`` node: it saves its input, weight
   and output, and its VJP reads the slope off the output, so no
   pre-activation is kept;
+* a VJP is called as ``vjp(ctx, g, taped)``, where ``taped`` is the
+  node's input indices (None for an input not on the tape); it may
+  return None for such an input, and ``dense`` and ``matmul`` then skip
+  its product (a first layer's input is a constant);
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation;
@@ -156,7 +160,7 @@ class Tape:
             node = self.nodes[k]
             if node.vjp is None:
                 continue
-            input_grads = node.vjp(node.ctx, g)
+            input_grads = node.vjp(node.ctx, g, node.inputs)
             for in_idx, in_grad in zip(node.inputs, input_grads):
                 if in_idx is None or in_grad is None:
                     continue
@@ -235,9 +239,10 @@ def _fw_matmul(attrs, x, w):
     return kernels.matmul(x, w), (x, w)
 
 
-def _bw_matmul(ctx, g):
+def _bw_matmul(ctx, g, taped):
     x, w = ctx
-    return np.matmul(g, w.T), np.matmul(x.T, g)
+    return (np.matmul(g, w.T) if taped[0] is not None else None,
+            np.matmul(x.T, g) if taped[1] is not None else None)
 
 
 def _fw_dense(attrs, x, w, b):
@@ -252,10 +257,12 @@ def _fw_dense(attrs, x, w, b):
     return out, (x, w, out, attrs["act"])
 
 
-def _bw_dense(ctx, g):
+def _bw_dense(ctx, g, taped):
     x, w, out, act = ctx
     g = kernels.activation_vjp(act, out, g)
-    return np.matmul(g, w.T), np.matmul(x.T, g), g.sum(axis=0)
+    # a first layer's input is a constant: skip its n x k product
+    gx = np.matmul(g, w.T) if taped[0] is not None else None
+    return gx, np.matmul(x.T, g), g.sum(axis=0)
 
 
 def _fw_add(attrs, x, y):
@@ -266,7 +273,7 @@ def _fw_add(attrs, x, y):
     raise _shape_error("add", x.shape, y.shape)
 
 
-def _bw_add(ctx, g):
+def _bw_add(ctx, g, taped):
     if ctx[0] == "rows":
         return g.copy(), g.sum(axis=0)
     return g.copy(), g.copy()
@@ -278,7 +285,7 @@ def _fw_mul(attrs, x, y):
     return x * y, (x, y)
 
 
-def _bw_mul(ctx, g):
+def _bw_mul(ctx, g, taped):
     x, y = ctx
     return g * y, g * x
 
@@ -287,7 +294,7 @@ def _fw_scalar_mul(attrs, x):
     return attrs["c"] * x, (attrs["c"],)
 
 
-def _bw_scalar_mul(ctx, g):
+def _bw_scalar_mul(ctx, g, taped):
     return (ctx[0] * g,)
 
 
@@ -297,7 +304,7 @@ def _fw_activation(attrs, x):
     return out, (act, out)
 
 
-def _bw_activation(ctx, g):
+def _bw_activation(ctx, g, taped):
     act, out = ctx
     return (kernels.activation_vjp(act, out, g),)
 
@@ -309,7 +316,7 @@ def _fw_row_softmax(attrs, x):
     return out, (out,)
 
 
-def _bw_row_softmax(ctx, g):
+def _bw_row_softmax(ctx, g, taped):
     return (kernels.row_softmax_vjp(ctx[0], g),)
 
 
@@ -322,7 +329,7 @@ def _fw_row_logsumexp(attrs, x):
     return out, (scale, register(p))
 
 
-def _bw_row_logsumexp(ctx, g):
+def _bw_row_logsumexp(ctx, g, taped):
     scale, p = ctx
     return ((scale * g) * p,)
 
@@ -338,7 +345,7 @@ def _fw_strip_lse_loss(attrs, F, G, neg_pos):
     return w * np.asarray((lse + neg_pos).sum()), (dF, dG, w)
 
 
-def _bw_strip_lse_loss(ctx, g):
+def _bw_strip_lse_loss(ctx, g, taped):
     dF, dG, w = ctx
     return g * dF, g * dG, np.full((dF.shape[0], 1), w * g)
 
@@ -347,7 +354,7 @@ def _fw_sum(attrs, x):
     return np.asarray(x.sum()), (x.shape,)
 
 
-def _bw_sum(ctx, g):
+def _bw_sum(ctx, g, taped):
     return (np.full(ctx[0], g),)
 
 
@@ -360,7 +367,7 @@ def _fw_reshape(attrs, x):
     return out.copy(), (x.shape,)
 
 
-def _bw_reshape(ctx, g):
+def _bw_reshape(ctx, g, taped):
     return (g.reshape(ctx[0]).copy(),)
 
 
@@ -371,7 +378,7 @@ def _fw_index_rows(attrs, x):
     return x[idx], (x.shape, idx)
 
 
-def _bw_index_rows(ctx, g):
+def _bw_index_rows(ctx, g, taped):
     shape, idx = ctx
     out = np.zeros(shape)
     kernels.scatter_add_rows(out, idx, g)
@@ -385,7 +392,7 @@ def _fw_pick_per_row(attrs, x):
     return np.take_along_axis(x, idx, axis=1), (x.shape, idx)
 
 
-def _bw_pick_per_row(ctx, g):
+def _bw_pick_per_row(ctx, g, taped):
     shape, idx = ctx
     out = np.zeros(shape)
     np.put_along_axis(out, idx, g, axis=1)
@@ -398,7 +405,7 @@ def _fw_dot_product_matrix(attrs, a, b):
     return kernels.pair_scores(a, b), (a, b)
 
 
-def _bw_dot_product_matrix(ctx, g):
+def _bw_dot_product_matrix(ctx, g, taped):
     # the rows of g @ b go through the row-deterministic lane, so the
     # streamed tail (kernels.strip_logsumexp) gives the same rows bitwise
     a, b = ctx

@@ -26,10 +26,10 @@ from . import memtrace
 from . import multiworker
 from . import trainer
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 METRICS_FIELDS = (
     "step", "loss", "fwd_count", "bwd_count", "act_peak", "cache_floats",
-    "wall_ms",
+    "wall_ms", "loss_phase_peak",
 )
 
 
@@ -376,6 +376,7 @@ def run_experiment(cfg):
                     "act_peak": stats.act_peak,
                     "cache_floats": stats.cache_floats,
                     "wall_ms": wall_ms,
+                    "loss_phase_peak": stats.loss_phase_peak,
                 })
                 step_idx += 1
     params_f, params_g = state.params_f, state.params_g
@@ -399,6 +400,8 @@ def run_experiment(cfg):
         "final_loss": metrics[-1]["loss"] if metrics else float("nan"),
         "act_peak": max((m["act_peak"] for m in metrics), default=0),
         "cache_floats": max((m["cache_floats"] for m in metrics), default=0),
+        "loss_phase_peak": max((m["loss_phase_peak"] for m in metrics),
+                               default=0),
     }
     for k in ks:
         summary[f"hit@{k}"] = hits[k]
@@ -433,7 +436,7 @@ def emit_summary_csv(summary_rows, path):
     columns = list(summary_rows[0].keys()) if summary_rows else [
         "schema_version", "mode", "batch_size", "sub_batch_s", "sub_batch_t",
         "workers", "temperature", "epochs", "seed", "steps", "final_loss",
-        "act_peak", "cache_floats",
+        "act_peak", "cache_floats", "loss_phase_peak",
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)

@@ -117,7 +117,8 @@ def cmd_train(args):
     )
     print(f"mode={cfg.mode} steps={result.summary['steps']} "
           f"final_loss={result.summary['final_loss']:.6f} "
-          f"act_peak={result.summary['act_peak']}")
+          f"act_peak={result.summary['act_peak']} "
+          f"loss_phase_peak={result.summary['loss_phase_peak']}")
     for k in sorted(result.hits):
         print(f"hit@{k}={result.hits[k]:.4f}")
     print(f"metrics={metrics_path} summary={summary_path} params={params_path}")
@@ -168,6 +169,7 @@ def cmd_sweep(args):
         print(f"mode={cfg.mode} batch_size={size} "
               f"act_peak={result.summary['act_peak']} "
               f"cache_floats={result.summary['cache_floats']} "
+              f"loss_phase_peak={result.summary['loss_phase_peak']} "
               f"final_loss={result.summary['final_loss']:.6f}")
     summary_path = bench.emit_summary_csv(rows, os.path.join(out, "summary.csv"))
     print(f"summary={summary_path}")

@@ -14,7 +14,8 @@ phi once per pair, forward and backward, in three phases:
    rest of phi over all its pairs, takes the softmax loss of the scaled
    distances and runs phi's backward straight away, into dL/dA rows,
    dL/dB and the b1, w2 and b2 gradients. It holds one strip of hidden
-   units, distances and softmax at a time, never an n x n array; the
+   units and one strip of distances, which become their softmax in
+   place, at a time, never an n x n array; the
    dL/dA and dL/dB rows are the distance gradient cache.
 3. ``update_omega_and_fold``: folds that cache through the first layer,
    u = gA w1a^T and v = gB w1b^T, a representation gradient cache the

@@ -31,8 +31,8 @@ TILE = 16
 # anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
 # the last strip can end in a zero-padded tile
 STRIP = 64
-# anchor rows per strip of head_strip_loss: a strip holds about
-# HEAD_STRIP * m * (h + 2) floats for m targets and a head h wide
+# anchor rows per strip of head_strip_loss: a strip holds
+# HEAD_STRIP * m * (h + 1) floats for m targets and a head h wide
 HEAD_STRIP = 8
 ACTIVATIONS = ("tanh", "relu", "linear")
 
@@ -46,14 +46,17 @@ def _c64(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _tiled_matmul(x, w):
+def _tiled_matmul(x, w, out=None):
     # one gemm shape for every tile: TILE rows of x (zero-padded in the
-    # ragged tail) times all of w, written into a fresh n x m array
+    # ragged tail) times all of w, written into out, or into a fresh
+    # n x m array; out must be C-contiguous (a row slice of a buffer is),
+    # or the reshape below would write into a copy
     n, k = x.shape
     m = w.shape[1]
     tiles, ragged = divmod(n, TILE)
     body = n - ragged
-    out = np.empty((n, m))
+    if out is None:
+        out = np.empty((n, m))
     np.matmul(x[:body].reshape(tiles, TILE, k), w,
               out=out[:body].reshape(tiles, TILE, m))
     if ragged:
@@ -94,12 +97,17 @@ def row_logsumexp(x, scale=1.0):
     run in place on it.
     """
     p = scale * _c64(x)
+    return _logsumexp_in_place(p), p
+
+
+def _logsumexp_in_place(p):
+    # overwrite the rows of p with their softmax; return their n x 1 lse
     m = p.max(axis=1, keepdims=True)
     p -= m
     np.exp(p, out=p)
     s = p.sum(axis=1, keepdims=True)
     p /= s
-    return m + np.log(s), p
+    return m + np.log(s)
 
 
 def strip_logsumexp(F, G, scale, weight):
@@ -109,30 +117,35 @@ def strip_logsumexp(F, G, scale, weight):
     (lse [n x 1], dF [n x d], dG [m x d]) with dF = gS @ G and
     dG = gS.T @ F, where gS = (scale * weight) * softmax(scale * F @ G.T).
     The n x m scores never exist: anchors go in strips of STRIP rows, and
-    each strip's scores and softmax are dropped before the next strip
-    starts. Every row goes through the row-stable pair_scores,
-    row_logsumexp and matmul, so lse and dF are bitwise the dense ones
-    whatever STRIP is; dG sums the strips in order. The live state is two
-    STRIP x m buffers plus the O((n + m) * d) outputs, and every buffer
-    of STRIP or more rows is counted by the active meter.
+    one STRIP x m buffer, made before the loop, holds each strip's scores
+    and becomes their softmax and then gS in place. The dF rows are
+    written straight into dF, and dG adds each strip's product through
+    one m x d buffer. Every row goes through the row-stable tiled matmul
+    and row_logsumexp's arithmetic, so lse and dF are bitwise the dense
+    ones whatever STRIP is; dG sums the strips in order. The live state
+    is STRIP * m + 3 * m * d + n * (d + 1) floats for G transposed, the
+    outputs and the two buffers, each counted by the active meter; the
+    number of buffers does not depend on n.
     """
     F, G = _c64(F), _c64(G)
     n, m = F.shape[0], G.shape[0]
-    # G.T once, contiguous: pair_scores(a, Gt.T) then copies nothing
+    # G.T once, contiguous, so every strip's scores copy nothing
     Gt = register(_c64(G.T))
     lse = register(np.empty((n, 1)))
     dF = register(np.empty(F.shape))
     dG = register(np.zeros(G.shape))
+    strip = register(np.empty((min(STRIP, n), m)))
+    prod = register(np.empty(G.shape))
     coef = scale * weight
     for lo in range(0, n, STRIP):
         hi = min(lo + STRIP, n)
-        scores = register(pair_scores(F[lo:hi], Gt.T))
-        lse[lo:hi], p = row_logsumexp(scores, scale)
-        register(p)
-        del scores
+        # the short last strip is a view of the leading rows
+        p = _tiled_matmul(F[lo:hi], Gt, out=strip[:hi - lo])
+        p *= scale
+        lse[lo:hi] = _logsumexp_in_place(p)
         p *= coef
-        dF[lo:hi] = register(matmul(p, G))
-        dG += register(np.matmul(p.T, F[lo:hi]))
+        _tiled_matmul(p, G, out=dF[lo:hi])
+        dG += np.matmul(p.T, F[lo:hi], out=prod)
     return lse, dF, dG
 
 
@@ -182,20 +195,22 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     of the head's other parameters.
 
     Anchors go in strips of HEAD_STRIP rows. A strip runs the head forward
-    over all its pairs, takes row_logsumexp and the positives of z, forms
-    dL/dd = scale * ((1/n) * softmax - (1/n) * onehot) and runs the head
-    backward at once, so every pair passes through the head once each way
-    and nothing n x m is ever held. The live buffers are one
-    HEAD_STRIP x m x h hidden layer, reused by every strip and overwritten
-    in place by the backward with dL/dpre; the strip's z and softmax; one
-    m x h row buffer; and the n x 1 per-anchor losses: about
-    HEAD_STRIP * m * (h + 2) + m * h + n floats, each counted by the
-    active meter. Each row goes through the row-stable matmul and
-    row_logsumexp, so L is bitwise that of the same head on a dense tape;
-    L and gA do not depend on HEAD_STRIP, and gB and the parameter
-    gradients sum the strips in order.
+    over all its pairs, reads the positives of z, turns z into its
+    softmax in place with row_logsumexp's arithmetic, forms
+    dL/dd = scale * ((1/n) * softmax - (1/n) * onehot) there too and runs
+    the head backward at once, so every pair passes through the head once
+    each way and nothing n x m is ever held. The live buffers are made
+    once and reused by every strip: one HEAD_STRIP x m x h hidden layer,
+    overwritten in place by the backward with dL/dpre; one HEAD_STRIP x m
+    buffer for z, its softmax and dL/dd; one m x h row buffer; and the
+    n x 1 per-anchor losses: HEAD_STRIP * m * (h + 1) + m * h + n floats,
+    each counted by the active meter. Each row goes through the
+    row-stable tiled matmul and row_logsumexp's arithmetic, so L is
+    bitwise that of the same head on a dense tape; L and gA do not depend
+    on HEAD_STRIP, and gB and the parameter gradients sum the strips in
+    order.
     """
-    A, B = _c64(A), _c64(B)
+    A, B, w2 = _c64(A), _c64(B), _c64(w2)
     r = np.asarray(r, dtype=np.int64)
     n, m, h = A.shape[0], B.shape[0], B.shape[1]
     inv_n = 1.0 / n
@@ -205,6 +220,7 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     gb1, gw2, gb2 = np.zeros(h), np.zeros((h, 1)), np.zeros(1)
     w2_row = w2[:, 0]
     strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
+    zs = register(np.empty((min(HEAD_STRIP, n) * m, 1)))
     row = register(np.empty((m, h)))
     for lo in range(0, n, HEAD_STRIP):
         hi = min(lo + HEAD_STRIP, n)
@@ -214,15 +230,15 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
         hid += b1
         activate(activation, hid)
         flat = hid.reshape(-1, h)
-        d = register(matmul(flat, w2))
-        d += b2
-        d *= scale
-        z = d.reshape(hi - lo, m)
-        lse, p = row_logsumexp(z)
-        register(p)
-        gap[lo:hi] = lse - z[rows, r[lo:hi]][:, None]
-        del d, z
-        # p becomes dL/dd, then dL/dpre overwrites the hidden layer
+        z = _tiled_matmul(flat, w2, out=zs[:(hi - lo) * m])
+        z = z.reshape(hi - lo, m)
+        z += b2
+        z *= scale
+        pos = z[rows, r[lo:hi]][:, None]
+        gap[lo:hi] = _logsumexp_in_place(z) - pos
+        # z, now its softmax p, becomes dL/dd; then dL/dpre overwrites
+        # the hidden layer
+        p = z
         p *= inv_n
         p[rows, r[lo:hi]] -= inv_n
         p *= scale
@@ -233,7 +249,6 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
             # dL/dpre = (dL/dd * w2) * slope, in the dense tape's order
             np.multiply(p[i, :, None], w2_row, out=row)
             hid[i] *= row
-        del p
         np.sum(hid, axis=1, out=gA[lo:hi])
         gB += np.sum(hid, axis=0, out=row)
         gb1 += hid.sum(axis=(0, 1))

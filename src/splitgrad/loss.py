@@ -23,10 +23,11 @@ Three implementations coexist on purpose:
   kept independent of the tape as a cross-check oracle.
 
 ``loss_graph_from_reps`` (the cached step's step2 and multi-worker mode)
-streams the tail over strips of ``kernels.STRIP`` anchors and computes
-dL/dF and dL/dG in its forward pass, so it holds about
-2 * STRIP * n_t + O((n_s + n_t) * d) floats and never the n_s x n_t
-scores. ``direct_param_grads`` keeps the dense tail (scores, softmax and
+streams the tail over strips of ``kernels.STRIP`` anchors, each strip's
+scores becoming their softmax in place in one reused buffer, and
+computes dL/dF and dL/dG in its forward pass, so it holds
+STRIP * n_t + O((n_s + n_t) * d) floats (STRIP * n + 6 n d + 3 n for
+n_s = n_t = n) and never the n_s x n_t scores. ``direct_param_grads`` keeps the dense tail (scores, softmax and
 the scores' gradient, about 3 * n_s * n_t floats), for two reasons: the
 direct step is the baseline the cached step is checked against, so it
 shares none of the strip code; and it stands for plain large-batch

@@ -16,9 +16,9 @@ Four step flavors share one optimizer path:
   cached rows as the seed, accumulating parameter gradients (step3);
   finally the optimizer runs once (step4). Peak activation memory in
   steps 1 and 3 depends only on the sub-batch size. Step2 streams the
-  loss over strips of ``kernels.STRIP`` anchors and holds about
-  2 * STRIP * n + O(n * d) floats for a batch of n, never the n x n
-  scores.
+  loss over strips of ``kernels.STRIP`` anchors through one reused strip
+  buffer and holds STRIP * n + 6 n d + 3 n floats for a batch of n and
+  embedding width d, never the n x n scores.
 * ``train_step_accumulation``: classic gradient accumulation. Chunks
   are independent small batches, so negatives come only from within a
   chunk; this is deliberately NOT equivalent to the direct step.

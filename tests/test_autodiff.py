@@ -475,6 +475,45 @@ def test_dense_vjp_returns_fresh_arrays():
         ad.activation(x, "swish")
 
 
+@pytest.mark.parametrize("op", ["dense", "matmul"])
+def test_backward_computes_no_gradient_for_a_constant_input(op, monkeypatch):
+    # a first encoder layer's input is a constant: g @ w.T would be an
+    # n x k product that no one reads, so the VJP must not compute it
+    rng = np.random.default_rng(13)
+    n, k, m = 5, 3, 7
+    x, w, b = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=m)
+    seed = rng.normal(size=(n, m))
+
+    def run(x_is_leaf):
+        tape = Tape()
+        with ad.recording(tape):
+            xt = tape.leaf(x) if x_is_leaf else ad.constant(x)
+            leaves = [tape.leaf(w), tape.leaf(b)]
+            out = (ad.dense(xt, *leaves, "tanh") if op == "dense"
+                   else ad.matmul(xt, leaves[0]))
+        shapes = []
+        real = np.matmul
+
+        def spy(a, c, *args, **kwargs):
+            res = real(a, c, *args, **kwargs)
+            shapes.append(res.shape)
+            return res
+
+        monkeypatch.setattr(np, "matmul", spy)
+        try:
+            tape.backward(out, grad=seed)
+        finally:
+            monkeypatch.undo()
+        return shapes, [tape.grad(leaf) for leaf in leaves]
+
+    taped_shapes, taped_grads = run(True)
+    const_shapes, const_grads = run(False)
+    assert (n, k) in taped_shapes
+    assert (n, k) not in const_shapes
+    for a, r in zip(const_grads, taped_grads):
+        assert np.array_equal(a, r)
+
+
 def test_finite_diff_check_samples_large_arrays():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(30, 30))

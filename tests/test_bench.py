@@ -182,6 +182,11 @@ def test_cache_mode_reports_constant_act_peak_per_step():
     result = run_experiment(_small(mode="cache"))
     peaks = {m["act_peak"] for m in result.metrics}
     assert len(peaks) == 1
+    # the loss phase is the cached step's other window, and the one an
+    # activation budget must also cover
+    loss_peaks = {m["loss_phase_peak"] for m in result.metrics}
+    assert len(loss_peaks) == 1 and loss_peaks.pop() > 0
+    assert result.summary["loss_phase_peak"] > 0
     floats = {m["cache_floats"] for m in result.metrics}
     assert floats == {(16 + 16) * 6}
 
@@ -197,7 +202,11 @@ def test_emit_metrics_jsonl_field_order(tmp_path):
     assert len(lines) == len(result.metrics)
     for line in lines:
         row = json.loads(line)
-        assert tuple(row) == METRICS_FIELDS
+        assert tuple(row) == METRICS_FIELDS == (
+            "step", "loss", "fwd_count", "bwd_count", "act_peak",
+            "cache_floats", "wall_ms", "loss_phase_peak")
+        # direct mode has no separate loss phase
+        assert row["loss_phase_peak"] == 0
 
 
 def test_emit_summary_csv_roundtrip(tmp_path):
@@ -208,14 +217,19 @@ def test_emit_summary_csv_roundtrip(tmp_path):
     assert len(rows) == 1
     assert rows[0]["mode"] == "cache"
     assert int(rows[0]["steps"]) == 3
-    assert "hit@1" in rows[0] and "hit@5" in rows[0]
+    assert rows[0]["schema_version"] == "2"
+    assert list(rows[0])[-5:] == ["act_peak", "cache_floats",
+                                  "loss_phase_peak", "hit@1", "hit@5"]
+    assert int(rows[0]["loss_phase_peak"]) == result.summary["loss_phase_peak"]
 
 
 def test_emit_summary_csv_header_only_when_empty(tmp_path):
     path = emit_summary_csv([], tmp_path / "empty.csv")
     text = path.read_text().strip()
-    assert text.startswith("schema_version,mode,batch_size")
-    assert "\n" not in text
+    assert text == (
+        "schema_version,mode,batch_size,sub_batch_s,sub_batch_t,workers,"
+        "temperature,epochs,seed,steps,final_loss,act_peak,cache_floats,"
+        "loss_phase_peak")
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -246,13 +260,13 @@ def test_profile_single_step_peaks():
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_deep_loss_phase_holds_one_head_strip(n):
-    # one HEAD_STRIP x n x h hidden layer, that strip's z and softmax
-    # (HEAD_STRIP x n each), an n x h row buffer and the n x 1 per-anchor
-    # losses; each is counted, so an unregistered one fails the low end
+    # one HEAD_STRIP x n x h hidden layer, one HEAD_STRIP x n buffer that
+    # holds each strip's z and then its softmax, an n x h row buffer and
+    # the n x 1 per-anchor losses, and nothing else: an unregistered
+    # buffer or a second strip-sized one breaks the equality
     h = RunConfig().phi_hidden
-    strip = kernels.HEAD_STRIP * n * (h + 2) + n * h + n
     peak = _profile("deep", n, 16)["loss_phase_peak"]
-    assert strip <= peak <= strip + n
+    assert peak == kernels.HEAD_STRIP * n * (h + 1) + n * h + n
 
 
 def test_deep_loss_phase_grows_linearly_in_batch():
@@ -263,14 +277,15 @@ def test_deep_loss_phase_grows_linearly_in_batch():
 
 
 @pytest.mark.parametrize("n", [256, 1024])
-def test_cache_loss_phase_holds_two_strips_and_a_few_n_by_d(n):
-    # one strip's scores and its softmax (STRIP x n each), plus five n x d
-    # arrays: G transposed, dF, dG and the alignment term's G[r] and
-    # F * G[r]; each is counted, so an unregistered one fails the low end
+def test_cache_loss_phase_holds_one_strip_and_a_few_n_by_d(n):
+    # one STRIP x n buffer that holds each strip's scores and then their
+    # softmax; six n x d arrays: G transposed, dF, dG, the dG product
+    # buffer and the alignment term's G[r] and F * G[r]; and three n x 1
+    # columns: lse and the alignment term's two. Nothing else: an
+    # unregistered buffer or a second strip buffer breaks the equality
     d = 16
-    two_strips = 2 * kernels.STRIP * n
     peak = _profile("cache", n, 32)["loss_phase_peak"]
-    assert two_strips + 5 * n * d <= peak <= two_strips + 6 * n * d
+    assert peak == kernels.STRIP * n + 6 * n * d + 3 * n
 
 
 def test_cache_loss_phase_grows_linearly_in_batch():
@@ -367,6 +382,10 @@ def test_cli_train_writes_reports(tmp_path):
     assert (out / "params.json").exists()
     assert "final_loss=" in proc.stdout
     assert "hit@1=" in proc.stdout
+    # the loss phase's peak, which an activation budget must also cover
+    with open(out / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert f"loss_phase_peak={row['loss_phase_peak']}" in proc.stdout
 
 
 def test_cli_eval_reads_train_checkpoint(tmp_path):
@@ -473,6 +492,8 @@ def test_cli_sweep_emits_per_size_metrics(tmp_path):
     with open(out / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["batch_size"] for r in rows] == ["8", "16"]
+    for r in rows:
+        assert f"loss_phase_peak={r['loss_phase_peak']}" in proc.stdout
 
 
 def test_cli_profile_prints_peaks(tmp_path):

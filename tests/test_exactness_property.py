@@ -5,7 +5,13 @@ positive map that may repeat targets, sub-batch sizes on both sides
 (below, at and beyond the batch), a temperature, and tied or untied
 encoders. The gradients a training step hands to the optimizer are then
 compared with the one-tape reference for the cached step and for deep
-mode with the mlp and the dot head. Examples are drawn from a fixed seed.
+mode with the mlp and the dot head.
+
+A second property draws ragged sizes against the kernels' row blocks
+(``TILE``, ``STRIP`` and ``HEAD_STRIP``), where the last tile or strip is
+short: the streamed loss tail must match the reference loss and the
+dense taped tail, and a row subset of the tiled matmul the same rows of
+the full product. Examples are drawn from a fixed seed.
 """
 
 import numpy as np
@@ -13,9 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitgrad import deep, encoders, trainer
+from splitgrad import autodiff as ad
+from splitgrad import deep, encoders, kernels, trainer
 from splitgrad.autodiff import flat_max_rel_err
-from splitgrad.loss import Batch, direct_param_grads
+from splitgrad.kernels import HEAD_STRIP, STRIP, TILE
+from splitgrad.loss import (
+    Batch,
+    _dense_loss_graph_from_reps,
+    contrastive_loss,
+    direct_param_grads,
+)
 
 DIN, DIMS, HIDDEN = 5, [5, 7, 4], 6
 TAUS = (5e-4, 0.05, 0.7, 1.0, 10.0)
@@ -84,3 +97,73 @@ def test_cached_gradients_equal_direct(case):
         got = _applied_grads(deep.train_step_deep, batch, pf, pg, head, opt,
                              cfg)
         assert flat_max_rel_err(_reference(gf, gg, tied) + gh, got) < 1e-9
+
+
+RAGGED = (TILE - 1, TILE + 1, STRIP - 1, STRIP + 1, 2 * STRIP + 3)
+
+
+@st.composite
+def ragged_cases(draw):
+    n_s = draw(st.sampled_from(RAGGED))
+    n_t = draw(st.sampled_from(RAGGED))
+    lo = draw(st.integers(0, n_s - 1))
+    return dict(
+        n_s=n_s, n_t=n_t, d=draw(st.sampled_from((3, 16))), lo=lo,
+        hi=draw(st.integers(lo + 1, n_s)), offset=draw(st.integers(0, 5)),
+        tau=draw(st.sampled_from(TAUS)), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _dense_tail(F, G, r, tau):
+    tape = ad.Tape()
+    with ad.recording(tape):
+        f_leaf, g_leaf = tape.leaf(F), tape.leaf(G)
+        loss_t = _dense_loss_graph_from_reps(f_leaf, g_leaf, r, tau)
+    tape.backward(loss_t)
+    return float(loss_t.data), tape.grad(f_leaf), tape.grad(g_leaf)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(ragged_cases())
+def test_streamed_tail_and_row_subsets_hold_at_ragged_sizes(case):
+    rng = np.random.default_rng(case["seed"])
+    n_s, n_t, tau = case["n_s"], case["n_t"], case["tau"]
+    F = rng.normal(size=(n_s, case["d"]))
+    G = rng.normal(size=(n_t, case["d"]))
+    r = rng.integers(0, n_t, size=n_s)
+
+    cache, loss_value = trainer.step2_build_cache(F, G, r, tau)
+    dense_loss, dF, dG = _dense_tail(F, G, r, tau)
+    assert loss_value == contrastive_loss(F, G, r, tau).loss == dense_loss
+    assert np.array_equal(cache.u_rows, dF)
+    assert np.abs(cache.v_rows - dG).max() <= 1e-13 * np.abs(dG).max()
+
+    # rows lo:hi of F @ G.T, alone and written into a row slice of a
+    # larger buffer, as the streamed tail's strips are
+    lo, hi, off = case["lo"], case["hi"], case["offset"]
+    Gt = np.ascontiguousarray(G.T)
+    full = kernels.matmul(F, Gt)
+    assert np.array_equal(kernels.matmul(F[lo:hi], Gt), full[lo:hi])
+    buf = np.full((hi - lo + 2 * off, n_t), np.nan)
+    kernels._tiled_matmul(F[lo:hi], Gt, out=buf[off:off + hi - lo])
+    assert np.array_equal(buf[off:off + hi - lo], full[lo:hi])
+    assert np.isnan(buf[:off]).all() and np.isnan(buf[off + hi - lo:]).all()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((HEAD_STRIP - 1, HEAD_STRIP + 1)),
+       st.sampled_from(RAGGED), st.sampled_from(TAUS), st.integers(0, 2**16))
+def test_deep_step_holds_at_ragged_head_strips(n_s, n_t, tau, seed):
+    rng = np.random.default_rng(seed)
+    batch = Batch(rng.normal(size=(n_s, DIN)), rng.normal(size=(n_t, DIN)),
+                  rng.integers(0, n_t, size=n_s))
+    pf = encoders.init_params(seed + 1, DIMS)
+    pg = encoders.init_params(seed + 2, DIMS)
+    head = deep.init_distance_head(seed + 3, DIMS[-1], HIDDEN)
+    gf, gg, gh, ref_loss = deep.deep_direct_grads(batch, pf, pg, head, tau)
+    res = []
+    got = _applied_grads(
+        lambda *a: res.append(deep.train_step_deep(*a)), batch, pf, pg, head,
+        encoders.init_optimizer("sgd", 0.1), deep.DeepConfig(tau, 3, 16))
+    assert res[0].loss == ref_loss
+    assert flat_max_rel_err(gf + gg + gh, got) < 1e-9

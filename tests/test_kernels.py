@@ -92,6 +92,47 @@ def test_row_contract_holds_with_one_blas_thread():
     assert "2 passed" in proc.stdout, proc.stdout
 
 
+def test_loss_kernels_leave_their_inputs_unchanged():
+    # scores become their softmax in place: only a kernel's own buffers
+    # may be overwritten, never an array it was given
+    rng = np.random.default_rng(6)
+    S, H = kernels.STRIP, kernels.HEAD_STRIP
+    x = rng.normal(size=(S + 3, 20))
+    F, G = rng.normal(size=(2 * S + 3, 8)), rng.normal(size=(S + 1, 8))
+    A, B = rng.normal(size=(H + 1, 5)), rng.normal(size=(11, 5))
+    r = rng.integers(0, 11, size=H + 1)
+    b1, w2, b2 = rng.normal(size=5), rng.normal(size=(5, 1)), np.ones(1)
+    inputs = (x, F, G, A, B, b1, w2, b2)
+    before = [a.tobytes() for a in inputs]
+    kernels.row_logsumexp(x)
+    kernels.row_logsumexp(x, 0.5)
+    kernels.strip_logsumexp(F, G, 2.0, 0.1)
+    for act in kernels.ACTIVATIONS:
+        kernels.head_strip_loss(A, B, r, 2.0, b1, w2, b2, act)
+    assert [a.tobytes() for a in inputs] == before
+
+
+def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
+    # one strip buffer for every strip: a kernel that allocated per
+    # strip would register more arrays at five strips than at one
+    registered = []
+    real = kernels.register
+
+    def spy(arr, *args):
+        registered.append(arr.shape)
+        return real(arr, *args)
+
+    monkeypatch.setattr(kernels, "register", spy)
+    rng = np.random.default_rng(7)
+    counts = []
+    for n in (kernels.STRIP, 4 * kernels.STRIP + 3):
+        registered.clear()
+        kernels.strip_logsumexp(rng.normal(size=(n, 8)),
+                                rng.normal(size=(n + 5, 8)), 1.0, 1.0 / n)
+        counts.append(len(registered))
+    assert counts[0] == counts[1]
+
+
 def test_row_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(20, 9)) * 50.0
