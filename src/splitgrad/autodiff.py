@@ -27,6 +27,15 @@ Design choices that equivalence tests depend on:
   node's input indices (None for an input not on the tape); it may
   return None for such an input, and ``dense`` and ``matmul`` then skip
   its product (a first layer's input is a constant);
+* a leaf may be given a gradient buffer (``Tape.leaf(data, grad)``):
+  backward adds into it in place, as it adds into any gradient it
+  already holds, so a caller that sums gradients over several tapes
+  (the cached step's chunks) keeps no per-tape copy; ``reset_grads``
+  forgets the buffer and leaves its contents as they are;
+* backward drops its references to a VJP's results before it calls the
+  next VJP, so a result that was added into an existing gradient is
+  freed, and uncounted, at once; only a node's first gradient stays on
+  the tape;
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation;
@@ -123,10 +132,18 @@ class Tape:
         self.grads.append(None)
         return len(self.nodes) - 1
 
-    def leaf(self, data):
-        """Register an input value as a differentiable leaf node."""
+    def leaf(self, data, grad=None):
+        """Register an input value as a differentiable leaf node.
+
+        grad, a float64 array of the leaf's shape, becomes the leaf's
+        gradient buffer: backward adds into it in place, and
+        ``grad(leaf)`` returns it. It is neither copied nor counted.
+        """
         arr = _as_f64(data)
+        if grad is not None and grad.shape != arr.shape:
+            raise _shape_error("leaf gradient", grad.shape, arr.shape)
         idx = self.add_node("leaf", (), arr, (), None)
+        self.grads[idx] = grad
         return Tensor(arr, self.token, idx)
 
     def backward(self, node, grad=None):
@@ -172,6 +189,9 @@ class Tape:
                     self.grads[in_idx] = in_grad
                 else:
                     self.grads[in_idx] += in_grad
+            # an added-in gradient is freed here, not held through the
+            # next VJP
+            input_grads = in_grad = None
         return self
 
     def grad(self, ref):
@@ -183,6 +203,12 @@ class Tape:
         return g
 
     def reset_grads(self):
+        """Forget every gradient, preset leaf buffers included.
+
+        A buffer given to ``leaf`` keeps what backward added into it, and
+        the tape no longer refers to it: the next backward gives that
+        leaf a fresh gradient.
+        """
         self.grads = [None] * len(self.nodes)
         self._backward_done = False
 

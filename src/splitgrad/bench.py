@@ -81,13 +81,10 @@ def validate_config(cfg):
             )
     if cfg.mode == "multi" and cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    # the loss scales by 1/tau, so both tau and 1/tau must be finite
-    if not (cfg.temperature > 0 and np.isfinite(cfg.temperature)
-            and np.isfinite(1.0 / cfg.temperature)):
-        raise ConfigError(
-            f"temperature must be finite and > 0 with a finite inverse, "
-            f"got {cfg.temperature}"
-        )
+    try:
+        loss_mod.validate_temperature(cfg.temperature)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     if cfg.optimizer not in ("sgd", "adam"):

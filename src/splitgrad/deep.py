@@ -251,6 +251,7 @@ class DeepConfig:
 
 def train_step_deep(batch, params_f, params_g, head, opt_state, config):
     """forward_collect -> distance cache -> fold -> encoder step3 -> update."""
+    loss_mod.validate_temperature(config.tau)
     memtrace.begin_step()
     reset_counters()
     plan = plan_subbatches(

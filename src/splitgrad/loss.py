@@ -38,6 +38,7 @@ The reference and both taped graphs call the same kernels, row by row
 in the same order, so their loss values agree bitwise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,21 @@ def validate_positive_map(r, n_targets):
         raise ValueError(
             f"invalid r index: values must lie in [0, {n_targets}), "
             f"got range [{r.min()}, {r.max()}]"
+        )
+
+
+def validate_temperature(tau):
+    """Reject a temperature the loss cannot use, with ValueError.
+
+    The loss scales every score by 1/tau, so tau must be finite and > 0
+    and 1/tau finite: NaN, 0, a negative, inf and a subnormal such as
+    1e-310 are refused.
+    """
+    tau = float(tau)
+    if not (tau > 0 and math.isfinite(tau) and math.isfinite(1.0 / tau)):
+        raise ValueError(
+            f"temperature must be finite and > 0 with a finite inverse, "
+            f"got {tau}"
         )
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import loss as loss_mod
 from . import memtrace
 from . import trainer
 
@@ -139,7 +140,9 @@ class WorkerGroup:
             raise ValueError("need at least one worker")
         self.n_workers = n_workers
         self.params_f = [params_f.copy() for _ in range(n_workers)]
-        self.params_g = [params_g.copy() for _ in range(n_workers)]
+        # tied encoders stay one parameter set in every replica
+        self.params_g = (list(self.params_f) if params_g is params_f
+                         else [params_g.copy() for _ in range(n_workers)])
         self.opt_states = [opt_state for _ in range(n_workers)]
         self.exchange_log = []
 
@@ -175,6 +178,7 @@ def train_step_multi(group, batch, config):
     encoder passes (no communication), sum reduction, and the optimizer
     update on its own replica. The result carries rank 0's replica.
     """
+    loss_mod.validate_temperature(config.tau)
     ranks = range(group.n_workers)
     local_rows = group.partition(batch)
     plans = [

@@ -13,12 +13,17 @@ Four step flavors share one optimizer path:
   representation matrices alone backpropagates the loss into per-row
   gradients, stored as the representation gradient cache (step2); each
   sub-batch is then re-encoded with a tape and backpropagated with its
-  cached rows as the seed, accumulating parameter gradients (step3);
-  finally the optimizer runs once (step4). Peak activation memory in
-  steps 1 and 3 depends only on the sub-batch size. Step2 streams the
-  loss over strips of ``kernels.STRIP`` anchors through one reused strip
-  buffer and holds STRIP * n + 6 n d + 3 n floats for a batch of n and
-  embedding width d, never the n x n scores.
+  cached rows as the seed, its parameter gradients added in place into
+  one buffer per parameter (step3); finally the optimizer runs once
+  (step4). Peak activation memory in steps 1 and 3 depends only on the
+  sub-batch size: for sub-batch b and widths w0..wL, step3 holds every
+  layer's output, the gradients of the outputs not yet backpropagated
+  and one layer's VJP results,
+  ``b·Σ_{i≥1} w_i + max_k [b·Σ_{i=k}^{L−1} w_i + [k>1]·b·w_{k−1}
+  + w_{k−1}·w_k + w_k]`` floats. Step2 streams the loss over strips of
+  ``kernels.STRIP`` anchors through one reused strip buffer and holds
+  STRIP * n + 6 n d + 3 n floats for a batch of n and embedding width
+  d, never the n x n scores.
 * ``train_step_accumulation``: classic gradient accumulation. Chunks
   are independent small batches, so negatives come only from within a
   chunk; this is deliberately NOT equivalent to the direct step.
@@ -90,8 +95,12 @@ class StepStats:
 
     act_peak covers the encoder-facing windows (graph-less forward plus
     per-sub-batch taped passes for the cached path; the whole fused pass
-    for direct and accumulation). loss_phase_peak is the separate
-    loss-over-representations window and is 0 for modes without one.
+    for direct and accumulation). In the cached path a chunk's parameter
+    gradients are added into the step's accumulators (counted as
+    parameters) and freed layer by layer, so act_peak holds one layer's
+    weight and bias gradients, never a whole encoder's. loss_phase_peak
+    is the separate loss-over-representations window and is 0 for modes
+    without one.
     """
 
     fwd_rows: int
@@ -207,16 +216,21 @@ def _zero_grads(params):
 
 
 def _accumulate_chunk(params, rows, seed_rows, grad_accumulators):
-    """Taped encode of one chunk, backward seeded with its cached rows."""
+    """Taped encode of one chunk, backward seeded with its cached rows.
+
+    Each parameter leaf's gradient buffer is its step accumulator, so
+    backward adds the chunk's gradients straight into it.
+    """
     tape = ad.Tape()
+    leaves = encoders.params_from_arrays(params, [
+        tape.leaf(a, acc)
+        for a, acc in zip(encoders.param_arrays(params), grad_accumulators)
+    ])
     with ad.recording(tape):
-        leaves = encoders.make_leaves(params)
         out = encoders.encode_graph(leaves, ad.constant(rows))
     count("fwd_rows", rows.shape[0])
     tape.backward(out, seed_rows)
     count("bwd_rows", rows.shape[0])
-    for acc, g in zip(grad_accumulators, encoders.leaf_grads(tape, leaves)):
-        acc += g
 
 
 def step3_accumulate(batch, params_f, params_g, plan, cache):
@@ -271,6 +285,7 @@ def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state,
 
 def train_step_cached(batch, params_f, params_g, opt_state, config):
     """step1 -> step2 -> step3 -> optimizer; loss is the step2 value."""
+    loss_mod.validate_temperature(config.tau)
     memtrace.begin_step()
     reset_counters()
     plan = plan_subbatches(
@@ -294,6 +309,7 @@ def train_step_cached(batch, params_f, params_g, opt_state, config):
 
 def train_step_direct(batch, params_f, params_g, opt_state, tau=1.0):
     """One taped pass over the full batch, then one optimizer step."""
+    loss_mod.validate_temperature(tau)
     memtrace.begin_step()
     reset_counters()
     with memtrace.phase("direct"):
@@ -344,6 +360,7 @@ def train_step_accumulation(batch, params_f, params_g, opt_state,
     its own targets as negatives; the reported loss is the mean of chunk
     losses.
     """
+    loss_mod.validate_temperature(tau)
     memtrace.begin_step()
     reset_counters()
     with memtrace.phase("accumulation"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitgrad import autodiff as ad
-from splitgrad import deep, encoders, multiworker, trainer
+from splitgrad import deep, encoders, memtrace, multiworker, trainer
 from splitgrad.autodiff import (
     FiniteDiffReport,
     NoGraphError,
@@ -92,6 +92,76 @@ def test_unreached_leaf_gets_zeros():
         s = ad.sum_all(x)
     tape.backward(s)
     np.testing.assert_array_equal(tape.grad(y), np.zeros(3))
+
+
+def _leaf_matmul_grad(x, w, buf=None):
+    """Tape, leaf and gradient of sum(x @ w) with respect to x."""
+    tape = Tape()
+    leaf = tape.leaf(x, buf)
+    with ad.recording(tape):
+        s = ad.sum_all(ad.matmul(leaf, w))
+    tape.backward(s)
+    return tape, leaf
+
+
+def test_leaf_gradient_buffer_receives_the_gradient_in_place():
+    rng = np.random.default_rng(21)
+    x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+    buf0 = rng.normal(size=(3, 4))
+    ref_tape, ref_leaf = _leaf_matmul_grad(x, w)
+    buf = buf0.copy()
+    tape, leaf = _leaf_matmul_grad(x, w, buf)
+    assert tape.grad(leaf) is buf
+    assert np.array_equal(buf, buf0 + ref_tape.grad(ref_leaf))
+
+
+def test_leaf_gradient_buffer_must_match_the_leaf_shape():
+    with pytest.raises(ShapeMismatchError, match="leaf gradient"):
+        Tape().leaf(np.ones((2, 3)), np.zeros((3, 2)))
+
+
+def test_reset_grads_drops_a_preset_leaf_buffer():
+    rng = np.random.default_rng(22)
+    x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+    buf = np.zeros((3, 4))
+    tape, leaf = _leaf_matmul_grad(x, w, buf)
+    added = buf.copy()
+    tape.reset_grads()
+    # the buffer keeps what was added and the tape forgets it
+    assert tape.grad(leaf) is not buf
+    np.testing.assert_array_equal(tape.grad(leaf), np.zeros((3, 4)))
+    tape.backward(len(tape) - 1)
+    assert tape.grad(leaf) is not buf
+    assert np.array_equal(tape.grad(leaf), added)
+    assert np.array_equal(buf, added)
+
+
+def test_added_in_gradient_is_released_before_the_next_vjp():
+    # three branches off one leaf with a preset buffer: each branch's
+    # VJP returns a transient that is added into the buffer, and the live
+    # activation count must be back where it was before the next VJP
+    x = np.arange(6.0)
+    meter = memtrace.MemCounter()
+    with meter.activate():
+        tape = Tape()
+        leaf = tape.leaf(x, np.zeros(6))
+        with ad.recording(tape):
+            parts = [ad.scalar_mul(c, leaf) for c in (2.0, 3.0, 5.0)]
+            s = ad.sum_all(ad.add(ad.add(parts[0], parts[1]), parts[2]))
+        live = {}
+        for t in parts:
+            node = tape.nodes[t.index]
+
+            def spy(ctx, g, taped, vjp=node.vjp, k=t.index):
+                live[k] = meter.live["activation"]
+                return vjp(ctx, g, taped)
+
+            node.vjp = spy
+        tape.backward(s)
+        after = meter.live["activation"]
+    assert len(set(live.values())) == 1
+    assert after == live[parts[0].index]
+    np.testing.assert_array_equal(tape.grad(leaf), np.full(6, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,7 @@ def test_validate_config_errors():
         (dict(temperature=float("nan")), "temperature"),
         (dict(temperature=float("inf")), "temperature"),
         (dict(temperature=1e-310), "temperature"),
+        (dict(temperature=-1.0), "temperature"),
         (dict(epochs=0), "epochs"),
         (dict(optimizer="lbfgs"), "optimizer"),
         (dict(eval_frac=1.5), "eval_frac"),

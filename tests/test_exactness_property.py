@@ -4,8 +4,10 @@ Each example draws a batch with n_s <= n_t anchors and targets, a
 positive map that may repeat targets, sub-batch sizes on both sides
 (below, at and beyond the batch), a temperature, and tied or untied
 encoders. The gradients a training step hands to the optimizer are then
-compared with the one-tape reference for the cached step and for deep
-mode with the mlp and the dot head.
+compared with the one-tape reference for the cached step, for deep
+mode with the mlp and the dot head, and for multi mode with 2 or 3
+workers, whose replicas and loss must also equal each other and the
+one-worker cached loss bitwise.
 
 A second property draws ragged sizes against the kernels' row blocks
 (``TILE``, ``STRIP`` and ``HEAD_STRIP``), where the last tile or strip is
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgrad import autodiff as ad
-from splitgrad import deep, encoders, kernels, trainer
+from splitgrad import deep, encoders, kernels, multiworker, trainer
 from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.kernels import HEAD_STRIP, STRIP, TILE
 from splitgrad.loss import (
@@ -53,6 +55,12 @@ def cases(draw):
 
 def _applied_grads(step, *args):
     """The gradient list a training step passes to the optimizer."""
+    (grads,) = _optimizer_calls(step, *args)
+    return grads
+
+
+def _optimizer_calls(step, *args):
+    """Every gradient list a training step passes to the optimizer."""
     seen = []
     real = encoders.optimizer_step
 
@@ -63,8 +71,7 @@ def _applied_grads(step, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(encoders, "optimizer_step", capture)
         step(*args)
-    (grads,) = seen
-    return grads
+    return seen
 
 
 def _reference(gf, gg, tied):
@@ -97,6 +104,41 @@ def test_cached_gradients_equal_direct(case):
         got = _applied_grads(deep.train_step_deep, batch, pf, pg, head, opt,
                              cfg)
         assert flat_max_rel_err(_reference(gf, gg, tied) + gh, got) < 1e-9
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(cases(), st.integers(2, 3))
+def test_multi_step_equals_direct_and_one_worker(case, n_workers):
+    rng = np.random.default_rng(case["seed"])
+    batch = Batch(rng.normal(size=(case["n_s"], DIN)),
+                  rng.normal(size=(case["n_t"], DIN)), case["r"])
+    pf = encoders.init_params(case["seed"] + 1, DIMS)
+    pg = pf if case["tied"] else encoders.init_params(case["seed"] + 2, DIMS)
+    tau, tied = case["tau"], case["tied"]
+    opt = encoders.init_optimizer("sgd", 0.1)
+    config = trainer.TrainConfig(tau, case["bs_s"], case["bs_t"])
+
+    gf, gg, _ = direct_param_grads(batch, pf, pg, tau)
+    group = multiworker.WorkerGroup(n_workers, pf, pg, opt)
+    res = []
+    calls = _optimizer_calls(
+        lambda *a: res.append(multiworker.train_step_multi(*a)), group,
+        batch, config)
+    # every worker applies the same reduced gradients, bitwise
+    assert len(calls) == n_workers
+    for grads in calls[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(grads, calls[0]))
+    assert flat_max_rel_err(_reference(gf, gg, tied), calls[0]) < 1e-9
+    for k in range(1, n_workers):
+        assert (group.params_g[k] is group.params_f[k]) == tied
+        for a, b in zip(
+                encoders.param_arrays(group.params_f[k])
+                + encoders.param_arrays(group.params_g[k]),
+                encoders.param_arrays(group.params_f[0])
+                + encoders.param_arrays(group.params_g[0])):
+            assert np.array_equal(a, b)
+    one = trainer.train_step_cached(batch, pf, pg, opt, config)
+    assert res[0].loss == one.loss
 
 
 RAGGED = (TILE - 1, TILE + 1, STRIP - 1, STRIP + 1, 2 * STRIP + 3)

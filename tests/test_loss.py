@@ -58,6 +58,18 @@ def test_batch_rejects_length_mismatch():
         Batch(np.ones((2, 3)), np.ones((4, 3)), [0])
 
 
+def test_validate_temperature_bounds():
+    # smallest normal float: its inverse is still finite
+    for tau in (5e-4, 1.0, 10.0, np.float64(0.05), 2.2250738585072014e-308):
+        loss_mod.validate_temperature(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (math.nan, 0.0, -0.0, 1e-310, -1.0, math.inf, -math.inf,
+                    np.float64(1e-310)):
+            with pytest.raises(ValueError, match="finite inverse"):
+                loss_mod.validate_temperature(tau)
+
+
 def test_aligned_batch_pairs_by_position():
     b = aligned_batch(np.ones((3, 2)), np.ones((3, 2)))
     np.testing.assert_array_equal(b.r, np.arange(3))

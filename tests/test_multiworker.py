@@ -127,6 +127,21 @@ def test_multi_step_matches_direct_full_batch(n_workers):
     assert flat_max_rel_err(gf + gg, got) < 1e-9
 
 
+def test_tied_encoders_stay_tied_in_every_replica():
+    rng = np.random.default_rng(4)
+    p = encoders.init_params(5, [6, 8, 4])
+    batch = Batch(rng.normal(size=(10, 6)), rng.normal(size=(10, 6)),
+                  np.arange(10))
+    opt = encoders.init_optimizer("sgd", 0.1)
+    config = TrainConfig(1.0, 4, 4)
+    group = WorkerGroup(2, p, p, opt)
+    res = train_step_multi(group, batch, config)
+    ref = trainer.train_step_cached(batch, p, p, opt, config)
+    assert all(f is g for f, g in zip(group.params_f, group.params_g))
+    assert flat_max_rel_err(encoders.param_arrays(ref.params_f),
+                            encoders.param_arrays(res.params_f)) < 1e-9
+
+
 @pytest.mark.parametrize("n_workers", [2, 3, 4])
 def test_replicas_stay_bit_identical(n_workers):
     batch, pf, pg = _setup(seed=5)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from splitgrad import encoders, memtrace, trainer
+from splitgrad import deep, encoders, memtrace, multiworker, trainer
 from splitgrad import loss as loss_mod
 from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.loss import Batch, direct_param_grads
@@ -195,6 +197,85 @@ def test_activation_peak_independent_of_batch_size():
         peaks.append(res.stats.act_peak)
         assert res.stats.loss_phase_peak > 0
     assert peaks[0] == peaks[1] == peaks[2]
+
+
+def _step3_peak(widths, b):
+    """The cached step's act_peak for sub-batch b and encoder widths.
+
+    Every layer's output lives until its chunk ends. On top of those,
+    backward holds the gradients of the outputs of the layers not yet
+    backpropagated and one layer's VJP results: the input gradient
+    (none for the first layer) and the weight and bias gradients, which
+    are added into the step's accumulators and freed at once.
+    """
+    L = len(widths) - 1
+    return b * sum(widths[1:]) + max(
+        b * sum(widths[k:L]) + (b * widths[k - 1] if k > 1 else 0)
+        + widths[k - 1] * widths[k] + widths[k]
+        for k in range(1, L + 1)
+    )
+
+
+@pytest.mark.parametrize("widths,act,n,b", [
+    ([24, 128, 128, 16], "tanh", 48, 16),
+    ([24, 32, 16], "tanh", 64, 32),
+    ([10, 20, 12, 6], "relu", 37, 8),  # last chunk holds 5 rows
+])
+def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
+                                                               n, b):
+    rng = np.random.default_rng(11)
+    batch = Batch(rng.normal(size=(n, widths[0])),
+                  rng.normal(size=(n, widths[0])), rng.permutation(n))
+    pf = encoders.init_params(1, widths, act)
+    pg = encoders.init_params(2, widths, act)
+    opt = encoders.init_optimizer("sgd", 1e-3)
+    with memtrace.MemCounter().activate():
+        res = train_step_cached(batch, pf, pg, opt, TrainConfig(1.0, b, b))
+    assert res.stats.act_peak == _step3_peak(widths, b)
+
+
+BAD_TAUS = (float("nan"), 0.0, 1e-310, -1.0, float("inf"))
+
+
+def _run_step(kind, batch, pf, pg, opt, tau, group):
+    if kind == "cached":
+        return train_step_cached(batch, pf, pg, opt, TrainConfig(tau, 8, 8))
+    if kind == "direct":
+        return train_step_direct(batch, pf, pg, opt, tau)
+    if kind == "accumulation":
+        return train_step_accumulation(batch, pf, pg, opt, 8, tau)
+    if kind == "deep":
+        head = deep.init_distance_head(3, 8, 4)
+        return deep.train_step_deep(batch, pf, pg, head, opt,
+                                    deep.DeepConfig(tau, 8, 8))
+    return multiworker.train_step_multi(group, batch, TrainConfig(tau, 8, 8))
+
+
+@pytest.mark.parametrize("tau", BAD_TAUS)
+@pytest.mark.parametrize(
+    "kind", ["cached", "direct", "accumulation", "deep", "multi"])
+def test_every_step_rejects_an_unusable_temperature(kind, tau):
+    batch, pf, pg = _setup(n_s=24, n_t=24)
+    batch = Batch(batch.anchors, batch.targets, np.arange(24))
+    opt = encoders.init_optimizer("sgd", 1e-3)
+    group = multiworker.WorkerGroup(2, pf, pg, opt)
+    meter = memtrace.MemCounter()
+    with meter.activate():
+        _run_step(kind, batch, pf, pg, opt, 1.0, group)
+        phases = meter.report()
+        counts = trainer.counter_snapshot()
+        replica = group.params_f[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="temperature must be"):
+                _run_step(kind, batch, pf, pg, opt, tau, group)
+    # rejected before the step touched the meter, the counters or the
+    # worker group
+    assert meter.report() == phases
+    assert trainer.counter_snapshot() == counts
+    assert group.exchange_log == (["all_gather", "reduce"]
+                                  if kind == "multi" else [])
+    assert group.params_f[0] is replica
 
 
 # ---------------------------------------------------------------------------
