@@ -31,6 +31,12 @@ METRICS_FIELDS = (
     "step", "loss", "fwd_count", "bwd_count", "act_peak", "cache_floats",
     "wall_ms", "loss_phase_peak",
 )
+# a run's summary row, before its hit@k columns
+SUMMARY_FIELDS = (
+    "schema_version", "mode", "batch_size", "sub_batch_s", "sub_batch_t",
+    "workers", "temperature", "epochs", "seed", "steps", "final_loss",
+    "act_peak", "cache_floats", "loss_phase_peak",
+)
 
 
 class ConfigError(ValueError):
@@ -109,6 +115,11 @@ def validate_config(cfg):
         raise ConfigError(f"eval_frac must be in (0, 1), got {cfg.eval_frac}")
     if not cfg.eval_k or any(k < 1 for k in cfg.eval_k):
         raise ConfigError(f"eval_k entries must be >= 1, got {cfg.eval_k}")
+    if cfg.activation_budget is not None and cfg.activation_budget < 1:
+        raise ConfigError(
+            f"activation_budget must be >= 1 float, got "
+            f"{cfg.activation_budget}"
+        )
     return cfg
 
 
@@ -383,23 +394,16 @@ def run_experiment(cfg):
         params_f, params_g, task.eval_anchors, task.eval_targets
     )
     hits = _hits_at(ranks, ks)
-    summary = {
+    run_values = {
         "schema_version": SCHEMA_VERSION,
-        "mode": cfg.mode,
-        "batch_size": cfg.batch_size,
-        "sub_batch_s": cfg.sub_batch_s,
-        "sub_batch_t": cfg.sub_batch_t,
-        "workers": cfg.workers,
-        "temperature": cfg.temperature,
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
         "steps": step_idx,
         "final_loss": metrics[-1]["loss"] if metrics else float("nan"),
-        "act_peak": max((m["act_peak"] for m in metrics), default=0),
-        "cache_floats": max((m["cache_floats"] for m in metrics), default=0),
-        "loss_phase_peak": max((m["loss_phase_peak"] for m in metrics),
-                               default=0),
     }
+    for key in ("act_peak", "cache_floats", "loss_phase_peak"):
+        run_values[key] = max((m[key] for m in metrics), default=0)
+    # the other summary fields are the config's own
+    summary = {key: run_values[key] if key in run_values
+               else getattr(cfg, key) for key in SUMMARY_FIELDS}
     for k in ks:
         summary[f"hit@{k}"] = hits[k]
     return RunResult(
@@ -430,11 +434,8 @@ def emit_metrics_jsonl(metrics, path):
 
 def emit_summary_csv(summary_rows, path):
     """Run summaries as CSV; header always written, even with no rows."""
-    columns = list(summary_rows[0].keys()) if summary_rows else [
-        "schema_version", "mode", "batch_size", "sub_batch_s", "sub_batch_t",
-        "workers", "temperature", "epochs", "seed", "steps", "final_loss",
-        "act_peak", "cache_floats", "loss_phase_peak",
-    ]
+    columns = (list(summary_rows[0].keys()) if summary_rows
+               else list(SUMMARY_FIELDS))
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

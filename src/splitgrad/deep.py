@@ -10,23 +10,27 @@ phi once per pair, forward and backward, in three phases:
    representations F and G (the encoder step1) and then A and B, kept as
    the representation store; O(n * (d + h)) floats.
 2. ``build_distance_cache``: ``kernels.head_strip_loss`` walks the
-   anchors in strips of ``kernels.HEAD_STRIP`` rows. Each strip runs the
-   rest of phi over all its pairs, takes the softmax loss of the scaled
-   distances and runs phi's backward straight away, into dL/dA rows,
-   dL/dB and the b1, w2 and b2 gradients. It holds one strip of hidden
-   units and one strip of distances, which become their softmax in
-   place, at a time, never an n x n array; the
-   dL/dA and dL/dB rows are the distance gradient cache.
+   anchors in strips of ``kernels.HEAD_STRIP`` rows, in the step's
+   ``trainer.LOSS_PHASE`` window. Each strip runs the rest of phi over
+   all its pairs, takes the softmax loss of the scaled distances and
+   runs phi's backward straight away, into dL/dA rows, dL/dB and the b1,
+   w2 and b2 gradients. It holds one strip of hidden units and one strip
+   of distances, which become their softmax in place, at a time, never
+   an n x n array; the dL/dA and dL/dB rows are the distance gradient
+   cache.
 3. ``update_omega_and_fold``: folds that cache through the first layer,
    u = gA w1a^T and v = gB w1b^T, a representation gradient cache the
    encoder step3 consumes as usual, and adds the w1a and w1b gradients.
 
-A fixed dot-product head (no parameters) runs the plain trainer's step2
-over F and G, so it reduces to the plain trainer by construction;
-identity encoders give the early-interaction case where all learning
-lives in the head. ``deep_direct_grads`` keeps the whole pair graph
-(``phi_pairs`` and the dense loss tail) on one tape as the independent
-reference.
+``train_step_deep`` frames the step and reads its stats through
+``trainer.begin_step`` and ``trainer.step_stats``, and updates through
+the trainer's optimizer path with the head's arrays as extras. The three
+phases take an mlp head only. A fixed dot-product head has no parameters:
+``train_step_deep`` runs it as ``trainer.train_step_cached`` itself.
+Identity encoders with ``train_encoders=False`` give the
+early-interaction case, where all learning lives in the head. ``deep_direct_grads`` keeps the
+whole pair graph (``phi_pairs`` and the dense loss tail) on one tape as
+the independent reference, for either head.
 """
 
 from dataclasses import dataclass
@@ -43,9 +47,7 @@ from .trainer import (
     CacheNotFilledError,
     RepresentationGradientCache,
     count,
-    counter_snapshot,
     plan_subbatches,
-    reset_counters,
 )
 
 
@@ -142,11 +144,8 @@ def phi_pairs(head, Fb, Gb):
 
 @dataclass
 class PairInputs:
-    """What the loss phase reads: the head and its first layer, per side.
-
-    For an mlp head A = F @ w1a and B = G @ w1b; the dot head has no
-    first layer, and A and B are F and G themselves.
-    """
+    """What the loss phase reads: the head and its first layer per side,
+    A = F @ w1a and B = G @ w1b."""
 
     head: DistanceHead
     A: np.ndarray
@@ -159,7 +158,7 @@ class DistanceGradientCache:
 
     gA: np.ndarray
     gB: np.ndarray
-    grad_tail: list  # [b1, w2, b2] gradients; empty for the dot head
+    grad_tail: list  # [b1, w2, b2] gradients
     filled: bool = False
 
 
@@ -170,8 +169,6 @@ def forward_collect(batch, params_f, params_g, head, plan):
     products are taken once per row here, not once per pair.
     """
     F, G = trainer.step1_graphless_forward(batch, params_f, params_g, plan)
-    if head.kind == "dot":
-        return F, G, PairInputs(head, F, G)
     with memtrace.phase("pairs"):
         A = memtrace.register(kernels.matmul(F, head.w1a),
                               "representation-store")
@@ -183,29 +180,24 @@ def forward_collect(batch, params_f, params_g, head, plan):
 def build_distance_cache(pairs, r, tau):
     """Loss over every pair, with dL/dA, dL/dB and the later head grads.
 
-    The mlp head runs ``kernels.head_strip_loss`` over strips of anchors:
-    each pair goes through the head forward and backward once, and no
-    n x m array is held. The dot head's loss is the plain cached step's
-    step2 over F and G.
+    ``kernels.head_strip_loss`` walks strips of anchors: each pair goes
+    through the head forward and backward once, and no n x m array is
+    held.
     """
     n_pairs = pairs.A.shape[0] * pairs.B.shape[0]
-    if pairs.head.kind == "dot":
-        cache, loss_value = trainer.step2_build_cache(pairs.A, pairs.B, r, tau)
-        dcache = DistanceGradientCache(cache.u_rows, cache.v_rows, [], True)
-    else:
-        loss_mod.validate_positive_map(r, pairs.B.shape[0])
-        head = pairs.head
-        with memtrace.phase("step2"):
-            loss_value, gA, gB, grad_tail = kernels.head_strip_loss(
-                pairs.A, pairs.B, r, 1.0 / tau, head.b1, head.w2, head.b2,
-                head.activation,
-            )
-            dcache = DistanceGradientCache(
-                memtrace.register(gA, "gradient-cache"),
-                memtrace.register(gB, "gradient-cache"),
-                [memtrace.register(g, "parameters") for g in grad_tail],
-                True,
-            )
+    loss_mod.validate_positive_map(r, pairs.B.shape[0])
+    head = pairs.head
+    with memtrace.phase(trainer.LOSS_PHASE):
+        loss_value, gA, gB, grad_tail = kernels.head_strip_loss(
+            pairs.A, pairs.B, r, 1.0 / tau, head.b1, head.w2, head.b2,
+            head.activation,
+        )
+        dcache = DistanceGradientCache(
+            memtrace.register(gA, "gradient-cache"),
+            memtrace.register(gB, "gradient-cache"),
+            [memtrace.register(g, "parameters") for g in grad_tail],
+            True,
+        )
     count("phi_fwd_pairs", n_pairs)
     count("phi_bwd_pairs", n_pairs)
     return dcache, loss_value
@@ -225,18 +217,15 @@ def update_omega_and_fold(F, G, head, dcache, plan):
             "distance gradient cache consumed before being filled"
         )
     dcache.filled = False
-    if head.kind == "dot":
-        u_rows, v_rows, grad_head = dcache.gA, dcache.gB, []
-    else:
-        with memtrace.phase("omega"):
-            u_rows = memtrace.register(
-                kernels.matmul(dcache.gA, head.w1a.T), "gradient-cache")
-            v_rows = memtrace.register(
-                kernels.matmul(dcache.gB, head.w1b.T), "gradient-cache")
-            grad_head = [
-                memtrace.register(np.matmul(F.T, dcache.gA), "parameters"),
-                memtrace.register(np.matmul(G.T, dcache.gB), "parameters"),
-            ] + dcache.grad_tail
+    with memtrace.phase("omega"):
+        u_rows = memtrace.register(
+            kernels.matmul(dcache.gA, head.w1a.T), "gradient-cache")
+        v_rows = memtrace.register(
+            kernels.matmul(dcache.gB, head.w1b.T), "gradient-cache")
+        grad_head = [
+            memtrace.register(np.matmul(F.T, dcache.gA), "parameters"),
+            memtrace.register(np.matmul(G.T, dcache.gB), "parameters"),
+        ] + dcache.grad_tail
     cache = RepresentationGradientCache(u_rows=u_rows, v_rows=v_rows, filled=True)
     return grad_head, cache
 
@@ -250,10 +239,25 @@ class DeepConfig:
 
 
 def train_step_deep(batch, params_f, params_g, head, opt_state, config):
-    """forward_collect -> distance cache -> fold -> encoder step3 -> update."""
-    loss_mod.validate_temperature(config.tau)
-    memtrace.begin_step()
-    reset_counters()
+    """forward_collect -> distance cache -> fold -> encoder step3 -> update.
+
+    A dot head has no parameters and is the plain cached step, which
+    this runs; with frozen encoders it would have nothing to train, so
+    that raises ValueError.
+    """
+    if head.kind == "dot":
+        if not config.train_encoders:
+            raise ValueError(
+                "a dot head with frozen encoders has nothing to train"
+            )
+        res = trainer.train_step_cached(
+            batch, params_f, params_g, opt_state,
+            trainer.TrainConfig(config.tau, config.sub_batch_s,
+                                config.sub_batch_t),
+        )
+        res.head = head
+        return res
+    trainer.begin_step(config.tau)
     plan = plan_subbatches(
         batch.n_anchors, batch.n_targets, config.sub_batch_s, config.sub_batch_t
     )
@@ -275,12 +279,9 @@ def train_step_deep(batch, params_f, params_g, head, opt_state, config):
         )
         new_f, new_g = params_f, params_g
         new_head = head_from_arrays(head, new_arrays)
-    stats = trainer.step_stats(
-        counter_snapshot(), ("step1", "pairs", "omega", "step3"), ("step2",),
-        ("step2", "omega"),
-    )
     return trainer.StepResult(
-        loss_value, new_f, new_g, new_state, stats, head=new_head
+        loss_value, new_f, new_g, new_state, trainer.step_stats(),
+        head=new_head,
     )
 
 

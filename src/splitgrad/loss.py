@@ -54,8 +54,9 @@ class Batch:
 
     Hard negatives are plain rows of targets with no entry in r; the
     loss treats them identically to in-batch negatives. Anchors and
-    targets must be finite: a NaN or inf raises ValueError here, before
-    any step can train on it.
+    targets must be non-empty 2-D arrays of finite rows, and r a 1-D map
+    of whole numbers, one per anchor, each a target index: anything else
+    raises ValueError here, before any step can train on it.
     """
 
     anchors: np.ndarray
@@ -65,15 +66,28 @@ class Batch:
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        self.r = np.asarray(self.r, dtype=np.int64)
         for name, rows in (("anchors", self.anchors), ("targets", self.targets)):
+            if rows.ndim != 2 or rows.shape[0] == 0:
+                raise ValueError(
+                    f"{name} must be a non-empty 2-D array of rows, got "
+                    f"shape {rows.shape}"
+                )
             bad = rows.size - int(np.isfinite(rows).sum())
             if bad:
                 raise ValueError(
                     f"{name} hold {bad} non-finite entries (NaN or inf) "
                     f"out of {rows.size}"
                 )
-        validate_positive_map(self.r, self.targets.shape[0])
+        r = np.asarray(self.r)
+        if r.ndim != 1:
+            raise ValueError(f"positive map must be 1-D, got shape {r.shape}")
+        whole = r.dtype.kind in "iu" or (
+            r.dtype.kind == "f" and np.all(np.isfinite(r) & (r == np.floor(r))))
+        if not whole:
+            raise ValueError(f"positive map must hold whole numbers, got "
+                             f"{r.dtype} values {r[:8].tolist()}")
+        validate_positive_map(r, self.targets.shape[0])
+        self.r = r.astype(np.int64)
         if self.r.shape[0] != self.anchors.shape[0]:
             raise ValueError(
                 f"positive map length {self.r.shape[0]} does not match "

@@ -1,24 +1,28 @@
 """Logical data-parallel workers for cached contrastive training.
 
 N in-process workers each hold a full parameter replica and a contiguous
-slice of the global batch. A step exchanges data exactly twice:
+slice of the global batch. ``WorkerGroup.partition`` owns that slice: it
+gives each worker its anchor and target rows and the batch rows they
+start at (``a_lo``, ``t_lo``). A step exchanges data exactly twice:
 
-1. after the graph-less forward, an all-gather makes every worker's
-   representations available everywhere (rank order);
+1. after the graph-less forward, an all-gather concatenates every
+   worker's representations in rank order;
 2. after the per-sub-batch encoder passes, gradients are sum-reduced.
 
-The loss is computed over the gathered sets and normalized by the
-global anchor count; each worker keeps only the gradient rows of its
-own representations. Summing (not averaging) the per-worker parameter
+Each worker builds the step2 cache over the gathered sets, normalized by
+the global anchor count, and its step3 reads views of the rows of its own
+partition range. Summing (not averaging) the per-worker parameter
 gradients then reproduces the single-worker full-batch gradient, and
 because every worker runs the identical pure optimizer update on
 identical inputs, replicas stay bit-identical without broadcasting
 parameters.
 
 The workers run in lockstep on the calling thread, phase by phase and
-within a phase rank by rank. The exchange log records every
-cross-worker data movement so tests can assert there are exactly two
-per step and none during the encoder passes.
+within a phase rank by rank, each under its own meter; the step is
+framed by ``trainer.begin_step`` and its stats merged by
+``trainer.step_stats``. The exchange log records every cross-worker data
+movement so tests can assert there are exactly two per step and none
+during the encoder passes.
 """
 
 from dataclasses import dataclass
@@ -26,29 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import loss as loss_mod
 from . import memtrace
 from . import trainer
 
 
-@dataclass
-class GatheredReps:
-    """Concatenated representations with per-worker row offsets."""
-
-    F_all: np.ndarray
-    G_all: np.ndarray
-    f_offsets: list
-    g_offsets: list
-
-    def local_rows_f(self, rank):
-        return self.f_offsets[rank], self.f_offsets[rank + 1]
-
-    def local_rows_g(self, rank):
-        return self.g_offsets[rank], self.g_offsets[rank + 1]
-
-
 def all_gather(rep_pairs, expected_workers=None):
-    """Concatenate per-worker (F, G) pairs in rank order."""
+    """Concatenate per-worker (F, G) pairs in rank order: (F_all, G_all)."""
     if expected_workers is not None and len(rep_pairs) != expected_workers:
         raise ValueError(
             f"all_gather: got {len(rep_pairs)} worker contributions, "
@@ -63,33 +50,8 @@ def all_gather(rep_pairs, expected_workers=None):
             raise ad.ShapeMismatchError(
                 f"all_gather: embedding widths differ, {F.shape} / {G.shape}"
             )
-    f_offsets = np.cumsum([0] + [F.shape[0] for F, _ in rep_pairs]).tolist()
-    g_offsets = np.cumsum([0] + [G.shape[0] for _, G in rep_pairs]).tolist()
-    return GatheredReps(
-        F_all=np.concatenate([F for F, _ in rep_pairs], axis=0),
-        G_all=np.concatenate([G for _, G in rep_pairs], axis=0),
-        f_offsets=f_offsets,
-        g_offsets=g_offsets,
-    )
-
-
-def local_rep_grads(rank, gathered, r, tau):
-    """Loss over the gathered sets; keep only this worker's gradient rows.
-
-    Normalization uses the global anchor count, so per-worker gradients
-    sum to the single-worker full-batch gradient.
-    """
-    cache, loss_value = trainer.step2_build_cache(
-        gathered.F_all, gathered.G_all, r, tau
-    )
-    f_lo, f_hi = gathered.local_rows_f(rank)
-    g_lo, g_hi = gathered.local_rows_g(rank)
-    local = trainer.RepresentationGradientCache(
-        u_rows=cache.u_rows[f_lo:f_hi].copy(),
-        v_rows=cache.v_rows[g_lo:g_hi].copy(),
-        filled=True,
-    )
-    return local, loss_value
+    return (np.concatenate([F for F, _ in rep_pairs], axis=0),
+            np.concatenate([G for _, G in rep_pairs], axis=0))
 
 
 def reduce_grads(per_worker_grads):
@@ -118,10 +80,12 @@ def reduce_grads(per_worker_grads):
 
 @dataclass
 class _Rows:
-    """Just the data rows a worker owns; step3 needs nothing else."""
+    """The data rows a worker owns and where they start in the batch."""
 
     anchors: np.ndarray
     targets: np.ndarray
+    a_lo: int
+    t_lo: int
 
     @property
     def n_anchors(self):
@@ -163,9 +127,8 @@ class WorkerGroup:
             a_hi = (k + 1) * n_s // self.n_workers
             t_lo = k * n_t // self.n_workers
             t_hi = (k + 1) * n_t // self.n_workers
-            slices.append(
-                _Rows(batch.anchors[a_lo:a_hi], batch.targets[t_lo:t_hi])
-            )
+            slices.append(_Rows(batch.anchors[a_lo:a_hi],
+                                batch.targets[t_lo:t_hi], a_lo, t_lo))
         return slices
 
 
@@ -174,11 +137,12 @@ def train_step_multi(group, batch, config):
 
     Every worker runs, under its own meter with the active meter's
     budget: graph-less forward on its slice, all-gather, loss backward
-    over the gathered representations keeping local rows, per-sub-batch
-    encoder passes (no communication), sum reduction, and the optimizer
-    update on its own replica. The result carries rank 0's replica.
+    over the gathered representations, per-sub-batch encoder passes
+    seeded from its own rows of that cache (no communication), sum
+    reduction, and the optimizer update on its own replica. The result
+    carries rank 0's replica.
     """
-    loss_mod.validate_temperature(config.tau)
+    trainer.begin_step(config.tau)
     ranks = range(group.n_workers)
     local_rows = group.partition(batch)
     plans = [
@@ -189,7 +153,6 @@ def train_step_multi(group, batch, config):
     active = memtrace.current_meter()
     budget = active.activation_budget if active is not None else None
     meters = [memtrace.MemCounter(activation_budget=budget) for _ in ranks]
-    trainer.reset_counters()
 
     reps = []
     for k in ranks:
@@ -198,18 +161,19 @@ def train_step_multi(group, batch, config):
                 local_rows[k], group.params_f[k], group.params_g[k], plans[k]
             ))
     group.exchange("all_gather")
-    gathered = all_gather(reps, expected_workers=group.n_workers)
+    F_all, G_all = all_gather(reps, expected_workers=group.n_workers)
 
     losses, grads = [], []
-    for k in ranks:
+    for k, rows in enumerate(local_rows):
         with memtrace.use_meter(meters[k]):
-            local_cache, loss_value = local_rep_grads(
-                k, gathered, batch.r, config.tau
+            cache, loss_value = trainer.step2_build_cache(
+                F_all, G_all, batch.r, config.tau
             )
+            cache.u_rows = cache.u_rows[rows.a_lo:rows.a_lo + rows.n_anchors]
+            cache.v_rows = cache.v_rows[rows.t_lo:rows.t_lo + rows.n_targets]
             losses.append(loss_value)
             grads.append(trainer.step3_accumulate(
-                local_rows[k], group.params_f[k], group.params_g[k],
-                plans[k], local_cache,
+                rows, group.params_f[k], group.params_g[k], plans[k], cache,
             ))
     group.exchange("reduce")
     reduced_f = reduce_grads([g for g, _ in grads])
@@ -224,11 +188,7 @@ def train_step_multi(group, batch, config):
                 )
             )
 
-    stats = trainer.step_stats(
-        trainer.counter_snapshot(), ("step1", "step3"), ("step2",),
-        ("step2",), meters,
-    )
     return trainer.StepResult(
         losses[0], group.params_f[0], group.params_g[0], group.opt_states[0],
-        stats,
+        trainer.step_stats(meters),
     )

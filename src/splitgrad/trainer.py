@@ -1,6 +1,9 @@
 """Training steps for dual encoders under a batch contrastive loss.
 
-Four step flavors share one optimizer path:
+Every public step, here and in ``deep`` and ``multiworker``, opens with
+``begin_step(tau)`` and ends with ``step_stats()``, which reads the
+counters and meters by one rule keyed on ``LOSS_PHASE``, and updates
+through ``_apply_optimizer``. Four step flavors are defined here:
 
 * ``train_step_direct``: one taped pass over the whole batch; the
   ground-truth baseline. It keeps the dense n x n loss tail: it then
@@ -91,16 +94,22 @@ class TrainConfig:
 
 @dataclass
 class StepStats:
-    """Measured facts about one training step.
+    """Measured facts about one training step, read by ``step_stats``.
 
-    act_peak covers the encoder-facing windows (graph-less forward plus
-    per-sub-batch taped passes for the cached path; the whole fused pass
-    for direct and accumulation). In the cached path a chunk's parameter
-    gradients are added into the step's accumulators (counted as
-    parameters) and freed layer by layer, so act_peak holds one layer's
-    weight and bias gradients, never a whole encoder's. loss_phase_peak
-    is the separate loss-over-representations window and is 0 for modes
-    without one.
+    fwd_rows and bwd_rows count encoder rows run forward and backward.
+    loss_phase_peak is the activation peak of the ``LOSS_PHASE`` window,
+    0 in modes without one; act_peak is that of every other window. In
+    the cached path a chunk's parameter gradients are added into the
+    step's accumulators (counted as parameters) and freed layer by layer,
+    so act_peak holds one layer's weight and bias gradients, never a
+    whole encoder's. cache_floats is the largest gradient-cache count
+    over the step, summed over workers in multi mode.
+
+    The meter counts registered arrays only, and a VJP's temporaries are
+    never registered: ``autodiff._bw_dense``'s activation-slope product,
+    up to b x w_k floats for sub-batch b and layer width w_k, is missing
+    from act_peak, so an activation budget set from act_peak needs that
+    margin.
     """
 
     fwd_rows: int
@@ -140,32 +149,40 @@ def count(key, n):
     _counts[key] += n
 
 
-def step_stats(counters, act_phases, loss_phases=(), cache_phases=(),
-               meters=None):
-    """The StepStats of a step, from its row counters and phase windows.
+def begin_step(tau):
+    """Open a public step: check tau, then clear the meter's windows and
+    the row counters. A bad tau raises ValueError before either changes."""
+    loss_mod.validate_temperature(tau)
+    memtrace.begin_step()
+    reset_counters()
 
-    Each peak is the largest over its phases: activation floats for
-    act_peak and loss_phase_peak, gradient-cache floats for cache_floats.
-    With one meter per worker, peaks take the max across workers and
-    cache floats the sum: each worker's activation peak is its own, and
-    the workers' caches coexist. ``meters`` defaults to the active meter;
-    without one every peak is 0.
-    """
+
+LOSS_PHASE = "step2"
+
+
+def step_stats(meters=None):
+    """The StepStats of a step: the row counters, and the peaks of every
+    window of ``meters`` (default: the active meter) by StepStats' rule.
+    Activation peaks take the max across workers' meters and cache floats
+    the sum, since the workers' caches coexist."""
     if meters is None:
         meters = [memtrace.current_meter()]
     meters = [m for m in meters if m is not None]
 
-    def peak(meter, names, category="activation"):
-        return max((meter.phase_peak(n, category) for n in names), default=0)
-
+    act, loss, cache = [0], [0], [0]
+    for m in meters:
+        windows = m.phase_peaks
+        act.append(max((p["activation"] for name, p in windows.items()
+                        if name != LOSS_PHASE), default=0))
+        loss.append(m.phase_peak(LOSS_PHASE))
+        cache.append(max((p["gradient-cache"] for p in windows.values()),
+                         default=0))
     return StepStats(
-        fwd_rows=counters["fwd_rows"],
-        bwd_rows=counters["bwd_rows"],
-        act_peak=max((peak(m, act_phases) for m in meters), default=0),
-        loss_phase_peak=max((peak(m, loss_phases) for m in meters), default=0),
-        cache_floats=sum(
-            peak(m, cache_phases, "gradient-cache") for m in meters
-        ),
+        fwd_rows=_counts["fwd_rows"],
+        bwd_rows=_counts["bwd_rows"],
+        act_peak=max(act),
+        loss_phase_peak=max(loss),
+        cache_floats=sum(cache),
     )
 
 
@@ -195,7 +212,7 @@ def step2_build_cache(F, G, r, tau):
     Only F and G are tape leaves; no encoder participates. Returns the
     filled cache and the full-batch loss value.
     """
-    with memtrace.phase("step2"):
+    with memtrace.phase(LOSS_PHASE):
         tape = ad.Tape()
         with ad.recording(tape):
             f_leaf = tape.leaf(F)
@@ -285,9 +302,7 @@ def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state,
 
 def train_step_cached(batch, params_f, params_g, opt_state, config):
     """step1 -> step2 -> step3 -> optimizer; loss is the step2 value."""
-    loss_mod.validate_temperature(config.tau)
-    memtrace.begin_step()
-    reset_counters()
+    begin_step(config.tau)
     plan = plan_subbatches(
         batch.n_anchors, batch.n_targets, config.sub_batch_s, config.sub_batch_t
     )
@@ -297,10 +312,7 @@ def train_step_cached(batch, params_f, params_g, opt_state, config):
     new_f, new_g, new_state, _ = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
-    stats = step_stats(
-        counter_snapshot(), ("step1", "step3"), ("step2",), ("step2",)
-    )
-    return StepResult(loss_value, new_f, new_g, new_state, stats)
+    return StepResult(loss_value, new_f, new_g, new_state, step_stats())
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +321,7 @@ def train_step_cached(batch, params_f, params_g, opt_state, config):
 
 def train_step_direct(batch, params_f, params_g, opt_state, tau=1.0):
     """One taped pass over the full batch, then one optimizer step."""
-    loss_mod.validate_temperature(tau)
-    memtrace.begin_step()
-    reset_counters()
+    begin_step(tau)
     with memtrace.phase("direct"):
         grads_f, grads_g, loss_value = loss_mod.direct_param_grads(
             batch, params_f, params_g, tau
@@ -322,8 +332,7 @@ def train_step_direct(batch, params_f, params_g, opt_state, tau=1.0):
     new_f, new_g, new_state, _ = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
-    stats = step_stats(counter_snapshot(), ("direct",))
-    return StepResult(loss_value, new_f, new_g, new_state, stats)
+    return StepResult(loss_value, new_f, new_g, new_state, step_stats())
 
 
 def _accumulation_chunks(batch, chunk_size):
@@ -360,9 +369,7 @@ def train_step_accumulation(batch, params_f, params_g, opt_state,
     its own targets as negatives; the reported loss is the mean of chunk
     losses.
     """
-    loss_mod.validate_temperature(tau)
-    memtrace.begin_step()
-    reset_counters()
+    begin_step(tau)
     with memtrace.phase("accumulation"):
         grads_f = _zero_grads(params_f)
         grads_g = _zero_grads(params_g)
@@ -382,7 +389,6 @@ def train_step_accumulation(batch, params_f, params_g, opt_state,
     new_f, new_g, new_state, _ = _apply_optimizer(
         params_f, params_g, grads_f, grads_g, opt_state
     )
-    stats = step_stats(counter_snapshot(), ("accumulation",))
     return StepResult(
-        float(np.mean(chunk_losses)), new_f, new_g, new_state, stats
+        float(np.mean(chunk_losses)), new_f, new_g, new_state, step_stats()
     )

@@ -581,6 +581,17 @@ def test_cli_budget_error_names_the_loss_phase(tmp_path):
     assert "in phase 'step2'" in proc.stderr
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_budget_below_one_float_exits_2(tmp_path, budget):
+    out = tmp_path / "c"
+    proc = _cli("train", "--mode", "cache", "--batch-size", "8",
+                "--activation-budget", budget, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "activation_budget must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_budget_applies_to_each_multi_worker(tmp_path):
     proc = _cli("train", "--mode", "multi", "--workers", "2",
                 "--batch-size", "64", "--activation-budget", "10",

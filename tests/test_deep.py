@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitgrad import deep, encoders, kernels, trainer
+from splitgrad import encoders, kernels, memtrace, trainer
 from splitgrad import autodiff as ad
 from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.deep import (
@@ -219,21 +219,37 @@ def test_deep_step_keeps_tied_encoders_tied():
 
 
 def test_dot_head_reduces_to_plain_trainer():
+    # the dot head is the cached step itself: same loss, parameters and
+    # stats, bit for bit
     batch, pf, pg, _ = _setup()
     head = dot_head(6)
-    opt1 = encoders.init_optimizer("sgd", 1e-2)
-    opt2 = encoders.init_optimizer("sgd", 1e-2)
-    res_deep = train_step_deep(batch, pf, pg, head, opt1,
-                               DeepConfig(tau=1.0, sub_batch_s=4,
-                                          sub_batch_t=5))
-    res_plain = trainer.train_step_cached(
-        batch, pf, pg, opt2, trainer.TrainConfig(1.0, 4, 5))
+    results = []
+    for step in (
+        lambda opt: train_step_deep(batch, pf, pg, head, opt,
+                                    DeepConfig(0.7, 4, 5)),
+        lambda opt: trainer.train_step_cached(batch, pf, pg, opt,
+                                              trainer.TrainConfig(0.7, 4, 5)),
+    ):
+        with memtrace.MemCounter().activate():
+            results.append(step(encoders.init_optimizer("adam", 1e-2)))
+    res_deep, res_plain = results
+    assert res_deep.head is head
     assert res_deep.loss == res_plain.loss
-    assert flat_max_rel_err(
-        encoders.param_arrays(res_deep.params_f)
-        + encoders.param_arrays(res_deep.params_g),
-        encoders.param_arrays(res_plain.params_f)
-        + encoders.param_arrays(res_plain.params_g)) < 1e-9
+    assert res_deep.stats == res_plain.stats
+    assert res_deep.stats.act_peak > 0 and res_deep.stats.cache_floats > 0
+    for a, b in zip(encoders.param_arrays(res_deep.params_f)
+                    + encoders.param_arrays(res_deep.params_g),
+                    encoders.param_arrays(res_plain.params_f)
+                    + encoders.param_arrays(res_plain.params_g), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_dot_head_with_frozen_encoders_is_rejected():
+    batch, pf, pg, _ = _setup()
+    with pytest.raises(ValueError, match="nothing to train"):
+        train_step_deep(batch, pf, pg, dot_head(6),
+                        encoders.init_optimizer("sgd", 1e-2),
+                        DeepConfig(train_encoders=False))
 
 
 def test_early_interaction_trains_head_only():
@@ -304,7 +320,7 @@ def test_deep_counters_count_each_pair_once_each_way():
     opt = encoders.init_optimizer("sgd", 1e-3)
     train_step_deep(batch, pf, pg, head, opt,
                     DeepConfig(sub_batch_s=5, sub_batch_t=6))
-    counters = deep.counter_snapshot()
+    counters = trainer.counter_snapshot()
     assert counters["phi_fwd_pairs"] == 12 * 15
     assert counters["phi_bwd_pairs"] == 12 * 15
     assert counters["fwd_rows"] == 2 * (12 + 15)

@@ -13,7 +13,15 @@ A second property draws ragged sizes against the kernels' row blocks
 (``TILE``, ``STRIP`` and ``HEAD_STRIP``), where the last tile or strip is
 short: the streamed loss tail must match the reference loss and the
 dense taped tail, and a row subset of the tiled matmul the same rows of
-the full product. Examples are drawn from a fixed seed.
+the full product.
+
+A third property draws a valid case and breaks one thing in it: a
+non-finite row entry, an unusable temperature (non-finite, zero,
+negative or subnormal), empty rows, rows of the wrong rank, a column
+positive map or a fractional positive. Every public step must refuse it
+with ValueError before it changes any state: the meter, the row
+counters, the worker group, the parameters or the optimizer state.
+Examples are drawn from a fixed seed.
 """
 
 import numpy as np
@@ -22,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgrad import autodiff as ad
-from splitgrad import deep, encoders, kernels, multiworker, trainer
+from splitgrad import deep, encoders, kernels, memtrace, multiworker, trainer
 from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.kernels import HEAD_STRIP, STRIP, TILE
 from splitgrad.loss import (
@@ -209,3 +217,106 @@ def test_deep_step_holds_at_ragged_head_strips(n_s, n_t, tau, seed):
         encoders.init_optimizer("sgd", 0.1), deep.DeepConfig(tau, 3, 16))
     assert res[0].loss == ref_loss
     assert flat_max_rel_err(gf + gg + gh, got) < 1e-9
+
+
+BAD_TAUS = (np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-310)
+FAULTS = {  # what each drawn fault breaks, and the error it must raise
+    "non-finite row": "non-finite entries",
+    "temperature": "temperature must be",
+    "empty rows": "must be a non-empty 2-D",
+    "row rank": "must be a non-empty 2-D",
+    "column map": "must be 1-D",
+    "fractional map": "whole numbers",
+}
+
+
+@st.composite
+def faults(draw):
+    kind = draw(st.sampled_from(sorted(FAULTS)))
+    return dict(
+        kind=kind, side=draw(st.sampled_from(("anchors", "targets"))),
+        value=draw(st.sampled_from((np.nan, np.inf, -np.inf))),
+        tau=draw(st.sampled_from(BAD_TAUS)), rank=draw(st.sampled_from((1, 3))),
+        at=draw(st.integers(0, 10**6)),
+        frac=draw(st.sampled_from((0.25, 0.5, 0.999))),
+    )
+
+
+def _break(case, fault, rows, r):
+    """The case's batch inputs and temperature with the fault applied."""
+    kind, side, tau = fault["kind"], fault["side"], case["tau"]
+    rows = dict(rows)
+    if kind == "non-finite row":
+        bad = rows[side].copy()
+        bad.flat[fault["at"] % bad.size] = fault["value"]
+        rows[side] = bad
+    elif kind == "temperature":
+        tau = fault["tau"]
+    elif kind == "empty rows":
+        rows[side] = rows[side][:0]
+    elif kind == "row rank":
+        rows["anchors"] = (rows["anchors"].ravel() if fault["rank"] == 1
+                           else rows["anchors"][:, :, None])
+    elif kind == "column map":
+        r = r[:, None]
+    else:
+        r = r.astype(np.float64)
+        r[fault["at"] % r.size] += fault["frac"]
+    return rows, r, tau
+
+
+def _public_steps(pf, pg, opt, group, head, case):
+    """Each public step, as step(batch, tau)."""
+    bs_s, bs_t = case["bs_s"], case["bs_t"]
+    return [
+        lambda b, tau: trainer.train_step_cached(
+            b, pf, pg, opt, trainer.TrainConfig(tau, bs_s, bs_t)),
+        lambda b, tau: trainer.train_step_direct(b, pf, pg, opt, tau),
+        lambda b, tau: trainer.train_step_accumulation(b, pf, pg, opt, bs_s,
+                                                       tau),
+        lambda b, tau: deep.train_step_deep(b, pf, pg, head, opt,
+                                            deep.DeepConfig(tau, bs_s, bs_t)),
+        lambda b, tau: deep.train_step_deep(b, pf, pg, deep.dot_head(DIMS[-1]),
+                                            opt,
+                                            deep.DeepConfig(tau, bs_s, bs_t)),
+        lambda b, tau: multiworker.train_step_multi(
+            group, b, trainer.TrainConfig(tau, bs_s, bs_t)),
+    ]
+
+
+def _state(meter, group, arrays, opt):
+    return (meter.report(), trainer.counter_snapshot(),
+            list(group.exchange_log), list(group.params_f),
+            list(group.params_g), list(group.opt_states), opt.t,
+            [a.tobytes() for a in arrays + opt.m + opt.v])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(cases(), faults())
+def test_bad_input_raises_before_any_state_changes(case, fault):
+    rng = np.random.default_rng(case["seed"])
+    rows = {"anchors": rng.normal(size=(case["n_s"], DIN)),
+            "targets": rng.normal(size=(case["n_t"], DIN))}
+    pf = encoders.init_params(case["seed"] + 1, DIMS)
+    pg = pf if case["tied"] else encoders.init_params(case["seed"] + 2, DIMS)
+    head = deep.init_distance_head(case["seed"] + 3, DIMS[-1], HIDDEN)
+    opt = encoders.init_optimizer("adam", 0.1)
+    group = multiworker.WorkerGroup(2, pf, pg, opt)
+    meter = memtrace.MemCounter()
+    with meter.activate():
+        # good steps first, so that the meter, the counters, the group
+        # and the optimizer hold state to keep
+        good = Batch(rows["anchors"], rows["targets"], case["r"])
+        config = trainer.TrainConfig(case["tau"], case["bs_s"], case["bs_t"])
+        multiworker.train_step_multi(group, good, config)
+        opt = trainer.train_step_cached(good, pf, pg, opt, config).opt_state
+        steps = _public_steps(pf, pg, opt, group, head, case)
+        arrays = (encoders.param_arrays(pf) + encoders.param_arrays(pg)
+                  + deep.head_arrays(head))
+        before = _state(meter, group, arrays, opt)
+        bad_rows, bad_r, tau = _break(case, fault, rows, case["r"].copy())
+        for step in steps:
+            with pytest.raises(ValueError, match=FAULTS[fault["kind"]]):
+                step(Batch(bad_rows["anchors"], bad_rows["targets"], bad_r),
+                     tau)
+            assert _state(meter, group, arrays, opt) == before

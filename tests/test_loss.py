@@ -58,6 +58,40 @@ def test_batch_rejects_length_mismatch():
         Batch(np.ones((2, 3)), np.ones((4, 3)), [0])
 
 
+@pytest.mark.parametrize("side", ["anchors", "targets"])
+def test_batch_rejects_empty_rows(side):
+    rows = {"anchors": np.ones((3, 2)), "targets": np.ones((3, 2))}
+    rows[side] = np.ones((0, 2))
+    with pytest.raises(ValueError, match=f"{side} must be a non-empty 2-D"):
+        Batch(rows["anchors"], rows["targets"], np.zeros(3, dtype=int))
+
+
+def test_batch_rejects_one_dimensional_rows():
+    with pytest.raises(ValueError, match=r"anchors must be .* shape \(4,\)"):
+        Batch(np.ones(4), np.ones((4, 3)), [0, 1, 2, 3])
+
+
+def test_batch_rejects_three_dimensional_rows():
+    with pytest.raises(ValueError, match=r"anchors must be .* \(4, 3, 2\)"):
+        Batch(np.ones((4, 3, 2)), np.ones((4, 3)), [0, 1, 2, 3])
+
+
+def test_batch_rejects_a_column_positive_map():
+    with pytest.raises(ValueError, match=r"must be 1-D, got shape \(4, 1\)"):
+        Batch(np.ones((4, 3)), np.ones((4, 3)), np.arange(4).reshape(4, 1))
+
+
+def test_batch_rejects_fractional_positives_and_takes_whole_floats():
+    with pytest.raises(ValueError, match="whole numbers"):
+        Batch(np.ones((4, 3)), np.ones((4, 3)), [0.5, 1.2, 2, 3])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Batch(np.ones((2, 3)), np.ones((4, 3)), [0.0, bad])
+    b = Batch(np.ones((4, 3)), np.ones((4, 3)), [3.0, 1.0, 2.0, 0.0])
+    assert b.r.dtype == np.int64
+    assert b.r.tolist() == [3, 1, 2, 0]
+
+
 def test_validate_temperature_bounds():
     # smallest normal float: its inverse is still finite
     for tau in (5e-4, 1.0, 10.0, np.float64(0.05), 2.2250738585072014e-308):

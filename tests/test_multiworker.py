@@ -9,7 +9,6 @@ from splitgrad.loss import Batch, contrastive_loss, direct_param_grads
 from splitgrad.multiworker import (
     WorkerGroup,
     all_gather,
-    local_rep_grads,
     reduce_grads,
     train_step_multi,
 )
@@ -30,16 +29,29 @@ def _pairs(rng, sizes, d=4):
             for a, b in sizes]
 
 
-def test_all_gather_concatenates_in_rank_order():
+def test_all_gather_concatenates_partition_rows_in_rank_order():
+    batch, pf, pg = _setup(n_s=10, n_t=7)
+    group = WorkerGroup(3, pf, pg, encoders.init_optimizer("sgd", 1e-3))
+    rows = group.partition(batch)
+    # the workers' ranges tile the batch, in rank order
+    assert [r.a_lo for r in rows] == [0, 3, 6]
+    assert [r.t_lo for r in rows] == [0, 2, 4]
+    for r, nxt in zip(rows, rows[1:] + [None]):
+        a_hi = nxt.a_lo if nxt else batch.n_anchors
+        t_hi = nxt.t_lo if nxt else batch.n_targets
+        assert r.a_lo + r.n_anchors == a_hi
+        assert r.t_lo + r.n_targets == t_hi
+        assert np.array_equal(r.anchors, batch.anchors[r.a_lo:a_hi])
+        assert np.array_equal(r.targets, batch.targets[r.t_lo:t_hi])
     rng = np.random.default_rng(1)
-    pairs = _pairs(rng, [(2, 3), (4, 1), (3, 2)])
-    g = all_gather(pairs)
-    assert np.array_equal(g.F_all, np.concatenate([p[0] for p in pairs]))
-    assert np.array_equal(g.G_all, np.concatenate([p[1] for p in pairs]))
-    assert g.f_offsets == [0, 2, 6, 9]
-    assert g.g_offsets == [0, 3, 4, 6]
-    assert g.local_rows_f(1) == (2, 6)
-    assert g.local_rows_g(2) == (4, 6)
+    pairs = [(rng.normal(size=(r.n_anchors, 4)),
+              rng.normal(size=(r.n_targets, 4))) for r in rows]
+    F_all, G_all = all_gather(pairs)
+    assert np.array_equal(F_all, np.concatenate([p[0] for p in pairs]))
+    assert np.array_equal(G_all, np.concatenate([p[1] for p in pairs]))
+    for r, (F, G) in zip(rows, pairs):
+        assert np.array_equal(F_all[r.a_lo:r.a_lo + r.n_anchors], F)
+        assert np.array_equal(G_all[r.t_lo:r.t_lo + r.n_targets], G)
 
 
 def test_all_gather_checks_worker_count():
@@ -59,18 +71,30 @@ def test_all_gather_rejects_mismatched_widths():
         all_gather(pairs)
 
 
-def test_local_rep_grads_slices_the_full_cache():
-    rng = np.random.default_rng(4)
-    pairs = _pairs(rng, [(3, 4), (5, 2)], d=6)
-    g = all_gather(pairs)
-    r = rng.integers(0, 6, size=8)
-    full, full_loss = trainer.step2_build_cache(g.F_all, g.G_all, r, 0.5)
-    for rank, (f_rows, g_rows) in enumerate([(slice(0, 3), slice(0, 4)),
-                                             (slice(3, 8), slice(4, 6))]):
-        local, loss_value = local_rep_grads(rank, g, r, 0.5)
-        assert loss_value == full_loss
-        assert np.array_equal(local.u_rows, full.u_rows[f_rows])
-        assert np.array_equal(local.v_rows, full.v_rows[g_rows])
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_each_worker_step3_reads_its_rows_of_the_one_worker_cache(
+        monkeypatch, n_workers):
+    batch, pf, pg = _setup(n_s=13, n_t=17)
+    F = encoders.encode(pf, batch.anchors)
+    G = encoders.encode(pg, batch.targets)
+    full, _ = trainer.step2_build_cache(F, G, batch.r, 0.5)
+    seen = []
+    real = trainer.step3_accumulate
+
+    def spy(rows, params_f, params_g, plan, cache):
+        seen.append((rows, cache.u_rows.copy(), cache.v_rows.copy()))
+        return real(rows, params_f, params_g, plan, cache)
+
+    monkeypatch.setattr(trainer, "step3_accumulate", spy)
+    group = WorkerGroup(n_workers, pf, pg, encoders.init_optimizer("sgd", 1))
+    train_step_multi(group, batch, TrainConfig(0.5, 4, 4))
+    assert [rows.a_lo for rows, _, _ in seen] == [
+        r.a_lo for r in group.partition(batch)]
+    for rows, u, v in seen:
+        assert np.array_equal(
+            u, full.u_rows[rows.a_lo:rows.a_lo + rows.n_anchors])
+        assert np.array_equal(
+            v, full.v_rows[rows.t_lo:rows.t_lo + rows.n_targets])
 
 
 def test_reduce_grads_sums_across_workers():
