@@ -39,8 +39,11 @@ Design choices that equivalence tests depend on:
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation;
-* operations allocate fresh output arrays (no views), so the memory
-  accounting in ``memtrace`` sees true lifetimes.
+* operations allocate fresh output arrays (no views). A taped output
+  lives as long as its tape, which counts it in ``memtrace`` with the
+  gradients it owns and releases them all when it is freed; an untaped
+  output and a leaf's gradient can outlive any tape, so each is counted
+  on its own until it is freed.
 """
 
 import itertools
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from . import memtrace
 from .memtrace import register
 
 
@@ -116,16 +120,36 @@ _token_counter = itertools.count(1)
 
 
 class Tape:
-    """Append-only record of operations plus per-node gradient buffers."""
+    """Append-only record of operations plus per-node gradient buffers.
+
+    The tape counts its own arrays in the meter that was active when it
+    was made: its ops' outputs and the gradients it owns, all activation
+    floats. It holds them until it is freed, and it releases their total
+    then, in one call; ``reset_grads`` releases the gradients' part.
+    """
 
     def __init__(self):
         self.nodes = []
         self.grads = []
         self.token = next(_token_counter)
         self._backward_done = False
+        self._meter = memtrace.current_meter()
+        self._out_floats = 0
+        self._grad_floats = 0
+
+    def __del__(self):
+        held = self._out_floats + self._grad_floats
+        if held:
+            self._meter.track_release("activation", held)
 
     def __len__(self):
         return len(self.nodes)
+
+    def count_output(self, out):
+        """Count a new node's output until the tape is freed."""
+        if self._meter is not None:
+            self._meter.track_alloc("activation", out.size)
+            self._out_floats += out.size
 
     def add_node(self, op_kind, inputs, output, ctx, vjp):
         self.nodes.append(Node(op_kind, inputs, output, ctx, vjp))
@@ -151,7 +175,12 @@ class Tape:
 
         grad seeds the node's gradient and must have its shape; it is used
         as given, neither copied nor counted again. Without a seed the
-        node must be a scalar and is seeded with one.
+        node must be a scalar and is seeded with one, which the tape
+        counts as a gradient it owns, as it counts each non-leaf node's
+        first gradient. A leaf's first gradient is counted on its own,
+        since it may outlive the tape. A VJP result that is added into a
+        gradient is counted, and released once the node's results are
+        dropped, before the next VJP runs.
         """
         idx = self._resolve(node)
         out = self.nodes[idx].output
@@ -167,31 +196,48 @@ class Tape:
                 "backward already run on this tape; call reset_grads() first"
             )
         self._backward_done = True
+        meter = self._meter
+        nodes, grads = self.nodes, self.grads
         if grad is None:
-            grad = register(np.ones_like(out))
-        self.grads[idx] = grad
+            grad = np.ones_like(out)
+            if meter is not None:
+                meter.track_alloc("activation", grad.size)
+                self._grad_floats += grad.size
+        grads[idx] = grad
         for k in range(idx, -1, -1):
-            g = self.grads[k]
+            g = grads[k]
             if g is None:
                 continue
-            node = self.nodes[k]
+            node = nodes[k]
             if node.vjp is None:
                 continue
             input_grads = node.vjp(node.ctx, g, node.inputs)
+            owned = added = 0
             for in_idx, in_grad in zip(node.inputs, input_grads):
                 if in_idx is None or in_grad is None:
                     continue
                 # ufuncs on 0-d arrays decay to numpy scalars; keep ndarray
                 if not isinstance(in_grad, np.ndarray):
                     in_grad = np.asarray(in_grad, dtype=np.float64)
-                register(in_grad)
-                if self.grads[in_idx] is None:
-                    self.grads[in_idx] = in_grad
+                if grads[in_idx] is not None:
+                    grads[in_idx] += in_grad
+                    added += in_grad.size
+                elif nodes[in_idx].vjp is None:
+                    # a leaf's gradient may outlive the tape
+                    grads[in_idx] = register(in_grad)
                 else:
-                    self.grads[in_idx] += in_grad
+                    grads[in_idx] = in_grad
+                    owned += in_grad.size
             # an added-in gradient is freed here, not held through the
             # next VJP
             input_grads = in_grad = None
+            if meter is not None and owned + added:
+                # the node's results were all live at once: one count
+                # gives the same peaks as one per result
+                meter.track_alloc("activation", owned + added)
+                self._grad_floats += owned
+                if added:
+                    meter.track_release("activation", added)
         return self
 
     def grad(self, ref):
@@ -207,8 +253,12 @@ class Tape:
 
         A buffer given to ``leaf`` keeps what backward added into it, and
         the tape no longer refers to it: the next backward gives that
-        leaf a fresh gradient.
+        leaf a fresh gradient. The gradients the tape counted are
+        released.
         """
+        if self._grad_floats:
+            self._meter.track_release("activation", self._grad_floats)
+            self._grad_floats = 0
         self.grads = [None] * len(self.nodes)
         self._backward_done = False
 
@@ -472,18 +522,19 @@ def record(op_kind, *inputs, **attrs):
     arrays = [_as_f64(t.data) for t in tensors]
     out, ctx = forward(attrs, *arrays)
     out = _as_f64(out)
+    tape = _tape
+    if tape is not None:
+        input_idxs = tuple(
+            t.index if (t.is_taped and t.token == tape.token) else None
+            for t in tensors
+        )
+        if any(i is not None for i in input_idxs):
+            tape.count_output(out)
+            idx = tape.add_node(op_kind, input_idxs, out, ctx, vjp)
+            return Tensor(out, tape.token, idx)
+    # an untaped output has no tape to hold it: count it on its own
     register(out)
-    tape = active_tape()
-    if tape is None:
-        return Tensor(out)
-    input_idxs = tuple(
-        t.index if (t.is_taped and t.token == tape.token) else None
-        for t in tensors
-    )
-    if all(i is None for i in input_idxs):
-        return Tensor(out)
-    idx = tape.add_node(op_kind, input_idxs, out, ctx, vjp)
-    return Tensor(out, tape.token, idx)
+    return Tensor(out)
 
 
 # Thin wrappers so call sites read as math rather than string dispatch.

@@ -25,7 +25,8 @@ phi once per pair, forward and backward, in three phases:
 ``train_step_deep`` frames the step and reads its stats through
 ``trainer.begin_step`` and ``trainer.step_stats``, and updates through
 the trainer's optimizer path with the head's arrays as extras. The three
-phases take an mlp head only. A fixed dot-product head has no parameters:
+phases take an mlp head only and raise ValueError, naming the head's
+kind, for any other. A fixed dot-product head has no parameters:
 ``train_step_deep`` runs it as ``trainer.train_step_cached`` itself.
 Identity encoders with ``train_encoders=False`` give the
 early-interaction case, where all learning lives in the head. ``deep_direct_grads`` keeps the
@@ -142,6 +143,15 @@ def phi_pairs(head, Fb, Gb):
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
+def _require_mlp(head, phase):
+    # the phases run an mlp head only; a dot head is the cached step
+    if head.kind != "mlp":
+        raise ValueError(
+            f"{phase} takes an mlp head, got a {head.kind!r} head; "
+            f"train_step_deep runs a dot head as the plain cached step"
+        )
+
+
 @dataclass
 class PairInputs:
     """What the loss phase reads: the head and its first layer per side,
@@ -168,6 +178,7 @@ def forward_collect(batch, params_f, params_g, head, plan):
     The first layer is separable, act(F_i w1a + G_j w1b + b1), so its two
     products are taken once per row here, not once per pair.
     """
+    _require_mlp(head, "forward_collect")
     F, G = trainer.step1_graphless_forward(batch, params_f, params_g, plan)
     with memtrace.phase("pairs"):
         A = memtrace.register(kernels.matmul(F, head.w1a),
@@ -184,6 +195,7 @@ def build_distance_cache(pairs, r, tau):
     through the head forward and backward once, and no n x m array is
     held.
     """
+    _require_mlp(pairs.head, "build_distance_cache")
     n_pairs = pairs.A.shape[0] * pairs.B.shape[0]
     loss_mod.validate_positive_map(r, pairs.B.shape[0])
     head = pairs.head
@@ -212,6 +224,7 @@ def update_omega_and_fold(F, G, head, dcache, plan):
     and that cache. The fold works on whole rows, so ``plan`` (taken like
     the other phases) does not change it.
     """
+    _require_mlp(head, "update_omega_and_fold")
     if not dcache.filled:
         raise CacheNotFilledError(
             "distance gradient cache consumed before being filled"

@@ -186,11 +186,13 @@ def optimizer_step(state, params, grads):
         return new_params, replace(state, t=t)
     m = state.m if state.m is not None else [np.zeros_like(p) for p in params]
     v = state.v if state.v is not None else [np.zeros_like(p) for p in params]
+    size = max((p.size for p in params), default=0)
+    scratch = (np.empty(size), np.empty(size))
     new_params, new_m, new_v = [], [], []
     for p, g, mk, vk in zip(params, grads, m, v):
-        p2, m2, v2 = p.copy(), mk.copy(), vk.copy()
-        kernels.adam_update(
-            p2, m2, v2, g, state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t
+        p2, m2, v2 = kernels.adam_update(
+            p, mk, vk, g, state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t,
+            scratch,
         )
         new_params.append(p2)
         new_m.append(m2)

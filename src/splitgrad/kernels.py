@@ -276,14 +276,30 @@ def tanh_vjp(y, g):
     return _c64(g) * (1.0 - y * y)
 
 
-def adam_update(p, m, v, g, lr, beta1, beta2, eps, t):
-    """One bias-corrected Adam step, in place on p, m, v."""
+def adam_update(p, m, v, g, lr, beta1, beta2, eps, t, scratch):
+    """One bias-corrected Adam step; returns the new (p, m, v).
+
+    p, m, v and g are left as they are. The three results are the only
+    arrays made: every intermediate goes through scratch, a pair of flat
+    float64 buffers of at least p.size floats each, which the caller may
+    reuse across arrays. The arithmetic is the textbook update's, in its
+    order: m' = beta1 * m + (1 - beta1) * g,
+    v' = beta2 * v + (1 - beta2) * g * g, and
+    p' = p - lr * (m' / c1) / (sqrt(v' / c2) + eps) with c_i = 1 - beta_i**t.
+    """
     g = _c64(g)
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
-    return p
+    a = scratch[0][:g.size].reshape(g.shape)
+    b = scratch[1][:g.size].reshape(g.shape)
+    m2 = np.multiply(m, beta1)
+    m2 += np.multiply(1.0 - beta1, g, out=a)
+    v2 = np.multiply(v, beta2)
+    np.multiply(1.0 - beta2, g, out=a)
+    a *= g
+    v2 += a
+    np.divide(m2, 1.0 - beta1 ** t, out=a)
+    a *= lr
+    np.divide(v2, 1.0 - beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    return np.subtract(p, a), m2, v2

@@ -2,12 +2,24 @@
 gradient caches, and parameters.
 
 The counting unit is floats, not bytes, so the numbers are precision
-independent. Arrays are tracked by a ``weakref.ref`` with a release
-callback, kept in a dict keyed by the ref's id (a ref hashes its
-referent, and arrays are unhashable): CPython frees an array the moment
-its last reference drops, so the live count follows actual lifetimes
-deterministically (the engine keeps its object graph cycle-free on
-purpose).
+independent. Counts follow lifetimes deterministically, because CPython
+frees an object the moment its last reference drops (the engine keeps
+its object graph cycle-free on purpose). Arrays are counted two ways:
+
+* a tape (``autodiff.Tape``) counts its own arrays: its ops' outputs,
+  the gradients it owns and its all-ones seed go into one running total
+  with plain ``track_alloc`` calls, and the tape releases that total
+  with one ``track_release`` when it is freed (``reset_grads`` releases
+  the gradient part). A VJP result added into a gradient is allocated
+  and released with plain calls too;
+* every other array goes through ``register``, one at a time: the
+  leaf gradients, which may outlive their tape, the outputs of untaped
+  ops, arrays saved in a VJP's context, kernel buffers and the
+  trainers' own stores, caches and accumulators. ``register_array``
+  counts the array and makes one ``weakref.ref`` whose callback,
+  ``_release_ref``, uncounts it when it is freed; the refs live in a
+  dict keyed by the ref's id (a ref hashes its referent, and arrays are
+  unhashable).
 
 A counter is made visible to the engine by pushing it on a stack
 (``use_meter``) and the innermost one is active: the multi-worker step
@@ -48,51 +60,48 @@ class MemCounter:
         self.phase_peaks = {}
         self.activation_budget = activation_budget
         self._phase = None
-        self._refs = {}
 
     def track_alloc(self, category, n_floats):
         if n_floats < 0:
             raise MemAccountingError(f"negative alloc of {n_floats} floats")
-        self._check_category(category)
-        self.live[category] += n_floats
-        if self.live[category] > self.peak[category]:
-            self.peak[category] = self.live[category]
+        live = self.live.get(category)
+        if live is None:
+            raise MemAccountingError(f"unknown category {category!r}")
+        live += n_floats
+        self.live[category] = live
+        if live > self.peak[category]:
+            self.peak[category] = live
         if self._phase is not None:
             peaks = self.phase_peaks[self._phase]
-            if self.live[category] > peaks[category]:
-                peaks[category] = self.live[category]
-        if (
-            category == "activation"
-            and self.activation_budget is not None
-            and self.live[category] > self.activation_budget
-        ):
+            if live > peaks[category]:
+                peaks[category] = live
+        if (category == "activation" and self.activation_budget is not None
+                and live > self.activation_budget):
             where = (f"in phase {self._phase!r}" if self._phase is not None
                      else "outside any phase")
             raise BudgetExceededError(
-                f"live activation floats {self.live[category]} exceed "
+                f"live activation floats {live} exceed "
                 f"budget {self.activation_budget} {where}"
             )
 
     def track_release(self, category, n_floats):
-        self._check_category(category)
-        if n_floats > self.live[category]:
+        live = self.live.get(category)
+        if live is None:
+            raise MemAccountingError(f"unknown category {category!r}")
+        if n_floats > live:
             raise MemAccountingError(
                 f"releasing {n_floats} floats from {category!r} with only "
-                f"{self.live[category]} live"
+                f"{live} live"
             )
-        self.live[category] -= n_floats
+        self.live[category] = live - n_floats
 
     def register_array(self, arr, category):
         """Count arr now and uncount it automatically when it is freed."""
-        n = int(arr.size)
+        n = arr.size
         self.track_alloc(category, n)
-        ref = weakref.ref(arr, self._release_ref)
-        self._refs[id(ref)] = (ref, category, n)
+        ref = weakref.ref(arr, _release_ref)
+        _refs[id(ref)] = (ref, self, category, n)
         return arr
-
-    def _release_ref(self, ref):
-        _, category, n = self._refs.pop(id(ref))
-        self.track_release(category, n)
 
     @contextmanager
     def phase(self, name):
@@ -135,9 +144,15 @@ class MemCounter:
         with use_meter(self):
             yield self
 
-    def _check_category(self, category):
-        if category not in self.live:
-            raise MemAccountingError(f"unknown category {category!r}")
+
+# every array counted by register_array, keyed by the id of its weakref
+_refs = {}
+
+
+def _release_ref(ref):
+    # the weakref callback: uncount the array that was just freed
+    _, meter, category, n = _refs.pop(id(ref))
+    meter.live[category] -= n
 
 
 _meters = []
@@ -159,9 +174,8 @@ def use_meter(meter):
 
 def register(arr, category="activation"):
     """Count arr under the active meter, if any, until it is freed."""
-    meter = current_meter()
-    if meter is not None:
-        meter.register_array(arr, category)
+    if _meters:
+        _meters[-1].register_array(arr, category)
     return arr
 
 

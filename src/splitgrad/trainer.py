@@ -105,11 +105,11 @@ class StepStats:
     whole encoder's. cache_floats is the largest gradient-cache count
     over the step, summed over workers in multi mode.
 
-    The meter counts registered arrays only, and a VJP's temporaries are
-    never registered: ``autodiff._bw_dense``'s activation-slope product,
-    up to b x w_k floats for sub-batch b and layer width w_k, is missing
-    from act_peak, so an activation budget set from act_peak needs that
-    margin.
+    The meter counts what the tapes and ``memtrace.register`` count, and
+    a VJP's temporaries are neither: ``autodiff._bw_dense``'s
+    activation-slope product, up to b x w_k floats for sub-batch b and
+    layer width w_k, is missing from act_peak, so an activation budget
+    set from act_peak needs that margin.
     """
 
     fwd_rows: int

@@ -252,6 +252,24 @@ def test_dot_head_with_frozen_encoders_is_rejected():
                         DeepConfig(train_encoders=False))
 
 
+def test_pair_phases_reject_a_dot_head_by_name():
+    # the three phases run an mlp head only; a dot head fails before any
+    # work with ValueError naming its kind
+    batch, pf, pg, mlp = _setup()
+    head = dot_head(6)
+    plan = plan_subbatches(batch.n_anchors, batch.n_targets, 4, 5)
+    F, G, pairs = forward_collect(batch, pf, pg, mlp, plan)
+    dcache, _ = build_distance_cache(pairs, batch.r, 1.0)
+    pairs.head = head
+    with pytest.raises(ValueError, match="got a 'dot' head"):
+        forward_collect(batch, pf, pg, head, plan)
+    with pytest.raises(ValueError, match="got a 'dot' head"):
+        build_distance_cache(pairs, batch.r, 1.0)
+    with pytest.raises(ValueError, match="got a 'dot' head"):
+        update_omega_and_fold(F, G, head, dcache, plan)
+    assert dcache.filled
+
+
 def test_early_interaction_trains_head_only():
     rng = np.random.default_rng(9)
     d = 5

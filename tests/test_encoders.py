@@ -152,6 +152,25 @@ def test_adam_state_threads_through_steps():
     np.testing.assert_allclose(arrays[0], ref_p, rtol=1e-12)
 
 
+def test_adam_step_is_pure():
+    rng = np.random.default_rng(9)
+    arrays = [rng.normal(size=(4, 3)), rng.normal(size=5)]
+    state = encoders.init_optimizer("adam", lr=1e-2)
+    for _ in range(2):
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        kept = [[a.copy() for a in group] for group in (
+            arrays, grads, state.m or [], state.v or [])]
+        new_arrays, new_state = encoders.optimizer_step(state, arrays, grads)
+        for group, before in zip(
+                (arrays, grads, state.m or [], state.v or []), kept):
+            for a, b in zip(group, before):
+                np.testing.assert_array_equal(a, b)
+        for new, old in zip(new_arrays, arrays):
+            assert new is not old
+        assert state.t == new_state.t - 1
+        arrays, state = new_arrays, new_state
+
+
 def test_optimizer_rejects_mismatched_grads():
     state = encoders.init_optimizer("sgd", lr=0.1)
     with pytest.raises(ValueError):

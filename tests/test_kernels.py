@@ -172,13 +172,18 @@ def test_elementwise_vjps():
                                rtol=1e-14)
 
 
+def _adam_scratch(n):
+    return np.empty(n), np.empty(n)
+
+
 def test_adam_update_first_step_is_signed_scaled_gradient():
     g = np.array([0.5, -2.0, 0.0])
     p = np.zeros(3)
     m = np.zeros(3)
     v = np.zeros(3)
-    kernels.adam_update(p, m, v, g, lr=0.1, beta1=0.9, beta2=0.999,
-                        eps=1e-8, t=1)
+    p, m, v = kernels.adam_update(p, m, v, g, lr=0.1, beta1=0.9,
+                                  beta2=0.999, eps=1e-8, t=1,
+                                  scratch=_adam_scratch(3))
     # bias correction makes mhat = g, sqrt(vhat) = |g| on step one
     expect = -0.1 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p, expect, rtol=1e-12)
@@ -191,12 +196,19 @@ def test_adam_update_matches_reference_sequence():
     v = np.zeros_like(p)
     rp, rm, rv = p.copy(), m.copy(), v.copy()
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    # a scratch pair longer than the arrays, reused by every step
+    scratch = _adam_scratch(p.size + 7)
     for t in range(1, 6):
         g = rng.normal(size=(5, 3))
-        kernels.adam_update(p, m, v, g, lr, b1, b2, eps, t)
+        inputs = [a.copy() for a in (p, m, v, g)]
+        new = kernels.adam_update(p, m, v, g, lr, b1, b2, eps, t, scratch)
+        for before, after in zip(inputs, (p, m, v, g)):
+            np.testing.assert_array_equal(after, before)
+        p, m, v = new
         rm = b1 * rm + (1 - b1) * g
         rv = b2 * rv + (1 - b2) * g * g
         rp = rp - lr * (rm / (1 - b1 ** t)) / (np.sqrt(rv / (1 - b2 ** t)) + eps)
-    np.testing.assert_allclose(p, rp, rtol=1e-12)
-    np.testing.assert_allclose(m, rm, rtol=1e-12)
-    np.testing.assert_allclose(v, rv, rtol=1e-12)
+    # the same arithmetic in the same order: bitwise, not just close
+    np.testing.assert_array_equal(p, rp)
+    np.testing.assert_array_equal(m, rm)
+    np.testing.assert_array_equal(v, rv)

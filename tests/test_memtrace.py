@@ -1,8 +1,13 @@
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from splitgrad import autodiff as ad
+from splitgrad import encoders, trainer
+from splitgrad.autodiff import Tape
+from splitgrad.loss import aligned_batch, direct_param_grads
 from splitgrad.memtrace import (
     BudgetExceededError,
     CATEGORIES,
@@ -164,3 +169,132 @@ def test_report_lists_all_categories():
     assert rep["peak"]["parameters"] == 3
     assert rep["peak"]["activation"] == 0
 
+
+
+# ---------------------------------------------------------------------------
+# who counts what: tapes count their own arrays, the rest go one by one
+# ---------------------------------------------------------------------------
+
+def _small_graph(tape):
+    """x (4x3) and w (3x5) leaves; s = sum(h * h), h = tanh(x @ w + b).
+
+    Counted on the tape: the outputs h, h * h and s (41 floats) and,
+    after backward, the seed (1), the first gradients of h * h and of h
+    (20 each). Counted one by one: the leaf gradients (12 and 15).
+    """
+    rng = np.random.default_rng(4)
+    x = tape.leaf(rng.normal(size=(4, 3)))
+    w = tape.leaf(rng.normal(size=(3, 5)))
+    with ad.recording(tape):
+        h = ad.dense(x, w, np.zeros(5), "tanh")
+        s = ad.sum_all(ad.mul(h, h))
+    return x, w, h, s
+
+
+def test_freed_tape_returns_live_activation_floats():
+    c = MemCounter()
+    with use_meter(c):
+        kept = register(np.zeros(7))
+        before = c.live["activation"]
+        tape = Tape()
+        x, w, h, s = _small_graph(tape)
+        assert c.live["activation"] == before + 41
+        tape.backward(s)
+        # the second VJP result of h * h was added in and released
+        assert c.live["activation"] == before + 41 + 41 + 12 + 15
+        del tape, x, w, h, s
+        assert c.live["activation"] == before
+    assert kept.size == 7
+
+
+def test_reset_grads_releases_the_gradients_the_tape_owned():
+    c = MemCounter()
+    with use_meter(c):
+        tape = Tape()
+        x, w, h, s = _small_graph(tape)
+        tape.backward(s)
+        gx = tape.grad(x)
+        tape.reset_grads()
+        # the tape's 41 gradient floats go; x's gradient is still held
+        assert c.live["activation"] == 41 + 12
+        del gx
+        assert c.live["activation"] == 41
+        tape.backward(s)
+        assert c.live["activation"] == 41 + 41 + 12 + 15
+        del tape, x, w, h, s
+    assert c.live["activation"] == 0
+
+
+def test_leaf_gradients_of_direct_param_grads_stay_counted_until_freed():
+    rng = np.random.default_rng(5)
+    batch = aligned_batch(rng.normal(size=(12, 6)), rng.normal(size=(12, 6)))
+    pf = encoders.init_params(1, [6, 9, 4])
+    pg = encoders.init_params(2, [6, 9, 4])
+    c = MemCounter()
+    with use_meter(c):
+        gf, gg, _ = direct_param_grads(batch, pf, pg, 1.0)
+        # the tape is gone; the gradients it returned are not
+        assert c.live["activation"] == 2 * encoders.total_floats(pf)
+        del gf
+        assert c.live["activation"] == encoders.total_floats(pg)
+        del gg
+    assert c.live["activation"] == 0
+
+
+def test_budget_trips_on_tape_counted_floats_and_names_the_phase():
+    # step3 counts only on its tapes; a budget one float below its peak
+    # must stop the step there
+    rng = np.random.default_rng(6)
+    batch = aligned_batch(rng.normal(size=(16, 10)),
+                          rng.normal(size=(16, 10)))
+    pf = encoders.init_params(1, [10, 64, 64, 8])
+    pg = encoders.init_params(2, [10, 64, 64, 8])
+    opt = encoders.init_optimizer("sgd", 1e-3)
+    cfg = trainer.TrainConfig(1.0, 8, 8)
+    c = MemCounter()
+    with use_meter(c):
+        trainer.train_step_cached(batch, pf, pg, opt, cfg)
+    peak = c.phase_peak("step3")
+    assert peak > max(c.phase_peak("step1"), c.phase_peak("step2"))
+    with use_meter(MemCounter(activation_budget=peak - 1)):
+        with pytest.raises(BudgetExceededError,
+                           match=f"floats {peak} exceed budget {peak - 1} "
+                                 f"in phase 'step3'") as info:
+            trainer.train_step_cached(batch, pf, pg, opt, cfg)
+    assert {"backward", "count_output"} & {e.name for e in info.traceback}
+    assert "register_array" not in {e.name for e in info.traceback}
+
+
+def test_cached_step_makes_the_derived_per_array_registrations(monkeypatch):
+    # the cache-wide shape: batch 256, encoders 24-128-128-16, sub-batch 16
+    n, dims, b = 256, [24, 128, 128, 16], 16
+    layers = len(dims) - 1
+    rng = np.random.default_rng(7)
+    batch = aligned_batch(rng.normal(size=(n, dims[0])),
+                          rng.normal(size=(n, dims[0])))
+    pf = encoders.init_params(1, dims)
+    pg = encoders.init_params(2, dims)
+    seen = Counter()
+    real = MemCounter.register_array
+
+    def spy(self, arr, category):
+        seen[self._phase, category] += 1
+        return real(self, arr, category)
+
+    monkeypatch.setattr(MemCounter, "register_array", spy)
+    with use_meter(MemCounter()):
+        trainer.train_step_cached(batch, pf, pg,
+                                  encoders.init_optimizer("adam", 1e-3),
+                                  trainer.TrainConfig(1.0, b, b))
+    expected = {
+        # each chunk's untaped layer outputs, and the two stores
+        ("step1", "activation"): layers * 2 * (n // b),
+        ("step1", "representation-store"): 2,
+        # strip_logsumexp's six buffers and the two leaf gradients
+        ("step2", "activation"): 6 + 2,
+        ("step2", "gradient-cache"): 2,
+        # one accumulator per parameter array; the tapes count the rest
+        ("step3", "parameters"): 2 * 2 * layers,
+    }
+    assert dict(seen) == expected
+    assert sum(expected.values()) == 120
