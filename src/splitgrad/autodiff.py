@@ -25,8 +25,8 @@ Design choices that equivalence tests depend on:
   pre-activation is kept;
 * a VJP is called as ``vjp(ctx, g, taped)``, where ``taped`` is the
   node's input indices (None for an input not on the tape); it may
-  return None for such an input, and ``dense`` and ``matmul`` then skip
-  its product (a first layer's input is a constant);
+  return None for such an input, and ``dense``, ``matmul`` and ``add``
+  then skip its product or copy (a first layer's input is a constant);
 * a leaf may be given a gradient buffer (``Tape.leaf(data, grad)``):
   backward adds into it in place, as it adds into any gradient it
   already holds, so a caller that sums gradients over several tapes
@@ -350,9 +350,11 @@ def _fw_add(attrs, x, y):
 
 
 def _bw_add(ctx, g, taped):
-    if ctx[0] == "rows":
-        return g.copy(), g.sum(axis=0)
-    return g.copy(), g.copy()
+    # an untaped input (a constant lse column, say) gets no copy
+    gx = g.copy() if taped[0] is not None else None
+    if taped[1] is None:
+        return gx, None
+    return gx, g.sum(axis=0) if ctx[0] == "rows" else g.copy()
 
 
 def _fw_mul(attrs, x, y):
@@ -408,22 +410,6 @@ def _fw_row_logsumexp(attrs, x):
 def _bw_row_logsumexp(ctx, g, taped):
     scale, p = ctx
     return ((scale * g) * p,)
-
-
-def _fw_strip_lse_loss(attrs, F, G, neg_pos):
-    n = F.shape[0]
-    if (F.ndim != 2 or G.ndim != 2 or F.shape[1] != G.shape[1]
-            or neg_pos.shape != (n, 1)):
-        raise _shape_error("strip-lse-loss", F.shape, G.shape, neg_pos.shape)
-    w = 1.0 / n
-    lse, dF, dG = kernels.strip_logsumexp(F, G, attrs["scale"], w)
-    # the same adds, sum and scaling as the dense tail's taped ops
-    return w * np.asarray((lse + neg_pos).sum()), (dF, dG, w)
-
-
-def _bw_strip_lse_loss(ctx, g, taped):
-    dF, dG, w = ctx
-    return g * dF, g * dG, np.full((dF.shape[0], 1), w * g)
 
 
 def _fw_sum(attrs, x):
@@ -499,7 +485,6 @@ OPS = {
     "activation": (_fw_activation, _bw_activation),
     "row-softmax": (_fw_row_softmax, _bw_row_softmax),
     "row-logsumexp": (_fw_row_logsumexp, _bw_row_logsumexp),
-    "strip-lse-loss": (_fw_strip_lse_loss, _bw_strip_lse_loss),
     "sum": (_fw_sum, _bw_sum),
     "reshape": (_fw_reshape, _bw_reshape),
     "index-rows": (_fw_index_rows, _bw_index_rows),
@@ -519,19 +504,18 @@ def record(op_kind, *inputs, **attrs):
         raise ValueError(f"unknown op kind {op_kind!r}")
     forward, vjp = OPS[op_kind]
     tensors = [t if isinstance(t, Tensor) else constant(t) for t in inputs]
-    arrays = [_as_f64(t.data) for t in tensors]
-    out, ctx = forward(attrs, *arrays)
+    # every Tensor already holds a float64 array
+    out, ctx = forward(attrs, *[t.data for t in tensors])
     out = _as_f64(out)
     tape = _tape
     if tape is not None:
-        input_idxs = tuple(
-            t.index if (t.is_taped and t.token == tape.token) else None
-            for t in tensors
-        )
-        if any(i is not None for i in input_idxs):
+        token = tape.token
+        input_idxs = [t.index if t.token == token else None
+                      for t in tensors]
+        if input_idxs.count(None) < len(input_idxs):
             tape.count_output(out)
-            idx = tape.add_node(op_kind, input_idxs, out, ctx, vjp)
-            return Tensor(out, tape.token, idx)
+            idx = tape.add_node(op_kind, tuple(input_idxs), out, ctx, vjp)
+            return Tensor(out, token, idx)
     # an untaped output has no tape to hold it: count it on its own
     register(out)
     return Tensor(out)
@@ -578,16 +562,6 @@ def row_softmax(x):
 def row_logsumexp(x, scale=1.0):
     """[n x 1] log-sum-exp of the rows of scale * x."""
     return record("row-logsumexp", x, scale=float(scale))
-
-
-def strip_lse_loss(F, G, neg_pos, scale):
-    """(1/n) sum_i [lse_i(scale * F @ G.T) + neg_pos_i], a scalar.
-
-    The gradients with respect to F and G are computed in the forward
-    pass, strip by strip (``kernels.strip_logsumexp``), and saved; no
-    n x m array outlives a strip.
-    """
-    return record("strip-lse-loss", F, G, neg_pos, scale=float(scale))
 
 
 def sum_all(x):

@@ -122,18 +122,20 @@ def strip_logsumexp(F, G, scale, weight):
     written straight into dF, and dG adds each strip's product through
     one m x d buffer. Every row goes through the row-stable tiled matmul
     and row_logsumexp's arithmetic, so lse and dF are bitwise the dense
-    ones whatever STRIP is; dG sums the strips in order. The live state
-    is STRIP * m + 3 * m * d + n * (d + 1) floats for G transposed, the
-    outputs and the two buffers, each counted by the active meter; the
-    number of buffers does not depend on n.
+    ones whatever STRIP is; dG sums the strips in order. Each array is
+    counted by the active meter when it is made: dF and dG, the cached
+    step's gradient cache, as n * d + m * d "gradient-cache" floats, and
+    the strip buffer, G transposed, the product buffer and lse as
+    STRIP * m + 2 * m * d + n "activation" floats (min(STRIP, n) rows
+    of strip). The number of buffers does not depend on n.
     """
     F, G = _c64(F), _c64(G)
     n, m = F.shape[0], G.shape[0]
     # G.T once, contiguous, so every strip's scores copy nothing
     Gt = register(_c64(G.T))
     lse = register(np.empty((n, 1)))
-    dF = register(np.empty(F.shape))
-    dG = register(np.zeros(G.shape))
+    dF = register(np.empty(F.shape), "gradient-cache")
+    dG = register(np.zeros(G.shape), "gradient-cache")
     strip = register(np.empty((min(STRIP, n), m)))
     prod = register(np.empty(G.shape))
     coef = scale * weight

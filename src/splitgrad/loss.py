@@ -17,25 +17,29 @@ F_i . G_j / tau are.
 Three implementations coexist on purpose:
 
 * ``contrastive_loss``: plain-numpy reference producing logits, p, loss;
-* ``loss_graph_from_reps`` / ``loss_graph_from_logits``: the taped
-  graphs used by training paths;
+* ``loss_graph_from_reps``: the cached step's loss with its gradients
+  with respect to F and G, and ``loss_graph_from_logits``: a taped tail
+  over scaled logits, for deep mode's one-graph reference;
 * ``analytic_rep_grads``: closed-form gradients with respect to F and G,
   kept independent of the tape as a cross-check oracle.
 
-``loss_graph_from_reps`` (the cached step's step2 and multi-worker mode)
-streams the tail over strips of ``kernels.STRIP`` anchors, each strip's
-scores becoming their softmax in place in one reused buffer, and
-computes dL/dF and dL/dG in its forward pass, so it holds
-STRIP * n_t + O((n_s + n_t) * d) floats (STRIP * n + 6 n d + 3 n for
-n_s = n_t = n) and never the n_s x n_t scores. ``direct_param_grads`` keeps the dense tail (scores, softmax and
-the scores' gradient, about 3 * n_s * n_t floats), for two reasons: the
-direct step is the baseline the cached step is checked against, so it
-shares none of the strip code; and it stands for plain large-batch
-training, whose activation peak the acceptance suite requires to grow at
-least 3.9x from batch 64 to 256 (with the streamed tail it grew 3.81x).
+``loss_graph_from_reps`` (the cached step's step2, in multi mode too)
+makes one ``kernels.strip_logsumexp`` call, which streams lse over
+strips of ``kernels.STRIP`` anchors through one reused buffer and
+returns dL/dF and dL/dG, the gradient cache; a small tape of the
+alignment term then adds its gradients into them in place. It holds
+max(STRIP * n_t + 2 * n_t * d + n_s, 4 * n_s * d + n_t * d + 6 * n_s + 4)
+activation floats besides the cache (99328 at n = 1024, d = 16) and
+never the n_s x n_t scores. ``direct_param_grads`` keeps the dense tail
+(scores, softmax and the scores' gradient, about 3 * n_s * n_t floats),
+for two reasons: the direct step is the baseline the cached step is
+checked against, so it shares none of the strip code; and it stands for
+plain large-batch training, whose activation peak the acceptance suite
+requires to grow at least 3.9x from batch 64 to 256 (with the streamed
+tail it grew 3.81x).
 
-The reference and both taped graphs call the same kernels, row by row
-in the same order, so their loss values agree bitwise.
+The reference and both loss paths call the same kernels, row by row in
+the same order, so their loss values agree bitwise.
 """
 
 import math
@@ -185,16 +189,27 @@ def _neg_positive_logits(F_t, G_t, r, tau):
     return ad.scalar_mul(-1.0 / tau, aligned)
 
 
-def loss_graph_from_reps(F_t, G_t, r, tau):
-    """Taped loss from embedding Tensors, streamed over anchor strips.
+def loss_graph_from_reps(F, G, r, tau):
+    """Loss over embedding rows, and its gradients (loss, dL/dF, dL/dG).
 
-    The positive logit is the O(n_s * d) alignment term, and the
-    log-sum-exp tail is one ``strip-lse-loss`` op that computes the loss
-    and its gradients with respect to F and G strip by strip, so neither
-    the n_s x n_t scores nor their gradient is ever built whole.
+    The cached step's step2, streamed over anchor strips: one
+    ``kernels.strip_logsumexp`` call gives lse with its gradients, which
+    are the gradient cache from the start. A small tape then records only
+    the O(n_s * d) alignment term over leaves whose gradient buffers are
+    those two arrays, so its backward adds c * G[r] and scatter_r(c * F),
+    c = -1 / (tau * n_s), into them in place. The step benchmark wraps
+    this function by name.
     """
-    neg_pos = _neg_positive_logits(F_t, G_t, r, tau)
-    return ad.strip_lse_loss(F_t, G_t, neg_pos, 1.0 / tau)
+    lse, dF, dG = kernels.strip_logsumexp(F, G, 1.0 / tau, 1.0 / F.shape[0])
+    tape = ad.Tape()
+    with ad.recording(tape):
+        neg_pos = _neg_positive_logits(tape.leaf(F, dF), tape.leaf(G, dG),
+                                       r, tau)
+        loss_t = _mean_gap(ad.constant(lse), neg_pos)
+    # the add node holds lse + neg_pos; lse itself is not needed again
+    del lse
+    tape.backward(loss_t)
+    return float(loss_t.data), dF, dG
 
 
 def _dense_loss_graph_from_reps(F_t, G_t, r, tau):

@@ -68,13 +68,8 @@ class MemCounter:
         if live is None:
             raise MemAccountingError(f"unknown category {category!r}")
         live += n_floats
-        self.live[category] = live
-        if live > self.peak[category]:
-            self.peak[category] = live
-        if self._phase is not None:
-            peaks = self.phase_peaks[self._phase]
-            if live > peaks[category]:
-                peaks[category] = live
+        # checked before any count changes: the caller books nothing for
+        # an array whose alloc raised
         if (category == "activation" and self.activation_budget is not None
                 and live > self.activation_budget):
             where = (f"in phase {self._phase!r}" if self._phase is not None
@@ -83,6 +78,13 @@ class MemCounter:
                 f"live activation floats {live} exceed "
                 f"budget {self.activation_budget} {where}"
             )
+        self.live[category] = live
+        if live > self.peak[category]:
+            self.peak[category] = live
+        if self._phase is not None:
+            peaks = self.phase_peaks[self._phase]
+            if live > peaks[category]:
+                peaks[category] = live
 
     def track_release(self, category, n_floats):
         live = self.live.get(category)

@@ -189,10 +189,6 @@ def test_forward_values_match_numpy():
         (ad.dot_product_matrix(ad.constant(a), ad.constant(a)), a @ a.T),
         (ad.row_logsumexp(ad.constant(a), 0.5),
          np.log(np.exp(0.5 * a).sum(axis=1, keepdims=True))),
-        (ad.strip_lse_loss(ad.constant(a), ad.constant(a[:3]),
-                           ad.constant(a[:, :1]), 0.5),
-         np.asarray(np.mean(np.log(np.exp(0.5 * a @ a[:3].T).sum(axis=1))
-                            + a[:, 0]))),
     ]
     for out, expect in cases:
         np.testing.assert_allclose(out.data, expect, rtol=1e-13)
@@ -249,8 +245,6 @@ def test_ops_allocate_fresh_arrays():
     out_p = ad.pick_per_row(ad.constant(x), np.array([0, 2, 1]))
     out_d = ad.dense(ad.constant(x), ad.constant(x), ad.constant(x[0]),
                      "linear")
-    out_s = ad.strip_lse_loss(ad.constant(x), ad.constant(x),
-                              ad.constant(x[:, :1]), 1.0)
     out_t = ad.activation(ad.constant(x), "tanh")
     out_u = ad.activation(ad.constant(x), "relu")
     x[:] = 7.0
@@ -259,7 +253,6 @@ def test_ops_allocate_fresh_arrays():
     np.testing.assert_array_equal(out_l.data, np.full((3, 1), 1.0 + np.log(3.0)))
     np.testing.assert_array_equal(out_p.data, np.ones((3, 1)))
     np.testing.assert_array_equal(out_d.data, np.full((3, 3), 4.0))
-    np.testing.assert_allclose(out_s.data, 4.0 + np.log(3.0), rtol=1e-15)
     np.testing.assert_array_equal(out_t.data, np.full((3, 3), np.tanh(1.0)))
     np.testing.assert_array_equal(out_u.data, np.ones((3, 3)))
 
@@ -422,28 +415,6 @@ def test_vjp_row_logsumexp():
                                            ad.constant(w))), z)
 
 
-def test_strip_lse_loss_vjp_scales_saved_gradients_by_seed():
-    rng = np.random.default_rng(10)
-    F = rng.normal(size=(5, 3))
-    G = rng.normal(size=(7, 3))
-    col = rng.normal(size=(5, 1))
-    scale, g = 0.5, 2.5
-    tape = Tape()
-    with ad.recording(tape):
-        leaves = [tape.leaf(a) for a in (F, G, col)]
-        out = ad.strip_lse_loss(*leaves, scale)
-    tape.backward(out, grad=np.asarray(g))
-    z = scale * F @ G.T
-    p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    c = g * scale / 5
-    for leaf, expect in zip(leaves, (c * p @ G, c * p.T @ F,
-                                     np.full((5, 1), g / 5))):
-        np.testing.assert_allclose(tape.grad(leaf), expect, rtol=1e-13)
-    with pytest.raises(ShapeMismatchError, match="strip-lse-loss"):
-        ad.strip_lse_loss(F, G, col[:4], scale)
-
-
 def test_vjp_structure_ops():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 3))
@@ -460,11 +431,6 @@ def test_vjp_structure_ops():
                                        ad.constant(wp))), x)
     _check(lambda t: ad.sum_all(ad.activation(ad.dot_product_matrix(
         t, ad.constant(other)), "tanh")), x)
-    # the streamed loss over each of its inputs: F, G and the -pos column
-    F, G, col = ad.constant(x), ad.constant(other), ad.constant(wp)
-    _check(lambda t: ad.strip_lse_loss(t, G, col, 0.7), x)
-    _check(lambda t: ad.strip_lse_loss(F, t, col, 0.7), other)
-    _check(lambda t: ad.strip_lse_loss(F, G, t, 0.7), wp)
     # the fused layer over each of its inputs, for every activation
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=4)
@@ -582,6 +548,35 @@ def test_backward_computes_no_gradient_for_a_constant_input(op, monkeypatch):
     assert (n, k) not in const_shapes
     for a, r in zip(const_grads, taped_grads):
         assert np.array_equal(a, r)
+
+
+@pytest.mark.parametrize("ctx", [("same",), ("rows",)])
+def test_add_vjp_makes_nothing_for_a_constant_input(ctx):
+    # the cached step2 adds a constant lse column to the taped -pos column:
+    # the constant's side gets None, not a copy of g nobody reads
+    rng = np.random.default_rng(14)
+    g = rng.normal(size=(4, 3))
+    bw = ad.OPS["add"][1]
+    both = bw(ctx, g, (0, 1))
+    gx, gy = bw(ctx, g, (None, 1))
+    assert gx is None
+    assert np.array_equal(gy, both[1]) and not np.shares_memory(gy, g)
+    gx, gy = bw(ctx, g, (0, None))
+    assert gy is None
+    assert np.array_equal(gx, both[0]) and not np.shares_memory(gx, g)
+    # on a tape: the leaf's gradient is the one it gets beside a leaf
+    y = rng.normal(size=(4, 3) if ctx == ("same",) else 3)
+    grads = []
+    for y_is_leaf in (True, False):
+        tape = Tape()
+        with ad.recording(tape):
+            xt = tape.leaf(rng.normal(size=(4, 3)))
+            yt = tape.leaf(y) if y_is_leaf else ad.constant(y)
+            out = ad.add(xt, yt)
+        tape.backward(out, grad=g)
+        grads.append(tape.grad(xt))
+    assert np.array_equal(grads[0], grads[1])
+    assert np.array_equal(grads[1], g)
 
 
 def test_finite_diff_check_samples_large_arrays():

@@ -26,10 +26,10 @@ from splitgrad.bench import (
 )
 
 
-def _profile(mode, batch_size, sub_batch):
+def _profile(mode, batch_size, sub_batch, **overrides):
     return profile_single_step(RunConfig(
         mode=mode, batch_size=batch_size, sub_batch_s=sub_batch,
-        sub_batch_t=sub_batch,
+        sub_batch_t=sub_batch, **overrides,
     ))
 
 
@@ -279,14 +279,23 @@ def test_deep_loss_phase_grows_linearly_in_batch():
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_cache_loss_phase_holds_one_strip_and_a_few_n_by_d(n):
-    # one STRIP x n buffer that holds each strip's scores and then their
-    # softmax; six n x d arrays: G transposed, dF, dG, the dG product
-    # buffer and the alignment term's G[r] and F * G[r]; and three n x 1
-    # columns: lse and the alignment term's two. Nothing else: an
-    # unregistered buffer or a second strip buffer breaks the equality
-    d = 16
+    # the peak is the larger of two exact terms; dF and dG are the
+    # gradient cache, so neither counts here. The kernel's: one STRIP x n
+    # buffer for each strip's scores and softmax, G transposed, the dG
+    # product buffer and lse. The alignment tape's backward: G[r] and
+    # F * G[r], their two gradients, the n x d scatter added into dG, six
+    # n x 1 columns and four scalars. An unregistered buffer or a second
+    # strip buffer breaks an equality
+    def kernel_term(d):
+        return kernels.STRIP * n + 2 * n * d + n
+
+    def tape_term(d):
+        return 4 * n * d + n * d + 6 * n + 4
+
     peak = _profile("cache", n, 32)["loss_phase_peak"]
-    assert peak == kernels.STRIP * n + 6 * n * d + 3 * n
+    assert peak == kernel_term(16) > tape_term(16)
+    peak = _profile("cache", n, 32, embed_dim=32)["loss_phase_peak"]
+    assert peak == tape_term(32) > kernel_term(32)
 
 
 def test_cache_loss_phase_grows_linearly_in_batch():
@@ -571,7 +580,7 @@ def test_cli_budget_separates_direct_from_cache(tmp_path):
 def test_cli_budget_error_names_the_loss_phase(tmp_path):
     # a budget above the reported act_peak still trips in step2, and the
     # message says so
-    budget = 10000
+    budget = 4000
     row = _profile("cache", 64, 16)
     assert row["act_peak"] < budget < row["loss_phase_peak"]
     proc = _cli("train", "--mode", "cache", "--batch-size", "64",
@@ -608,11 +617,11 @@ def test_cli_profile_reads_the_run_config(tmp_path):
     args = ("--config", str(cfg), "--batch-size", "64")
     proc = _cli("profile", "--modes", "cache", *args)
     assert proc.returncode == 0, proc.stderr
-    assert "loss_phase_peak=18690" in proc.stdout
+    assert "loss_phase_peak=10628" in proc.stdout
     ok = _cli("train", "--mode", "cache", *args, "--activation-budget",
-              "18690", "--out", str(tmp_path / "ok"))
+              "10628", "--out", str(tmp_path / "ok"))
     assert ok.returncode == 0, ok.stderr
     over = _cli("train", "--mode", "cache", *args, "--activation-budget",
-                "18689", "--out", str(tmp_path / "over"))
+                "10627", "--out", str(tmp_path / "over"))
     assert over.returncode == 3, over.stderr
     assert "in phase 'step2'" in over.stderr

@@ -70,11 +70,22 @@ def test_budget_enforced_on_activation_only():
     with pytest.raises(BudgetExceededError,
                        match="exceed budget 10 outside any phase"):
         c.track_alloc("activation", 1)
-    # the message names the phase that was open
-    c.track_release("activation", 11)
+    # the failed alloc left nothing live; the message names the phase
+    # that was open
+    c.track_release("activation", 10)
     with pytest.raises(BudgetExceededError, match="in phase 'step2'"):
         with c.phase("step2"):
             c.track_alloc("activation", 11)
+
+
+def test_array_over_the_budget_leaves_no_floats_live():
+    c = MemCounter(activation_budget=10)
+    with use_meter(c):
+        with pytest.raises(BudgetExceededError, match="floats 20 exceed"):
+            register(np.zeros(20))
+    gc.collect()
+    assert c.live["activation"] == 0
+    assert c.peak["activation"] == 0
 
 
 def test_phase_windows_track_local_peaks():
@@ -290,11 +301,13 @@ def test_cached_step_makes_the_derived_per_array_registrations(monkeypatch):
         # each chunk's untaped layer outputs, and the two stores
         ("step1", "activation"): layers * 2 * (n // b),
         ("step1", "representation-store"): 2,
-        # strip_logsumexp's six buffers and the two leaf gradients
-        ("step2", "activation"): 6 + 2,
+        # strip_logsumexp's strip and product buffers, G transposed and
+        # lse; its dF and dG are the cache, and the alignment tape counts
+        # the rest
+        ("step2", "activation"): 4,
         ("step2", "gradient-cache"): 2,
         # one accumulator per parameter array; the tapes count the rest
         ("step3", "parameters"): 2 * 2 * layers,
     }
     assert dict(seen) == expected
-    assert sum(expected.values()) == 120
+    assert sum(expected.values()) == 116

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from splitgrad import deep, encoders, memtrace, multiworker, trainer
+from splitgrad import autodiff as ad
+from splitgrad import deep, encoders, kernels, memtrace, multiworker, trainer
 from splitgrad import loss as loss_mod
 from splitgrad.autodiff import flat_max_rel_err
 from splitgrad.loss import Batch, direct_param_grads
@@ -74,6 +75,36 @@ def test_step2_cache_matches_analytic_gradients():
     got = loss_mod.analytic_rep_grads(F, G, batch.r, 0.5)
     assert flat_max_rel_err([cache.u_rows, cache.v_rows],
                             [got.u, got.v]) < 1e-12
+
+
+def test_cached_step2_is_one_kernel_call_and_a_tape_of_the_alignment_term(
+        monkeypatch):
+    # the kernel's dF and dG are the cache itself; step2's one tape holds
+    # the two representation leaves and the alignment term's ops
+    batch, pf, pg = _setup()
+    outs, ops = [], []
+    real_kernel, real_add_node = kernels.strip_logsumexp, ad.Tape.add_node
+
+    def kernel_spy(*args):
+        outs.append(real_kernel(*args))
+        return outs[-1]
+
+    def node_spy(self, op_kind, *rest):
+        if getattr(memtrace.current_meter(), "_phase", None) == "step2":
+            ops.append(op_kind)
+        return real_add_node(self, op_kind, *rest)
+
+    monkeypatch.setattr(kernels, "strip_logsumexp", kernel_spy)
+    monkeypatch.setattr(ad.Tape, "add_node", node_spy)
+    with memtrace.MemCounter().activate():
+        train_step_cached(batch, pf, pg, encoders.init_optimizer("sgd", 1e-3),
+                          TrainConfig(1.0, 8, 8))
+    assert len(outs) == 1
+    assert ops == ["leaf", "leaf", "index-rows", "mul", "matmul",
+                   "scalar-mul", "add", "sum", "scalar-mul"]
+    F, G = step1_graphless_forward(batch, pf, pg, plan_subbatches(24, 30, 8, 8))
+    cache, _ = step2_build_cache(F, G, batch.r, 1.0)
+    assert cache.u_rows is outs[-1][1] and cache.v_rows is outs[-1][2]
 
 
 def test_single_chunk_step3_reproduces_direct_bitwise():
