@@ -18,20 +18,23 @@ Design choices that equivalence tests depend on:
 
 * everything is float64;
 * ``kernels`` owns the activations (``ACTIVATIONS``, ``activate``,
-  ``activation_vjp``); the ``dense`` and ``activation`` ops call it and
-  never branch on an activation's name;
-* an encoder layer is one ``dense`` node: it saves its input, weight
-  and output, and its VJP reads the slope off the output, so no
-  pre-activation is kept;
-* a VJP is called as ``vjp(ctx, g, taped)``, where ``taped`` is the
-  node's input indices (None for an input not on the tape); it may
-  return None for such an input, and ``dense``, ``matmul`` and ``add``
-  then skip its product or copy (a first layer's input is a constant);
+  ``activation_vjp``); the ``encoder`` and ``activation`` ops call it
+  and never branch on an activation's name;
+* an encoder is one ``encoder`` node keeping each layer's output and no
+  pre-activation; its forward and VJP (``encoder_forward``,
+  ``encoder_vjp``) are the one encoder loop, also run with no tape;
+* a VJP is called as ``vjp(ctx, g, taped, grads)``, ``taped`` holding
+  the node's input indices (None for an input not on the tape) and
+  ``grads`` the tape's gradient slots. It may return None for an
+  untaped input (``encoder``, ``matmul`` and ``add`` then skip its
+  product), or for one whose gradient it added into its slot;
+* a forward returns ``(out, ctx)``, plus the floats of any other arrays
+  it made that ctx keeps, which the tape counts with out;
 * a leaf may be given a gradient buffer (``Tape.leaf(data, grad)``):
   backward adds into it in place, as it adds into any gradient it
   already holds, so a caller that sums gradients over several tapes
-  (the cached step's chunks) keeps no per-tape copy; ``reset_grads``
-  forgets the buffer and leaves its contents as they are;
+  keeps no per-tape copy; ``reset_grads`` forgets the buffer and leaves
+  its contents as they are;
 * backward drops its references to a VJP's results before it calls the
   next VJP, so a result that was added into an existing gradient is
   freed, and uncounted, at once; only a node's first gradient stays on
@@ -123,9 +126,10 @@ class Tape:
     """Append-only record of operations plus per-node gradient buffers.
 
     The tape counts its own arrays in the meter that was active when it
-    was made: its ops' outputs and the gradients it owns, all activation
-    floats. It holds them until it is freed, and it releases their total
-    then, in one call; ``reset_grads`` releases the gradients' part.
+    was made: its ops' outputs (and the arrays their contexts keep) and
+    the gradients it owns, all activation floats. It holds them until it
+    is freed, and it releases their total then, in one call;
+    ``reset_grads`` releases the gradients' part.
     """
 
     def __init__(self):
@@ -145,11 +149,11 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def count_output(self, out):
-        """Count a new node's output until the tape is freed."""
+    def count_output(self, n_floats):
+        """Count a new node's output floats until the tape is freed."""
         if self._meter is not None:
-            self._meter.track_alloc("activation", out.size)
-            self._out_floats += out.size
+            self._meter.track_alloc("activation", n_floats)
+            self._out_floats += n_floats
 
     def add_node(self, op_kind, inputs, output, ctx, vjp):
         self.nodes.append(Node(op_kind, inputs, output, ctx, vjp))
@@ -211,7 +215,7 @@ class Tape:
             node = nodes[k]
             if node.vjp is None:
                 continue
-            input_grads = node.vjp(node.ctx, g, node.inputs)
+            input_grads = node.vjp(node.ctx, g, node.inputs, grads)
             owned = added = 0
             for in_idx, in_grad in zip(node.inputs, input_grads):
                 if in_idx is None or in_grad is None:
@@ -315,30 +319,117 @@ def _fw_matmul(attrs, x, w):
     return kernels.matmul(x, w), (x, w)
 
 
-def _bw_matmul(ctx, g, taped):
+def _bw_matmul(ctx, g, taped, grads):
     x, w = ctx
     return (np.matmul(g, w.T) if taped[0] is not None else None,
             np.matmul(x.T, g) if taped[1] is not None else None)
 
 
-def _fw_dense(attrs, x, w, b):
-    if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1
-            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise _shape_error("dense", x.shape, w.shape, b.shape)
-    # the matmul, add and activation ops' arithmetic, in their order, on
-    # one fresh array
-    out = kernels.matmul(x, w)
-    out += b
-    kernels.activate(attrs["act"], out)
-    return out, (x, w, out, attrs["act"])
+def encoder_forward(x, arrays, acts, keep):
+    """act(y @ w + b) layer by layer from y = x, for arrays w1, b1, w2, ...
+
+    Returns every layer's output, uncounted, if keep; else a list of the
+    last alone, uncounted, each earlier one counted until the next is made.
+    """
+    width = x.shape[1] if x.ndim == 2 else -1
+    for w, b in zip(arrays[::2], arrays[1::2]):
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise _shape_error("encoder", x.shape, *(a.shape for a in arrays))
+        width = w.shape[1]
+    meter = memtrace.counting_meter()
+    outs, held = [], 0
+    try:
+        for k, act in enumerate(acts):
+            y = kernels.matmul(x, arrays[2 * k])
+            y += arrays[2 * k + 1]
+            x = kernels.activate(act, y)
+            if keep:
+                outs.append(x)
+            else:
+                meter.track_alloc("activation", x.size)
+                meter.track_release("activation", held)
+                held = x.size
+    finally:
+        # on a budget error too: what was counted here dies with it
+        meter.track_release("activation", held)
+    return outs if keep else [x]
 
 
-def _bw_dense(ctx, g, taped):
-    x, w, out, act = ctx
-    g = kernels.activation_vjp(act, out, g)
+def encoder_vjp(x, arrays, acts, outs, g, grads, need_gx=False,
+                consume=False):
+    """Backpropagate g, the last output's gradient, through the layers.
+
+    Each weight and bias gradient is added into its entry of grads, or
+    stored there if that entry is None; x's gradient is returned if
+    need_gx, else None. g is never written, nor outs unless consume:
+    outs are then this call's and counted from the call on, and each
+    takes its layer's slope product in place and is freed once read.
+    Arrays made here are counted while held, those stored or returned
+    until the return.
+    """
+    meter = memtrace.counting_meter()
+    live = meter.live["activation"]
+    owned = stored = 0  # floats counted for g (none for the seed), grads
+    try:
+        if consume:
+            meter.track_alloc("activation", sum(y.size for y in outs))
+        for k in range(len(acts) - 1, -1, -1):
+            y = outs.pop() if consume else outs[k]
+            if acts[k] != "linear":
+                # the layer above has read y
+                g = kernels.activation_vjp(acts[k], y, g,
+                                           y if consume else None)
+                if not consume:
+                    meter.track_alloc("activation", g.size)
+                meter.track_release("activation", owned)
+                owned = g.size
+            elif consume:
+                meter.track_release("activation", y.size)
+            y = None
+            stored += _add_grad(grads, 2 * k, np.matmul(
+                (outs[k - 1] if k else x).T, g), meter)
+            stored += _add_grad(grads, 2 * k + 1, g.sum(axis=0), meter)
+            gx = np.matmul(g, arrays[2 * k].T) if k or need_gx else None
+            if gx is not None:
+                meter.track_alloc("activation", gx.size)
+            meter.track_release("activation", owned)
+            # no name but g may keep the old g alive
+            g, owned, gx = gx, 0 if gx is None else gx.size, None
+    except BaseException:
+        # a budget error, say: what was counted here dies with it
+        meter.live["activation"] = live
+        raise
+    meter.track_release("activation", owned + stored)
+    return g
+
+
+def _add_grad(grads, j, d, meter):
+    # add d into grads[j], or store it there if that is None; returns the
+    # floats stored
+    meter.track_alloc("activation", d.size)
+    if grads[j] is None:
+        grads[j] = d
+        return d.size
+    grads[j] += d
+    meter.track_release("activation", d.size)
+    return 0
+
+
+def _fw_encoder(attrs, x, *arrays):
+    outs = encoder_forward(x, arrays, attrs["acts"], keep=True)
+    # the tape counts the outputs below the top one with it
+    return outs[-1], (x, arrays, attrs["acts"], outs), sum(
+        y.size for y in outs[:-1])
+
+
+def _bw_encoder(ctx, g, taped, grads):
+    x, arrays, acts, outs = ctx
+    slots = [None if i is None else grads[i] for i in taped[1:]]
     # a first layer's input is a constant: skip its n x k product
-    gx = np.matmul(g, w.T) if taped[0] is not None else None
-    return gx, np.matmul(x.T, g), g.sum(axis=0)
+    gx = encoder_vjp(x, arrays, acts, outs, g, slots, taped[0] is not None)
+    # None where a slot that held a gradient took this one in place
+    return (gx, *(s if i is None or grads[i] is None else None
+                  for i, s in zip(taped[1:], slots)))
 
 
 def _fw_add(attrs, x, y):
@@ -349,7 +440,7 @@ def _fw_add(attrs, x, y):
     raise _shape_error("add", x.shape, y.shape)
 
 
-def _bw_add(ctx, g, taped):
+def _bw_add(ctx, g, taped, grads):
     # an untaped input (a constant lse column, say) gets no copy
     gx = g.copy() if taped[0] is not None else None
     if taped[1] is None:
@@ -363,7 +454,7 @@ def _fw_mul(attrs, x, y):
     return x * y, (x, y)
 
 
-def _bw_mul(ctx, g, taped):
+def _bw_mul(ctx, g, taped, grads):
     x, y = ctx
     return g * y, g * x
 
@@ -372,7 +463,7 @@ def _fw_scalar_mul(attrs, x):
     return attrs["c"] * x, (attrs["c"],)
 
 
-def _bw_scalar_mul(ctx, g, taped):
+def _bw_scalar_mul(ctx, g, taped, grads):
     return (ctx[0] * g,)
 
 
@@ -382,7 +473,7 @@ def _fw_activation(attrs, x):
     return out, (act, out)
 
 
-def _bw_activation(ctx, g, taped):
+def _bw_activation(ctx, g, taped, grads):
     act, out = ctx
     return (kernels.activation_vjp(act, out, g),)
 
@@ -394,7 +485,7 @@ def _fw_row_softmax(attrs, x):
     return out, (out,)
 
 
-def _bw_row_softmax(ctx, g, taped):
+def _bw_row_softmax(ctx, g, taped, grads):
     return (kernels.row_softmax_vjp(ctx[0], g),)
 
 
@@ -407,7 +498,7 @@ def _fw_row_logsumexp(attrs, x):
     return out, (scale, register(p))
 
 
-def _bw_row_logsumexp(ctx, g, taped):
+def _bw_row_logsumexp(ctx, g, taped, grads):
     scale, p = ctx
     return ((scale * g) * p,)
 
@@ -416,7 +507,7 @@ def _fw_sum(attrs, x):
     return np.asarray(x.sum()), (x.shape,)
 
 
-def _bw_sum(ctx, g, taped):
+def _bw_sum(ctx, g, taped, grads):
     return (np.full(ctx[0], g),)
 
 
@@ -429,7 +520,7 @@ def _fw_reshape(attrs, x):
     return out.copy(), (x.shape,)
 
 
-def _bw_reshape(ctx, g, taped):
+def _bw_reshape(ctx, g, taped, grads):
     return (g.reshape(ctx[0]).copy(),)
 
 
@@ -440,7 +531,7 @@ def _fw_index_rows(attrs, x):
     return x[idx], (x.shape, idx)
 
 
-def _bw_index_rows(ctx, g, taped):
+def _bw_index_rows(ctx, g, taped, grads):
     shape, idx = ctx
     out = np.zeros(shape)
     kernels.scatter_add_rows(out, idx, g)
@@ -454,7 +545,7 @@ def _fw_pick_per_row(attrs, x):
     return np.take_along_axis(x, idx, axis=1), (x.shape, idx)
 
 
-def _bw_pick_per_row(ctx, g, taped):
+def _bw_pick_per_row(ctx, g, taped, grads):
     shape, idx = ctx
     out = np.zeros(shape)
     np.put_along_axis(out, idx, g, axis=1)
@@ -467,7 +558,7 @@ def _fw_dot_product_matrix(attrs, a, b):
     return kernels.pair_scores(a, b), (a, b)
 
 
-def _bw_dot_product_matrix(ctx, g, taped):
+def _bw_dot_product_matrix(ctx, g, taped, grads):
     # the rows of g @ b go through the row-deterministic lane, so the
     # streamed tail (kernels.strip_logsumexp) gives the same rows bitwise
     a, b = ctx
@@ -478,7 +569,7 @@ def _bw_dot_product_matrix(ctx, g, taped):
 # except row-softmax: the step benchmark still names it.
 OPS = {
     "matmul": (_fw_matmul, _bw_matmul),
-    "dense": (_fw_dense, _bw_dense),
+    "encoder": (_fw_encoder, _bw_encoder),
     "add": (_fw_add, _bw_add),
     "mul": (_fw_mul, _bw_mul),
     "scalar-mul": (_fw_scalar_mul, _bw_scalar_mul),
@@ -505,7 +596,7 @@ def record(op_kind, *inputs, **attrs):
     forward, vjp = OPS[op_kind]
     tensors = [t if isinstance(t, Tensor) else constant(t) for t in inputs]
     # every Tensor already holds a float64 array
-    out, ctx = forward(attrs, *[t.data for t in tensors])
+    out, ctx, *held = forward(attrs, *[t.data for t in tensors])
     out = _as_f64(out)
     tape = _tape
     if tape is not None:
@@ -513,7 +604,7 @@ def record(op_kind, *inputs, **attrs):
         input_idxs = [t.index if t.token == token else None
                       for t in tensors]
         if input_idxs.count(None) < len(input_idxs):
-            tape.count_output(out)
+            tape.count_output(out.size + sum(held))
             idx = tape.add_node(op_kind, tuple(input_idxs), out, ctx, vjp)
             return Tensor(out, token, idx)
     # an untaped output has no tape to hold it: count it on its own
@@ -525,15 +616,6 @@ def record(op_kind, *inputs, **attrs):
 
 def matmul(x, w):
     return record("matmul", x, w)
-
-
-def dense(x, w, b, act):
-    """act(x @ w + b) for a bias row b, as one node.
-
-    act is one of ``kernels.ACTIVATIONS``. The node saves x, w and its
-    output and no pre-activation: every slope is read off the output.
-    """
-    return record("dense", x, w, b, act=act)
 
 
 def add(x, y):

@@ -3,9 +3,10 @@
 Encoders are small dense networks mapping input rows to embedding rows.
 Hidden layers use one activation from ``kernels.ACTIVATIONS``; the final
 layer is linear so embeddings are unconstrained. The same code path runs
-taped and graph-less, which is what makes the two modes bit-identical.
-Each layer is one ``autodiff.dense`` op, so a taped pass records one
-node per layer; ``encode`` is the graph-less, value-level entry.
+taped and graph-less, which is what makes the two modes bit-identical:
+``autodiff.encoder_forward`` and ``encoder_vjp`` are the one encoder
+loop. A taped pass (``encode_graph``) records one ``encoder`` node over
+all layers; ``encode`` is the graph-less, value-level entry.
 
 Optimizer steps are pure functions: they return fresh parameter and
 state objects and never mutate their inputs. That property is what lets
@@ -80,24 +81,16 @@ def identity_params(dim):
     )
 
 
-def _check_input(params, inputs):
-    if params.layers and inputs.shape[1] != params.layers[0][0].shape[0]:
-        raise ad.ShapeMismatchError(
-            f"encode: input width {inputs.shape[1]} does not match first "
-            f"layer input dim {params.layers[0][0].shape[0]}"
-        )
-
-
 def encode(params, inputs):
     """Embed input rows without recording; returns a plain array.
 
-    It runs the same ``encode_graph`` arithmetic as a taped pass, so the
-    rows are bitwise those a tape would give; over plain arrays and a
-    constant input no op records a node, whatever tape is active.
+    It runs the encoder node's forward with nothing kept, so the rows are
+    bitwise those a tape would give. The active meter counts each layer's
+    output only until the next one is made, and the result not at all.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    _check_input(params, inputs)
-    return encode_graph(params, ad.constant(inputs)).data
+    return ad.encoder_forward(inputs, param_arrays(params),
+                              params.activations, keep=False)[0]
 
 
 def make_leaves(params):
@@ -107,10 +100,10 @@ def make_leaves(params):
 
 
 def encode_graph(params, x):
-    """Embed a Tensor of input rows through parameter arrays or leaves."""
-    for (w, b), act in zip(params.layers, params.activations):
-        x = ad.dense(x, w, b, act)
-    return x
+    """Embed a Tensor of input rows through parameter arrays or leaves,
+    as one ``encoder`` node."""
+    return ad.record("encoder", x, *param_arrays(params),
+                     acts=tuple(params.activations))
 
 
 def param_arrays(params):

@@ -162,16 +162,18 @@ def activate(name, x):
     return x
 
 
-def activation_vjp(name, y, g):
+def activation_vjp(name, y, g, out=None):
     """g times the named activation's slope, read off its output y.
 
-    relu's slope comes from y: y > 0 exactly where the input was, and NaN
-    passes neither test. For linear the result is g itself.
+    The product goes into out, a fresh array if None; out may be y itself,
+    which is then overwritten. relu's slope comes from y: y > 0 exactly
+    where the input was, and NaN passes neither test. For linear the
+    result is g itself.
     """
     if name == "tanh":
-        return tanh_vjp(y, g)
+        return tanh_vjp(y, g, out)
     if name == "relu":
-        return relu_vjp(y, g)
+        return relu_vjp(y, g, out)
     return g
 
 
@@ -269,13 +271,19 @@ def scatter_add_rows(out, idx, rows):
     return out
 
 
-def relu_vjp(x, g):
-    return _c64(g) * (_c64(x) > 0.0)
+def relu_vjp(y, g, out=None):
+    # the slope, 1.0 or 0.0, then times g: g * (y > 0) bitwise
+    out = np.greater(y, 0.0, out=np.empty(y.shape) if out is None else out)
+    out *= g
+    return out
 
 
-def tanh_vjp(y, g):
-    y = _c64(y)
-    return _c64(g) * (1.0 - y * y)
+def tanh_vjp(y, g, out=None):
+    # 1 - y * y, then times g: g * (1 - y * y) bitwise
+    out = np.multiply(y, y, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= g
+    return out
 
 
 def adam_update(p, m, v, g, lr, beta1, beta2, eps, t, scratch):

@@ -4,7 +4,7 @@ gradient caches, and parameters.
 The counting unit is floats, not bytes, so the numbers are precision
 independent. Counts follow lifetimes deterministically, because CPython
 frees an object the moment its last reference drops (the engine keeps
-its object graph cycle-free on purpose). Arrays are counted two ways:
+its object graph cycle-free on purpose). Arrays are counted three ways:
 
 * a tape (``autodiff.Tape``) counts its own arrays: its ops' outputs,
   the gradients it owns and its all-ones seed go into one running total
@@ -12,6 +12,9 @@ its object graph cycle-free on purpose). Arrays are counted two ways:
   with one ``track_release`` when it is freed (``reset_grads`` releases
   the gradient part). A VJP result added into a gradient is allocated
   and released with plain calls too;
+* the encoder pass (``autodiff.encoder_forward`` and ``encoder_vjp``)
+  counts each array it makes with plain calls, when it is made and when
+  it is freed;
 * every other array goes through ``register``, one at a time: the
   leaf gradients, which may outlive their tape, the outputs of untaped
   ops, arrays saved in a VJP's context, kernel buffers and the
@@ -158,11 +161,17 @@ def _release_ref(ref):
 
 
 _meters = []
+_unread = MemCounter()
 
 
 def current_meter():
     """The innermost active counter, or None."""
     return _meters[-1] if _meters else None
+
+
+def counting_meter():
+    """The innermost active counter, or one that nothing reads."""
+    return _meters[-1] if _meters else _unread
 
 
 @contextmanager

@@ -15,15 +15,18 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   forward collects all representations (step1); the loss over the
   representation matrices alone gives its per-row gradients, the
   representation gradient cache (step2); each sub-batch is then
-  re-encoded with a tape and backpropagated with its
-  cached rows as the seed, its parameter gradients added in place into
-  one buffer per parameter (step3); finally the optimizer runs once
-  (step4). Peak activation memory in steps 1 and 3 depends only on the
-  sub-batch size: for sub-batch b and widths w0..wL, step3 holds every
-  layer's output, the gradients of the outputs not yet backpropagated
-  and one layer's VJP results,
-  ``b·Σ_{i≥1} w_i + max_k [b·Σ_{i=k}^{L−1} w_i + [k>1]·b·w_{k−1}
-  + w_{k−1}·w_k + w_k]`` floats. Step2 is one
+  re-encoded and backpropagated with its cached rows as the seed, in
+  one encoder pass with no tape, its parameter gradients added in place
+  into one buffer per parameter (step3); finally the optimizer runs
+  once (step4). Peak activation memory in steps 1 and 3 depends only on
+  the sub-batch size. For sub-batch b and widths w0..wL with a linear
+  top layer, step3's forward holds every layer's output; its backward,
+  at layer k, holds the outputs below k, the gradient of layer k's
+  output (the seed, which the cache owns, at the top layer) and one of
+  the weight gradient, the bias gradient and the gradient of the layer
+  below at a time, freeing each output once read:
+  ``max(b·Σ_{i≥1} w_i, max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k
+  + max(w_{k−1}·w_k, [k>1]·b·w_{k−1})])`` floats. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   For n_s anchors, n_t targets and embedding width d it holds
@@ -104,16 +107,17 @@ class StepStats:
     loss_phase_peak is the activation peak of the ``LOSS_PHASE`` window,
     0 in modes without one; act_peak is that of every other window. In
     the cached path a chunk's parameter gradients are added into the
-    step's accumulators (counted as parameters) and freed layer by layer,
-    so act_peak holds one layer's weight and bias gradients, never a
-    whole encoder's. cache_floats is the largest gradient-cache count
+    step's accumulators (counted as parameters) and freed one at a time,
+    so act_peak holds one weight or bias gradient, never a whole
+    encoder's. cache_floats is the largest gradient-cache count
     over the step, summed over workers in multi mode.
 
-    The meter counts what the tapes and ``memtrace.register`` count, and
-    a VJP's temporaries are neither: ``autodiff._bw_dense``'s
-    activation-slope product, up to b x w_k floats for sub-batch b and
-    layer width w_k, is missing from act_peak, so an activation budget
-    set from act_peak needs that margin.
+    The encoder pass counts every layer output and gradient it makes,
+    and applies each activation slope in place. What the meter still
+    misses is the zero-padded tail tile of ``kernels.matmul`` for a
+    chunk of other than a multiple of ``kernels.TILE`` rows, at most
+    TILE·(w_{k−1} + w_k) floats within one call, and small temporaries
+    inside the loss kernels and the taped loss ops' backward rules.
     """
 
     fwd_rows: int
@@ -229,20 +233,15 @@ def _zero_grads(params):
 
 
 def _accumulate_chunk(params, rows, seed_rows, grad_accumulators):
-    """Taped encode of one chunk, backward seeded with its cached rows.
-
-    Each parameter leaf's gradient buffer is its step accumulator, so
-    backward adds the chunk's gradients straight into it.
-    """
-    tape = ad.Tape()
-    leaves = encoders.params_from_arrays(params, [
-        tape.leaf(a, acc)
-        for a, acc in zip(encoders.param_arrays(params), grad_accumulators)
-    ])
-    with ad.recording(tape):
-        out = encoders.encode_graph(leaves, ad.constant(rows))
+    """One encoder pass over a chunk, with no tape: the forward keeps each
+    layer's output, and the VJP seeded with the chunk's cached rows
+    consumes them and adds each layer's gradients straight into the
+    step's accumulators."""
+    arrays = encoders.param_arrays(params)
+    outs = ad.encoder_forward(rows, arrays, params.activations, keep=True)
     count("fwd_rows", rows.shape[0])
-    tape.backward(out, seed_rows)
+    ad.encoder_vjp(rows, arrays, params.activations, outs, seed_rows,
+                   grad_accumulators, consume=True)
     count("bwd_rows", rows.shape[0])
 
 

@@ -17,6 +17,11 @@ from splitgrad.kernels import TILE
 from splitgrad.loss import aligned_batch
 
 
+def _encoder(x, arrays, acts):
+    # the encoder op over the rows x; arrays holds each layer's w and b
+    return ad.record("encoder", x, *arrays, acts=tuple(acts))
+
+
 def test_leaf_and_constant_flags():
     tape = Tape()
     x = tape.leaf(np.ones((2, 3)))
@@ -152,9 +157,9 @@ def test_added_in_gradient_is_released_before_the_next_vjp():
         for t in parts:
             node = tape.nodes[t.index]
 
-            def spy(ctx, g, taped, vjp=node.vjp, k=t.index):
+            def spy(ctx, g, taped, grads, vjp=node.vjp, k=t.index):
                 live[k] = meter.live["activation"]
-                return vjp(ctx, g, taped)
+                return vjp(ctx, g, taped, grads)
 
             node.vjp = spy
         tape.backward(s)
@@ -174,8 +179,10 @@ def test_forward_values_match_numpy():
     b = rng.normal(size=(5, 3))
     cases = [
         (ad.matmul(ad.constant(a), ad.constant(b)), a @ b),
-        (ad.dense(ad.constant(a), ad.constant(b), ad.constant(b[0]), "tanh"),
+        (_encoder(ad.constant(a), [b, b[0]], ["tanh"]),
          np.tanh(a @ b + b[0])),
+        (_encoder(ad.constant(a), [b, b[0], b.T, a[0]], ["relu", "linear"]),
+         np.maximum(a @ b + b[0], 0.0) @ b.T + a[0]),
         (ad.add(ad.constant(a), ad.constant(a)), a + a),
         (ad.mul(ad.constant(a), ad.constant(a)), a * a),
         (ad.scalar_mul(2.5, ad.constant(a)), 2.5 * a),
@@ -243,8 +250,7 @@ def test_ops_allocate_fresh_arrays():
     out_i = ad.index_rows(ad.constant(x), np.array([0, 1]))
     out_l = ad.row_logsumexp(ad.constant(x))
     out_p = ad.pick_per_row(ad.constant(x), np.array([0, 2, 1]))
-    out_d = ad.dense(ad.constant(x), ad.constant(x), ad.constant(x[0]),
-                     "linear")
+    out_d = _encoder(ad.constant(x), [x, x[0]], ["linear"])
     out_t = ad.activation(ad.constant(x), "tanh")
     out_u = ad.activation(ad.constant(x), "relu")
     x[:] = 7.0
@@ -358,9 +364,14 @@ def test_shape_mismatch_names_op_kind():
     with pytest.raises(ShapeMismatchError, match="dot-product-matrix"):
         ad.dot_product_matrix(ad.constant(np.ones((2, 3))),
                               ad.constant(np.ones((2, 4))))
-    with pytest.raises(ShapeMismatchError, match="dense"):
-        ad.dense(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))),
-                 ad.constant(np.ones(3)), "tanh")
+    with pytest.raises(ShapeMismatchError, match="encoder"):
+        _encoder(ad.constant(np.ones((2, 3))),
+                   [np.ones((3, 4)), np.ones(3)], ["tanh"])
+    # a later layer's weight must take the earlier layer's width
+    with pytest.raises(ShapeMismatchError, match="encoder"):
+        _encoder(ad.constant(np.ones((2, 3))),
+                   [np.ones((3, 4)), np.ones(4), np.ones((3, 2)),
+                    np.ones(2)], ["tanh", "linear"])
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +442,32 @@ def test_vjp_structure_ops():
                                        ad.constant(wp))), x)
     _check(lambda t: ad.sum_all(ad.activation(ad.dot_product_matrix(
         t, ad.constant(other)), "tanh")), x)
-    # the fused layer over each of its inputs, for every activation
+    # the encoder op over each of its inputs, for every activation: a
+    # layer of that activation under a tanh layer, so the slope is
+    # checked both on the top layer and below another layer
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=4)
-    wd = rng.normal(size=(6, 4))
+    w2 = rng.normal(size=(4, 5))
+    b2 = rng.normal(size=5)
+    wd = rng.normal(size=(6, 5))
     for act in ("tanh", "relu", "linear"):
-        def layer(xt, wt, bt, act=act):
-            return ad.sum_all(ad.mul(ad.dense(xt, wt, bt, act),
+        def layers(xt, arrays, act=act):
+            return ad.sum_all(ad.mul(_encoder(xt, arrays, [act, "tanh"]),
                                      ad.constant(wd)))
-        _check(lambda t: layer(t, ad.constant(w), ad.constant(b)), x)
-        _check(lambda t: layer(ad.constant(x), t, ad.constant(b)), w)
-        _check(lambda t: layer(ad.constant(x), ad.constant(w), t), b)
+        _check(lambda t: layers(t, [w, b, w2, b2]), x)
+        _check(lambda t: layers(ad.constant(x), [t, b, w2, b2]), w)
+        _check(lambda t: layers(ad.constant(x), [w, t, w2, b2]), b)
+        _check(lambda t: ad.sum_all(ad.mul(
+            _encoder(ad.constant(x), [w, b, t, b2], ["tanh", act]),
+            ad.constant(wd))), w2)
 
 
 def _dense_values(x, w, b, act, seed):
-    # out, dx, dw and db of one dense node
+    # out, dx, dw and db of a one-layer encoder node
     tape = Tape()
     with ad.recording(tape):
         leaves = [tape.leaf(a.copy()) for a in (x, w, b)]
-        out = ad.dense(*leaves, act)
+        out = _encoder(leaves[0], leaves[1:], [act])
     tape.backward(out, grad=seed.copy())
     return [out.data] + [tape.grad(leaf) for leaf in leaves]
 
@@ -494,23 +512,30 @@ def test_dense_matches_three_op_layer_bitwise(act):
 
 
 def test_dense_vjp_returns_fresh_arrays():
-    # linear has no slope to apply: no gradient may alias the seed
+    # linear has no slope to apply: no gradient may alias the seed, and
+    # no slope may be written into the seed or the node's output
     rng = np.random.default_rng(12)
     x, w, b = rng.normal(size=(3, 2)), rng.normal(size=(2, 4)), np.zeros(4)
-    seed = rng.normal(size=(3, 4))
-    tape = Tape()
-    with ad.recording(tape):
-        leaves = [tape.leaf(a) for a in (x, w, b)]
-        out = ad.dense(*leaves, "linear")
-    tape.backward(out, grad=seed)
-    for leaf in leaves:
-        assert not np.shares_memory(tape.grad(leaf), seed)
+    for act in ("linear", "tanh", "relu"):
+        seed = rng.normal(size=(3, 4))
+        seed0 = seed.copy()
+        tape = Tape()
+        with ad.recording(tape):
+            leaves = [tape.leaf(a) for a in (x, w, b)]
+            out = _encoder(leaves[0], leaves[1:], [act])
+        out0 = out.data.copy()
+        tape.backward(out, grad=seed)
+        for leaf in leaves:
+            assert not np.shares_memory(tape.grad(leaf), seed)
+        assert np.array_equal(seed, seed0)
+        assert np.array_equal(out.data, out0)
     with pytest.raises(ValueError, match="unknown activation"):
-        ad.dense(x, w, b, "swish")
+        _encoder(x, [w, b], ["swish"])
     with pytest.raises(ValueError, match="unknown activation"):
         ad.activation(x, "swish")
 
 
+# "dense" is a one-layer encoder node
 @pytest.mark.parametrize("op", ["dense", "matmul"])
 def test_backward_computes_no_gradient_for_a_constant_input(op, monkeypatch):
     # a first encoder layer's input is a constant: g @ w.T would be an
@@ -525,7 +550,7 @@ def test_backward_computes_no_gradient_for_a_constant_input(op, monkeypatch):
         with ad.recording(tape):
             xt = tape.leaf(x) if x_is_leaf else ad.constant(x)
             leaves = [tape.leaf(w), tape.leaf(b)]
-            out = (ad.dense(xt, *leaves, "tanh") if op == "dense"
+            out = (_encoder(xt, leaves, ["tanh"]) if op == "dense"
                    else ad.matmul(xt, leaves[0]))
         shapes = []
         real = np.matmul
@@ -557,11 +582,12 @@ def test_add_vjp_makes_nothing_for_a_constant_input(ctx):
     rng = np.random.default_rng(14)
     g = rng.normal(size=(4, 3))
     bw = ad.OPS["add"][1]
-    both = bw(ctx, g, (0, 1))
-    gx, gy = bw(ctx, g, (None, 1))
+    slots = [None, None]
+    both = bw(ctx, g, (0, 1), slots)
+    gx, gy = bw(ctx, g, (None, 1), slots)
     assert gx is None
     assert np.array_equal(gy, both[1]) and not np.shares_memory(gy, g)
-    gx, gy = bw(ctx, g, (0, None))
+    gx, gy = bw(ctx, g, (0, None), slots)
     assert gy is None
     assert np.array_equal(gx, both[0]) and not np.shares_memory(gx, g)
     # on a tape: the leaf's gradient is the one it gets beside a leaf

@@ -41,6 +41,8 @@ def test_encode_matches_manual_forward():
     (w0, b0), (w1, b1) = p.layers
     expect = np.tanh(x @ w0 + b0) @ w1 + b1
     np.testing.assert_allclose(encoders.encode(p, x), expect, rtol=1e-12)
+    with pytest.raises(ad.ShapeMismatchError, match="encoder"):
+        encoders.encode(p, x[:, :5])
 
 
 def test_encode_relu_activation():
@@ -68,17 +70,18 @@ def test_encode_records_no_graph_by_default():
 
 
 @pytest.mark.parametrize("dims", [[24, 32, 16], [24, 128, 128, 16]])
-def test_encode_graph_records_one_node_per_layer(dims):
-    # two parameter leaves and one dense node per layer, nothing else
+def test_encode_graph_records_one_encoder_node(dims):
+    # two parameter leaves per layer and one encoder node over them all,
+    # nothing else
     p = encoders.init_params(0, dims)
     tape = ad.Tape()
     with ad.recording(tape):
         leaves = encoders.make_leaves(p)
         encoders.encode_graph(leaves, ad.constant(np.ones((5, dims[0]))))
     n_layers = len(dims) - 1
-    assert len(tape) == 3 * n_layers
     kinds = [node.op_kind for node in tape.nodes]
-    assert kinds.count("dense") == n_layers
+    assert kinds == ["leaf"] * (2 * n_layers) + ["encoder"]
+    assert tape.nodes[-1].inputs == (None, *range(2 * n_layers))
 
 
 def test_encode_graph_gradients_pass_finite_differences():

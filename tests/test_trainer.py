@@ -233,24 +233,26 @@ def test_activation_peak_independent_of_batch_size():
 def _step3_peak(widths, b):
     """The cached step's act_peak for sub-batch b and encoder widths.
 
-    Every layer's output lives until its chunk ends. On top of those,
-    backward holds the gradients of the outputs of the layers not yet
-    backpropagated and one layer's VJP results: the input gradient
-    (none for the first layer) and the weight and bias gradients, which
-    are added into the step's accumulators and freed at once.
+    The forward holds every layer's output. The backward at layer k
+    holds the outputs of the layers below k, the gradient of layer k's
+    output (the seed, which the cache owns, at the linear top layer) and
+    then, one at a time, the weight gradient, which is added into the
+    step's accumulator and freed, the smaller bias gradient, and the
+    gradient of the layer below (none below the first layer).
     """
     L = len(widths) - 1
-    return b * sum(widths[1:]) + max(
-        b * sum(widths[k:L]) + (b * widths[k - 1] if k > 1 else 0)
-        + widths[k - 1] * widths[k] + widths[k]
+    return max(b * sum(widths[1:]), max(
+        b * sum(widths[1:k]) + (b * widths[k] if k < L else 0)
+        + max(widths[k - 1] * widths[k], b * widths[k - 1] if k > 1 else 0)
         for k in range(1, L + 1)
-    )
+    ))
 
 
 @pytest.mark.parametrize("widths,act,n,b", [
     ([24, 128, 128, 16], "tanh", 48, 16),
     ([24, 32, 16], "tanh", 64, 32),
     ([10, 20, 12, 6], "relu", 37, 8),  # last chunk holds 5 rows
+    ([4, 2, 8], "tanh", 70, 64),  # the forward's outputs set the peak
 ])
 def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
                                                                n, b):
@@ -263,6 +265,45 @@ def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
     with memtrace.MemCounter().activate():
         res = train_step_cached(batch, pf, pg, opt, TrainConfig(1.0, b, b))
     assert res.stats.act_peak == _step3_peak(widths, b)
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
+    # one encoder loop, two callers: step3's chunks run the encoder node's
+    # forward and VJP with no tape, and must add into the accumulators
+    # exactly what encode_graph and Tape.backward add into preset leaf
+    # buffers from the same seed rows; the second chunk is ragged
+    rng = np.random.default_rng(12)
+    p = encoders.init_params(3, [10, 20, 12, 6], act)
+    rows = rng.normal(size=(21, 10))
+    seed = rng.normal(size=(21, 6))
+    seed0 = seed.copy()
+    arrays = encoders.param_arrays(p)
+    untaped = [np.zeros_like(a) for a in arrays]
+    taped = [np.zeros_like(a) for a in arrays]
+    for lo, hi in [(0, 16), (16, 21)]:
+        trainer._accumulate_chunk(p, rows[lo:hi], seed[lo:hi], untaped)
+        tape = ad.Tape()
+        leaves = [tape.leaf(a, acc) for a, acc in zip(arrays, taped)]
+        with ad.recording(tape):
+            out = encoders.encode_graph(
+                encoders.params_from_arrays(p, leaves),
+                ad.constant(rows[lo:hi]))
+        tape.backward(out, seed[lo:hi])
+        assert all(tape.grad(leaf) is acc for leaf, acc in zip(leaves, taped))
+    assert np.array_equal(seed, seed0)
+    for a, r in zip(untaped, taped):
+        assert a.tobytes() == r.tobytes()
+    # and the same as fresh leaf gradients of one taped pass, for one chunk
+    first = [np.zeros_like(a) for a in arrays]
+    trainer._accumulate_chunk(p, rows, seed, first)
+    tape = ad.Tape()
+    with ad.recording(tape):
+        leaves = encoders.make_leaves(p)
+        out = encoders.encode_graph(leaves, ad.constant(rows))
+    tape.backward(out, seed)
+    for a, r in zip(first, encoders.leaf_grads(tape, leaves)):
+        assert np.array_equal(a, r)
 
 
 BAD_TAUS = (float("nan"), 0.0, 1e-310, -1.0, float("inf"))
