@@ -23,13 +23,12 @@ Design choices that equivalence tests depend on:
 * an encoder is one ``encoder`` node keeping each layer's output and no
   pre-activation; its forward and VJP (``encoder_forward``,
   ``encoder_vjp``) are the one encoder loop, also run with no tape;
-* a VJP is called as ``vjp(ctx, g, taped, grads)``, ``taped`` holding
-  the node's input indices (None for an input not on the tape) and
-  ``grads`` the tape's gradient slots. It may return None for an
-  untaped input (``encoder``, ``matmul`` and ``add`` then skip its
-  product), or for one whose gradient it added into its slot;
-* a forward returns ``(out, ctx)``, plus the floats of any other arrays
-  it made that ctx keeps, which the tape counts with out;
+* a VJP is called as ``vjp(ctx, g, taped)``, ``taped`` holding the
+  node's input indices (None for an input not on the tape), and returns
+  fresh arrays, one per input. It may return None for an untaped input
+  (``encoder``, ``matmul`` and ``add`` then skip its product);
+* a forward returns exactly ``(out, ctx)``, and registers in
+  ``memtrace`` any other array it made that ctx keeps;
 * a leaf may be given a gradient buffer (``Tape.leaf(data, grad)``):
   backward adds into it in place, as it adds into any gradient it
   already holds, so a caller that sums gradients over several tapes
@@ -37,16 +36,14 @@ Design choices that equivalence tests depend on:
   its contents as they are;
 * backward drops its references to a VJP's results before it calls the
   next VJP, so a result that was added into an existing gradient is
-  freed, and uncounted, at once; only a node's first gradient stays on
-  the tape;
+  freed, and uncounted, at once;
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation;
-* operations allocate fresh output arrays (no views). A taped output
-  lives as long as its tape, which counts it in ``memtrace`` with the
-  gradients it owns and releases them all when it is freed; an untaped
-  output and a leaf's gradient can outlive any tape, so each is counted
-  on its own until it is freed.
+* operations allocate fresh output arrays (no views). Every op output,
+  taped or not, and every gradient backward makes is counted through
+  ``memtrace.register``, from when it is made until it is freed; the
+  encoder pass alone counts with plain calls (see ``memtrace``).
 """
 
 import itertools
@@ -125,11 +122,9 @@ _token_counter = itertools.count(1)
 class Tape:
     """Append-only record of operations plus per-node gradient buffers.
 
-    The tape counts its own arrays in the meter that was active when it
-    was made: its ops' outputs (and the arrays their contexts keep) and
-    the gradients it owns, all activation floats. It holds them until it
-    is freed, and it releases their total then, in one call;
-    ``reset_grads`` releases the gradients' part.
+    The tape holds no counts: every array it keeps, an op's output or a
+    gradient, was registered in ``memtrace`` when it was made, and is
+    uncounted when it is freed.
     """
 
     def __init__(self):
@@ -137,23 +132,9 @@ class Tape:
         self.grads = []
         self.token = next(_token_counter)
         self._backward_done = False
-        self._meter = memtrace.current_meter()
-        self._out_floats = 0
-        self._grad_floats = 0
-
-    def __del__(self):
-        held = self._out_floats + self._grad_floats
-        if held:
-            self._meter.track_release("activation", held)
 
     def __len__(self):
         return len(self.nodes)
-
-    def count_output(self, n_floats):
-        """Count a new node's output floats until the tape is freed."""
-        if self._meter is not None:
-            self._meter.track_alloc("activation", n_floats)
-            self._out_floats += n_floats
 
     def add_node(self, op_kind, inputs, output, ctx, vjp):
         self.nodes.append(Node(op_kind, inputs, output, ctx, vjp))
@@ -179,12 +160,10 @@ class Tape:
 
         grad seeds the node's gradient and must have its shape; it is used
         as given, neither copied nor counted again. Without a seed the
-        node must be a scalar and is seeded with one, which the tape
-        counts as a gradient it owns, as it counts each non-leaf node's
-        first gradient. A leaf's first gradient is counted on its own,
-        since it may outlive the tape. A VJP result that is added into a
-        gradient is counted, and released once the node's results are
-        dropped, before the next VJP runs.
+        node must be a scalar and is seeded with one. The all-ones seed
+        and every VJP result are registered before they are stored or
+        added; a result added into a gradient is dropped, and so
+        uncounted, before the next VJP runs.
         """
         idx = self._resolve(node)
         out = self.nodes[idx].output
@@ -200,48 +179,27 @@ class Tape:
                 "backward already run on this tape; call reset_grads() first"
             )
         self._backward_done = True
-        meter = self._meter
         nodes, grads = self.nodes, self.grads
-        if grad is None:
-            grad = np.ones_like(out)
-            if meter is not None:
-                meter.track_alloc("activation", grad.size)
-                self._grad_floats += grad.size
-        grads[idx] = grad
+        grads[idx] = register(np.ones_like(out)) if grad is None else grad
         for k in range(idx, -1, -1):
-            g = grads[k]
-            if g is None:
+            g, node = grads[k], nodes[k]
+            if g is None or node.vjp is None:
                 continue
-            node = nodes[k]
-            if node.vjp is None:
-                continue
-            input_grads = node.vjp(node.ctx, g, node.inputs, grads)
-            owned = added = 0
+            input_grads = node.vjp(node.ctx, g, node.inputs)
             for in_idx, in_grad in zip(node.inputs, input_grads):
                 if in_idx is None or in_grad is None:
                     continue
                 # ufuncs on 0-d arrays decay to numpy scalars; keep ndarray
                 if not isinstance(in_grad, np.ndarray):
                     in_grad = np.asarray(in_grad, dtype=np.float64)
-                if grads[in_idx] is not None:
-                    grads[in_idx] += in_grad
-                    added += in_grad.size
-                elif nodes[in_idx].vjp is None:
-                    # a leaf's gradient may outlive the tape
-                    grads[in_idx] = register(in_grad)
-                else:
+                register(in_grad)
+                if grads[in_idx] is None:
                     grads[in_idx] = in_grad
-                    owned += in_grad.size
+                else:
+                    grads[in_idx] += in_grad
             # an added-in gradient is freed here, not held through the
             # next VJP
             input_grads = in_grad = None
-            if meter is not None and owned + added:
-                # the node's results were all live at once: one count
-                # gives the same peaks as one per result
-                meter.track_alloc("activation", owned + added)
-                self._grad_floats += owned
-                if added:
-                    meter.track_release("activation", added)
         return self
 
     def grad(self, ref):
@@ -257,12 +215,8 @@ class Tape:
 
         A buffer given to ``leaf`` keeps what backward added into it, and
         the tape no longer refers to it: the next backward gives that
-        leaf a fresh gradient. The gradients the tape counted are
-        released.
+        leaf a fresh gradient.
         """
-        if self._grad_floats:
-            self._meter.track_release("activation", self._grad_floats)
-            self._grad_floats = 0
         self.grads = [None] * len(self.nodes)
         self._backward_done = False
 
@@ -276,12 +230,7 @@ class Tape:
         return int(ref)
 
 
-_tape = None
-
-
-def active_tape():
-    """The tape that ops record onto, or None."""
-    return _tape
+_tape = None  # the tape that ops record onto, or None
 
 
 @contextmanager
@@ -298,10 +247,7 @@ def recording(tape):
 
 def leaf(data):
     """A differentiable leaf on the active tape, or a constant if none."""
-    tape = active_tape()
-    if tape is None:
-        return constant(data)
-    return tape.leaf(data)
+    return constant(data) if _tape is None else _tape.leaf(data)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +265,7 @@ def _fw_matmul(attrs, x, w):
     return kernels.matmul(x, w), (x, w)
 
 
-def _bw_matmul(ctx, g, taped, grads):
+def _bw_matmul(ctx, g, taped):
     x, w = ctx
     return (np.matmul(g, w.T) if taped[0] is not None else None,
             np.matmul(x.T, g) if taped[1] is not None else None)
@@ -417,19 +363,19 @@ def _add_grad(grads, j, d, meter):
 
 def _fw_encoder(attrs, x, *arrays):
     outs = encoder_forward(x, arrays, attrs["acts"], keep=True)
-    # the tape counts the outputs below the top one with it
-    return outs[-1], (x, arrays, attrs["acts"], outs), sum(
-        y.size for y in outs[:-1])
+    # the outputs below the top one are saved for backward: count them
+    # while the tape holds them
+    for y in outs[:-1]:
+        register(y)
+    return outs[-1], (x, arrays, attrs["acts"], outs)
 
 
-def _bw_encoder(ctx, g, taped, grads):
+def _bw_encoder(ctx, g, taped):
     x, arrays, acts, outs = ctx
-    slots = [None if i is None else grads[i] for i in taped[1:]]
+    grads = [None] * len(arrays)
     # a first layer's input is a constant: skip its n x k product
-    gx = encoder_vjp(x, arrays, acts, outs, g, slots, taped[0] is not None)
-    # None where a slot that held a gradient took this one in place
-    return (gx, *(s if i is None or grads[i] is None else None
-                  for i, s in zip(taped[1:], slots)))
+    gx = encoder_vjp(x, arrays, acts, outs, g, grads, taped[0] is not None)
+    return (gx, *grads)
 
 
 def _fw_add(attrs, x, y):
@@ -440,7 +386,7 @@ def _fw_add(attrs, x, y):
     raise _shape_error("add", x.shape, y.shape)
 
 
-def _bw_add(ctx, g, taped, grads):
+def _bw_add(ctx, g, taped):
     # an untaped input (a constant lse column, say) gets no copy
     gx = g.copy() if taped[0] is not None else None
     if taped[1] is None:
@@ -454,7 +400,7 @@ def _fw_mul(attrs, x, y):
     return x * y, (x, y)
 
 
-def _bw_mul(ctx, g, taped, grads):
+def _bw_mul(ctx, g, taped):
     x, y = ctx
     return g * y, g * x
 
@@ -463,7 +409,7 @@ def _fw_scalar_mul(attrs, x):
     return attrs["c"] * x, (attrs["c"],)
 
 
-def _bw_scalar_mul(ctx, g, taped, grads):
+def _bw_scalar_mul(ctx, g, taped):
     return (ctx[0] * g,)
 
 
@@ -473,7 +419,7 @@ def _fw_activation(attrs, x):
     return out, (act, out)
 
 
-def _bw_activation(ctx, g, taped, grads):
+def _bw_activation(ctx, g, taped):
     act, out = ctx
     return (kernels.activation_vjp(act, out, g),)
 
@@ -485,7 +431,7 @@ def _fw_row_softmax(attrs, x):
     return out, (out,)
 
 
-def _bw_row_softmax(ctx, g, taped, grads):
+def _bw_row_softmax(ctx, g, taped):
     return (kernels.row_softmax_vjp(ctx[0], g),)
 
 
@@ -498,7 +444,7 @@ def _fw_row_logsumexp(attrs, x):
     return out, (scale, register(p))
 
 
-def _bw_row_logsumexp(ctx, g, taped, grads):
+def _bw_row_logsumexp(ctx, g, taped):
     scale, p = ctx
     return ((scale * g) * p,)
 
@@ -507,7 +453,7 @@ def _fw_sum(attrs, x):
     return np.asarray(x.sum()), (x.shape,)
 
 
-def _bw_sum(ctx, g, taped, grads):
+def _bw_sum(ctx, g, taped):
     return (np.full(ctx[0], g),)
 
 
@@ -520,7 +466,7 @@ def _fw_reshape(attrs, x):
     return out.copy(), (x.shape,)
 
 
-def _bw_reshape(ctx, g, taped, grads):
+def _bw_reshape(ctx, g, taped):
     return (g.reshape(ctx[0]).copy(),)
 
 
@@ -531,7 +477,7 @@ def _fw_index_rows(attrs, x):
     return x[idx], (x.shape, idx)
 
 
-def _bw_index_rows(ctx, g, taped, grads):
+def _bw_index_rows(ctx, g, taped):
     shape, idx = ctx
     out = np.zeros(shape)
     kernels.scatter_add_rows(out, idx, g)
@@ -545,7 +491,7 @@ def _fw_pick_per_row(attrs, x):
     return np.take_along_axis(x, idx, axis=1), (x.shape, idx)
 
 
-def _bw_pick_per_row(ctx, g, taped, grads):
+def _bw_pick_per_row(ctx, g, taped):
     shape, idx = ctx
     out = np.zeros(shape)
     np.put_along_axis(out, idx, g, axis=1)
@@ -558,7 +504,7 @@ def _fw_dot_product_matrix(attrs, a, b):
     return kernels.pair_scores(a, b), (a, b)
 
 
-def _bw_dot_product_matrix(ctx, g, taped, grads):
+def _bw_dot_product_matrix(ctx, g, taped):
     # the rows of g @ b go through the row-deterministic lane, so the
     # streamed tail (kernels.strip_logsumexp) gives the same rows bitwise
     a, b = ctx
@@ -588,27 +534,25 @@ def record(op_kind, *inputs, **attrs):
     """Apply an op; append a tape node when recording is active.
 
     Inputs may be Tensors or plain arrays (treated as constants). The
-    output joins the tape only if some input is a node of the active
-    tape; gradients never flow into constants.
+    output, registered in ``memtrace`` either way, joins the tape only if
+    some input is a node of the active tape; gradients never flow into
+    constants.
     """
     if op_kind not in OPS:
         raise ValueError(f"unknown op kind {op_kind!r}")
     forward, vjp = OPS[op_kind]
     tensors = [t if isinstance(t, Tensor) else constant(t) for t in inputs]
     # every Tensor already holds a float64 array
-    out, ctx, *held = forward(attrs, *[t.data for t in tensors])
-    out = _as_f64(out)
+    out, ctx = forward(attrs, *[t.data for t in tensors])
+    out = register(_as_f64(out))
     tape = _tape
     if tape is not None:
         token = tape.token
         input_idxs = [t.index if t.token == token else None
                       for t in tensors]
         if input_idxs.count(None) < len(input_idxs):
-            tape.count_output(out.size + sum(held))
             idx = tape.add_node(op_kind, tuple(input_idxs), out, ctx, vjp)
             return Tensor(out, token, idx)
-    # an untaped output has no tape to hold it: count it on its own
-    register(out)
     return Tensor(out)
 
 

@@ -4,20 +4,16 @@ gradient caches, and parameters.
 The counting unit is floats, not bytes, so the numbers are precision
 independent. Counts follow lifetimes deterministically, because CPython
 frees an object the moment its last reference drops (the engine keeps
-its object graph cycle-free on purpose). Arrays are counted three ways:
+its object graph cycle-free on purpose). Arrays are counted two ways:
 
-* a tape (``autodiff.Tape``) counts its own arrays: its ops' outputs,
-  the gradients it owns and its all-ones seed go into one running total
-  with plain ``track_alloc`` calls, and the tape releases that total
-  with one ``track_release`` when it is freed (``reset_grads`` releases
-  the gradient part). A VJP result added into a gradient is allocated
-  and released with plain calls too;
 * the encoder pass (``autodiff.encoder_forward`` and ``encoder_vjp``)
-  counts each array it makes with plain calls, when it is made and when
-  it is freed;
-* every other array goes through ``register``, one at a time: the
-  leaf gradients, which may outlive their tape, the outputs of untaped
-  ops, arrays saved in a VJP's context, kernel buffers and the
+  counts each array it makes with plain ``track_alloc`` and
+  ``track_release`` calls, when it is made and when it is freed; with
+  no meter active it counts into one that does nothing;
+* every other array goes through ``register``, one at a time: every op
+  output, taped or not, arrays saved in a forward's context, the
+  gradients a tape's backward makes (its all-ones seed, the gradients it
+  stores and the results it adds in and drops), kernel buffers and the
   trainers' own stores, caches and accumulators. ``register_array``
   counts the array and makes one ``weakref.ref`` whose callback,
   ``_release_ref``, uncounts it when it is freed; the refs live in a
@@ -160,8 +156,20 @@ def _release_ref(ref):
     meter.live[category] -= n
 
 
+class _Uncounted:
+    """The encoder pass's counter when no meter is active: it counts
+    nothing, and its ``live`` is there for ``encoder_vjp``'s error path."""
+
+    live = dict.fromkeys(CATEGORIES, 0)
+
+    def track_alloc(self, category, n_floats):
+        pass
+
+    track_release = track_alloc
+
+
 _meters = []
-_unread = MemCounter()
+_uncounted = _Uncounted()
 
 
 def current_meter():
@@ -170,8 +178,8 @@ def current_meter():
 
 
 def counting_meter():
-    """The innermost active counter, or one that nothing reads."""
-    return _meters[-1] if _meters else _unread
+    """The innermost active counter, or one that counts nothing."""
+    return _meters[-1] if _meters else _uncounted
 
 
 @contextmanager

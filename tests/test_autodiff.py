@@ -157,9 +157,9 @@ def test_added_in_gradient_is_released_before_the_next_vjp():
         for t in parts:
             node = tape.nodes[t.index]
 
-            def spy(ctx, g, taped, grads, vjp=node.vjp, k=t.index):
+            def spy(ctx, g, taped, vjp=node.vjp, k=t.index):
                 live[k] = meter.live["activation"]
-                return vjp(ctx, g, taped, grads)
+                return vjp(ctx, g, taped)
 
             node.vjp = spy
         tape.backward(s)
@@ -582,12 +582,11 @@ def test_add_vjp_makes_nothing_for_a_constant_input(ctx):
     rng = np.random.default_rng(14)
     g = rng.normal(size=(4, 3))
     bw = ad.OPS["add"][1]
-    slots = [None, None]
-    both = bw(ctx, g, (0, 1), slots)
-    gx, gy = bw(ctx, g, (None, 1), slots)
+    both = bw(ctx, g, (0, 1))
+    gx, gy = bw(ctx, g, (None, 1))
     assert gx is None
     assert np.array_equal(gy, both[1]) and not np.shares_memory(gy, g)
-    gx, gy = bw(ctx, g, (0, None), slots)
+    gx, gy = bw(ctx, g, (0, None))
     assert gy is None
     assert np.array_equal(gx, both[0]) and not np.shares_memory(gx, g)
     # on a tape: the leaf's gradient is the one it gets beside a leaf

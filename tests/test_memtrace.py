@@ -184,15 +184,18 @@ def test_report_lists_all_categories():
 
 
 # ---------------------------------------------------------------------------
-# who counts what: tapes count their own arrays, the rest go one by one
+# who counts what: the encoder pass counts with plain calls, every other
+# array is registered one by one
 # ---------------------------------------------------------------------------
 
 def _small_graph(tape):
     """x (4x3) and w (3x5) leaves; s = sum(h * h), h = tanh(x @ w + b).
 
-    Counted on the tape: the outputs h, h * h and s (41 floats) and,
-    after backward, the seed (1), the first gradients of h * h and of h
-    (20 each). Counted one by one: the leaf gradients (12 and 15).
+    Each array is registered on its own and counted until it is freed:
+    the outputs h, h * h and s (41 floats) and, after backward, the
+    gradients it stores: the seed (1), those of h * h and of h (20
+    each) and the leaves' (12 and 15). The second VJP result of h * h is
+    added into h's gradient and freed at once.
     """
     rng = np.random.default_rng(4)
     x = tape.leaf(rng.normal(size=(4, 3)))
@@ -253,7 +256,7 @@ def test_leaf_gradients_of_direct_param_grads_stay_counted_until_freed():
     assert c.live["activation"] == 0
 
 
-def test_budget_trips_on_tape_counted_floats_and_names_the_phase():
+def test_budget_trips_in_the_encoder_pass_and_names_the_phase():
     # step3 counts with plain calls in its encoder pass, which makes no
     # tape; a budget one float below its peak must stop the step there
     rng = np.random.default_rng(6)
@@ -275,7 +278,7 @@ def test_budget_trips_on_tape_counted_floats_and_names_the_phase():
             trainer.train_step_cached(batch, pf, pg, opt, cfg)
     names = {e.name for e in info.traceback}
     assert {"_accumulate_chunk", "encoder_vjp", "track_alloc"} <= names
-    assert not {"register_array", "backward", "count_output"} & names
+    assert not {"register_array", "backward"} & names
 
 
 @pytest.mark.parametrize("phase", ["step1", "step3"])
@@ -296,6 +299,43 @@ def test_budget_error_in_the_encoder_pass_leaves_no_floats_live(phase):
     with use_meter(failing):
         with pytest.raises(BudgetExceededError, match=f"phase '{phase}'"):
             trainer.train_step_cached(batch, pf, pg, opt, cfg)
+    gc.collect()
+    assert failing.live == dict.fromkeys(CATEGORIES, 0)
+
+
+@pytest.mark.parametrize("mode", ["direct", "cache"])
+def test_budget_error_in_a_taped_step_leaves_no_floats_live(mode):
+    # a tape's arrays are registered one by one: once the error, and
+    # with it the tape, is dropped, none may stay counted. At this shape
+    # the cached step's peak, and so its trip, is in step2's alignment
+    # tape
+    rng = np.random.default_rng(6)
+    batch = aligned_batch(rng.normal(size=(16, 10)),
+                          rng.normal(size=(16, 10)))
+    pf = encoders.init_params(1, [10, 12, 32])
+    pg = encoders.init_params(2, [10, 12, 32])
+    opt = encoders.init_optimizer("sgd", 1e-3)
+    if mode == "direct":
+        phase = "direct"
+
+        def step():
+            trainer.train_step_direct(batch, pf, pg, opt)
+    else:
+        phase = "step2"
+        cfg = trainer.TrainConfig(1.0, 8, 8)
+
+        def step():
+            trainer.train_step_cached(batch, pf, pg, opt, cfg)
+    c = MemCounter()
+    with use_meter(c):
+        step()
+    failing = MemCounter(activation_budget=c.phase_peak(phase) - 1)
+    with use_meter(failing):
+        with pytest.raises(BudgetExceededError,
+                           match=f"phase '{phase}'") as info:
+            step()
+    assert "backward" in {e.name for e in info.traceback}
+    del info
     gc.collect()
     assert failing.live == dict.fromkeys(CATEGORIES, 0)
 
@@ -326,16 +366,17 @@ def test_cached_step_makes_the_derived_per_array_registrations(monkeypatch):
         # plain calls
         ("step1", "representation-store"): 2,
         # strip_logsumexp's strip and product buffers, G transposed and
-        # lse; its dF and dG are the cache, and the alignment tape counts
-        # the rest
-        ("step2", "activation"): 4,
+        # lse (its dF and dG are the cache); the alignment tape's 7 op
+        # outputs; its backward's 9 gradients: the all-ones seed, 6 stored
+        # and 2 added into the leaves' buffers
+        ("step2", "activation"): 4 + 7 + 9,
         ("step2", "gradient-cache"): 2,
         # one accumulator per parameter array; the encoder pass counts
         # the rest with plain calls
         ("step3", "parameters"): 2 * 2 * layers,
     }
     assert dict(seen) == expected
-    assert sum(expected.values()) == 20
+    assert sum(expected.values()) == 36
 
 
 def _step3_floats_the_meter_misses(act):
