@@ -22,7 +22,10 @@ Design choices that equivalence tests depend on:
   and never branch on an activation's name;
 * an encoder is one ``encoder`` node keeping each layer's output and no
   pre-activation; its forward and VJP (``encoder_forward``,
-  ``encoder_vjp``) are the one encoder loop, also run with no tape;
+  ``encoder_vjp``) are the one encoder loop, also run with no tape.
+  They write every product into buffers the caller passes in: the node
+  passes fresh ones, the cached step one flat buffer per encoder and
+  phase;
 * a VJP is called as ``vjp(ctx, g, taped)``, ``taped`` holding the
   node's input indices (None for an input not on the tape), and returns
   fresh arrays, one per input. It may return None for an untaped input
@@ -39,11 +42,14 @@ Design choices that equivalence tests depend on:
   freed, and uncounted, at once;
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
-  exponentiation;
-* operations allocate fresh output arrays (no views). Every op output,
-  taped or not, and every gradient backward makes is counted through
-  ``memtrace.register``, from when it is made until it is freed; the
-  encoder pass alone counts with plain calls (see ``memtrace``).
+  exponentiation, and row-logsumexp's gradient is the strip kernel's
+  (``kernels.strip_logsumexp``) arithmetic;
+* operations allocate fresh output arrays (no views). Every array made
+  here is counted through ``memtrace.register``, from when it is made
+  until it is freed: every op output, taped or not, the arrays a forward
+  saves and every gradient backward makes, from the VJP's return on.
+  The encoder pass counts nothing itself; its callers register the
+  buffers they pass in.
 """
 
 import itertools
@@ -53,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from . import memtrace
 from .memtrace import register
 
 
@@ -271,111 +276,115 @@ def _bw_matmul(ctx, g, taped):
             np.matmul(x.T, g) if taped[1] is not None else None)
 
 
-def encoder_forward(x, arrays, acts, keep):
+def encoder_widths(x_shape, arrays):
+    """[w0, ..., wL], the widths of rows of x_shape and of each layer's
+    output for arrays w1, b1, w2, ...; ShapeMismatchError naming
+    ``encoder`` if they do not chain."""
+    widths = [x_shape[1] if len(x_shape) == 2 else -1]
+    for w, b in zip(arrays[::2], arrays[1::2]):
+        if w.ndim != 2 or w.shape[0] != widths[-1] or b.shape != w.shape[1:]:
+            raise _shape_error("encoder", x_shape, *(a.shape for a in arrays))
+        widths.append(w.shape[1])
+    return widths
+
+
+def encoder_outputs(buf, n, widths, acts):
+    """Views of a flat buffer for an n-row pass's layer outputs, stacked
+    from offset 0; None for a linear top, which no VJP reads."""
+    outs, at = [], 0
+    for k, w in enumerate(widths[1:], 1):
+        keep = k < len(acts) or acts[-1] != "linear"
+        outs.append(buf[at:at + n * w].reshape(n, w) if keep else None)
+        at += n * w
+    return outs
+
+
+def encoder_floats(n, widths, acts, need_gx=False):
+    """Floats of the buffer an n-row ``encoder_vjp`` works in: the layer
+    outputs of ``encoder_outputs``, and right after layer k's (after the
+    one below, for a linear top) its scratch, which holds its weight,
+    bias and input gradients (none for the first layer unless need_gx)
+    in turn."""
+    floats, at = 0, 0
+    for k in range(1, len(widths)):
+        if k < len(acts) or acts[-1] != "linear":
+            at += n * widths[k]
+        gx = n * widths[k - 1] if k > 1 or need_gx else 0
+        floats = max(floats, at + max(widths[k - 1] * widths[k], gx))
+    return floats
+
+
+def encoder_forward(x, arrays, acts, outs):
     """act(y @ w + b) layer by layer from y = x, for arrays w1, b1, w2, ...
 
-    Returns every layer's output, uncounted, if keep; else a list of the
-    last alone, uncounted, each earlier one counted until the next is made.
+    Layer k's output goes into outs[k], a C-contiguous n x w_k array; a
+    None top entry skips the top layer. Returns outs. Nothing is checked
+    (see ``encoder_widths``) or counted here.
     """
-    width = x.shape[1] if x.ndim == 2 else -1
-    for w, b in zip(arrays[::2], arrays[1::2]):
-        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
-            raise _shape_error("encoder", x.shape, *(a.shape for a in arrays))
-        width = w.shape[1]
-    meter = memtrace.counting_meter()
-    outs, held = [], 0
-    try:
-        for k, act in enumerate(acts):
-            y = kernels.matmul(x, arrays[2 * k])
-            y += arrays[2 * k + 1]
-            x = kernels.activate(act, y)
-            if keep:
-                outs.append(x)
-            else:
-                meter.track_alloc("activation", x.size)
-                meter.track_release("activation", held)
-                held = x.size
-    finally:
-        # on a budget error too: what was counted here dies with it
-        meter.track_release("activation", held)
-    return outs if keep else [x]
+    for k, y in enumerate(outs):
+        if y is None:
+            break
+        kernels._tiled_matmul(x, arrays[2 * k], out=y)
+        y += arrays[2 * k + 1]
+        x = kernels.activate(acts[k], y)
+    return outs
 
 
-def encoder_vjp(x, arrays, acts, outs, g, grads, need_gx=False,
-                consume=False):
-    """Backpropagate g, the last output's gradient, through the layers.
+def encoder_vjp(x, arrays, acts, outs, g, grads, buf, need_gx=False):
+    """Backpropagate g, the top output's gradient, through the layers.
 
-    Each weight and bias gradient is added into its entry of grads, or
-    stored there if that entry is None; x's gradient is returned if
-    need_gx, else None. g is never written, nor outs unless consume:
-    outs are then this call's and counted from the call on, and each
-    takes its layer's slope product in place and is freed once read.
-    Arrays made here are counted while held, those stored or returned
-    until the return.
+    Every product goes into buf, laid out as ``encoder_floats`` says for
+    g's rows: layer k's slope product into its output's slot (outs[k] may
+    be that slot, and is then overwritten), its weight and bias gradients
+    into its scratch, each then added into its entry of grads, and its
+    input's gradient there too. Returns x's gradient, a view of buf, if
+    need_gx, else None. g is never written, nor outs outside buf, and
+    nothing is counted here.
     """
-    meter = memtrace.counting_meter()
-    live = meter.live["activation"]
-    owned = stored = 0  # floats counted for g (none for the seed), grads
-    try:
-        if consume:
-            meter.track_alloc("activation", sum(y.size for y in outs))
-        for k in range(len(acts) - 1, -1, -1):
-            y = outs.pop() if consume else outs[k]
-            if acts[k] != "linear":
-                # the layer above has read y
-                g = kernels.activation_vjp(acts[k], y, g,
-                                           y if consume else None)
-                if not consume:
-                    meter.track_alloc("activation", g.size)
-                meter.track_release("activation", owned)
-                owned = g.size
-            elif consume:
-                meter.track_release("activation", y.size)
-            y = None
-            stored += _add_grad(grads, 2 * k, np.matmul(
-                (outs[k - 1] if k else x).T, g), meter)
-            stored += _add_grad(grads, 2 * k + 1, g.sum(axis=0), meter)
-            gx = np.matmul(g, arrays[2 * k].T) if k or need_gx else None
-            if gx is not None:
-                meter.track_alloc("activation", gx.size)
-            meter.track_release("activation", owned)
-            # no name but g may keep the old g alive
-            g, owned, gx = gx, 0 if gx is None else gx.size, None
-    except BaseException:
-        # a budget error, say: what was counted here dies with it
-        meter.live["activation"] = live
-        raise
-    meter.track_release("activation", owned + stored)
-    return g
-
-
-def _add_grad(grads, j, d, meter):
-    # add d into grads[j], or store it there if that is None; returns the
-    # floats stored
-    meter.track_alloc("activation", d.size)
-    if grads[j] is None:
-        grads[j] = d
-        return d.size
-    grads[j] += d
-    meter.track_release("activation", d.size)
-    return 0
+    n, top = g.shape[0], len(acts) - 1
+    at = n * sum(w.shape[1] for w in arrays[:-2:2])
+    for k in range(top, -1, -1):
+        w = arrays[2 * k]
+        k_in, k_out = w.shape
+        end = at
+        if k < top or acts[k] != "linear":
+            # the layer above has read y: it takes the slope product
+            end += n * k_out
+            g = kernels.activation_vjp(acts[k], outs[k], g,
+                                       buf[at:end].reshape(n, k_out))
+        dw = buf[end:end + k_in * k_out].reshape(k_in, k_out)
+        grads[2 * k] += np.matmul((outs[k - 1] if k else x).T, g, out=dw)
+        grads[2 * k + 1] += np.sum(g, axis=0, out=buf[end:end + k_out])
+        if k or need_gx:
+            g = np.matmul(g, w.T,
+                          out=buf[end:end + n * k_in].reshape(n, k_in))
+            at -= n * k_in
+    return g if need_gx else None
 
 
 def _fw_encoder(attrs, x, *arrays):
-    outs = encoder_forward(x, arrays, attrs["acts"], keep=True)
+    n, acts = x.shape[0], attrs["acts"]
+    widths = encoder_widths(x.shape, arrays)
     # the outputs below the top one are saved for backward: count them
     # while the tape holds them
-    for y in outs[:-1]:
-        register(y)
-    return outs[-1], (x, arrays, attrs["acts"], outs)
+    outs = [register(np.empty((n, w))) for w in widths[1:-1]]
+    outs.append(np.empty((n, widths[-1])))
+    encoder_forward(x, arrays, acts, outs)
+    return outs[-1], (x, arrays, acts, outs)
 
 
 def _bw_encoder(ctx, g, taped):
     x, arrays, acts, outs = ctx
-    grads = [None] * len(arrays)
     # a first layer's input is a constant: skip its n x k product
-    gx = encoder_vjp(x, arrays, acts, outs, g, grads, taped[0] is not None)
-    return (gx, *grads)
+    need_gx = taped[0] is not None
+    widths = encoder_widths(x.shape, arrays)
+    buf = register(np.empty(encoder_floats(x.shape[0], widths, acts,
+                                           need_gx)))
+    grads = [register(np.zeros_like(a)) for a in arrays]
+    gx = encoder_vjp(x, arrays, acts, outs, g, grads, buf, need_gx)
+    # the results leave buf and grads, which die here: backward counts
+    # the copies
+    return (None if gx is None else gx.copy(), *(d.copy() for d in grads))
 
 
 def _fw_add(attrs, x, y):
@@ -439,14 +448,17 @@ def _fw_row_logsumexp(attrs, x):
     if x.ndim != 2:
         raise _shape_error("row-logsumexp", x.shape)
     scale = attrs["scale"]
-    out, p = kernels.row_logsumexp(x, scale)
-    # the softmax is saved for backward: count it while the tape holds it
-    return out, (scale, register(p))
+    out, e, s = kernels.row_exp(x, scale)
+    # the exponentials and their row sums are saved for backward: count
+    # them while the tape holds them
+    return out, (scale, register(e), register(s))
 
 
 def _bw_row_logsumexp(ctx, g, taped):
-    scale, p = ctx
-    return ((scale * g) * p,)
+    # the strip kernel's arithmetic: the gradient weight over the row sum,
+    # times the exponentials
+    scale, e, s = ctx
+    return (((scale * g) / s) * e,)
 
 
 def _fw_sum(attrs, x):

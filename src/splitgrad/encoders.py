@@ -84,13 +84,13 @@ def identity_params(dim):
 def encode(params, inputs):
     """Embed input rows without recording; returns a plain array.
 
-    It runs the encoder node's forward with nothing kept, so the rows are
-    bitwise those a tape would give. The active meter counts each layer's
-    output only until the next one is made, and the result not at all.
+    It runs the ``encoder`` op over constants, so the rows are bitwise
+    those a tape would give, and the active meter counts the result, as
+    it counts any op output, while it lives.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    return ad.encoder_forward(inputs, param_arrays(params),
-                              params.activations, keep=False)[0]
+    return ad.record("encoder", np.asarray(inputs, dtype=np.float64),
+                     *param_arrays(params),
+                     acts=tuple(params.activations)).data
 
 
 def make_leaves(params):

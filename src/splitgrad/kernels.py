@@ -60,9 +60,9 @@ def _tiled_matmul(x, w, out=None):
     np.matmul(x[:body].reshape(tiles, TILE, k), w,
               out=out[:body].reshape(tiles, TILE, m))
     if ragged:
-        tail = np.zeros((TILE, k))
+        tail = register(np.zeros((TILE, k)))
         tail[:ragged] = x[body:]
-        out[body:] = np.matmul(tail, w)[:ragged]
+        out[body:] = register(np.matmul(tail, w))[:ragged]
     return out
 
 
@@ -91,23 +91,40 @@ def row_softmax(x):
 def row_logsumexp(x, scale=1.0):
     """Log-sum-exp of each row of scale * x, and that row softmax.
 
-    Returns (lse [n x 1], p [n x m]). The scaled rows are shifted by
-    their max before exponentiation, so no finite input overflows, and p
-    is the only n x m buffer made: scale, subtract, exp and normalise all
-    run in place on it.
+    Returns (lse [n x 1], p [n x m]). p is the only n x m buffer made:
+    scale, shift, exp and normalise all run in place on it.
     """
-    p = scale * _c64(x)
-    return _logsumexp_in_place(p), p
+    lse, p, s = row_exp(x, scale)
+    p /= s
+    return lse, p
 
 
-def _logsumexp_in_place(p):
-    # overwrite the rows of p with their softmax; return their n x 1 lse
+def row_exp(x, scale=1.0):
+    """(lse, e, s) for the rows of scale * x: their log-sum-exp, the exp
+    of each row shifted by its max (e, the only n x m buffer made) and
+    e's row sums, so that e / s is the row softmax."""
+    e = scale * _c64(x)
+    lse, s = _exp_rows(e)
+    return lse, e, s
+
+
+# exp is many times slower where its result is subnormal or 0 (below
+# about -708) than elsewhere; a shifted score below -700 adds less than
+# 1e-304 to its row's sum, which is at least 1, so it is clamped here
+EXP_FLOOR = -700.0
+
+
+def _exp_rows(p, clamp=True):
+    # overwrite the rows of p with exp(p - rowmax), the shifted rows
+    # clamped at EXP_FLOOR unless the caller knows none lies below it;
+    # return the rows' lse and sums [n x 1]
     m = p.max(axis=1, keepdims=True)
     p -= m
+    if clamp:
+        np.maximum(p, EXP_FLOOR, out=p)
     np.exp(p, out=p)
     s = p.sum(axis=1, keepdims=True)
-    p /= s
-    return m + np.log(s)
+    return m + np.log(s), s
 
 
 def strip_logsumexp(F, G, scale, weight):
@@ -115,22 +132,33 @@ def strip_logsumexp(F, G, scale, weight):
 
     For a loss that gives every lse_i the gradient weight, returns
     (lse [n x 1], dF [n x d], dG [m x d]) with dF = gS @ G and
-    dG = gS.T @ F, where gS = (scale * weight) * softmax(scale * F @ G.T).
-    The n x m scores never exist: anchors go in strips of STRIP rows, and
-    one STRIP x m buffer, made before the loop, holds each strip's scores
-    and becomes their softmax and then gS in place. The dF rows are
-    written straight into dF, and dG adds each strip's product through
-    one m x d buffer. Every row goes through the row-stable tiled matmul
-    and row_logsumexp's arithmetic, so lse and dF are bitwise the dense
-    ones whatever STRIP is; dG sums the strips in order. Each array is
+    dG = gS.T @ F, where gS = (scale * weight / s) * e for the row
+    exponentials e and their sums s of ``row_exp``. The n x m scores
+    never exist: anchors go in strips of STRIP rows, and one STRIP x m
+    buffer, made before the loop, holds each strip's scores and becomes
+    e and then gS in place. The dF rows are written straight into dF,
+    and dG adds each strip's product through one m x d buffer. Every row
+    goes through the row-stable tiled matmul and ``row_exp``'s
+    arithmetic, so lse and dF are bitwise the dense ones whatever STRIP
+    is; dG sums the strips in order. A strip is clamped at EXP_FLOOR only
+    if its rows' Cauchy-Schwarz bound 2 * scale * |F_i| * max_j |G_j| on
+    how far a score lies below its row's max reaches it. Each array is
     counted by the active meter when it is made: dF and dG, the cached
-    step's gradient cache, as n * d + m * d "gradient-cache" floats, and
+    step's gradient cache, as n * d + m * d "gradient-cache" floats, the
+    squared row norms (n + m floats, gone before the rest is made), and
     the strip buffer, G transposed, the product buffer and lse as
-    STRIP * m + 2 * m * d + n "activation" floats (min(STRIP, n) rows
-    of strip). The number of buffers does not depend on n.
+    STRIP * m + 2 * m * d + n "activation" floats (min(STRIP, n) rows of
+    strip). The number of buffers does not depend on n.
     """
     F, G = _c64(F), _c64(G)
     n, m = F.shape[0], G.shape[0]
+    # squared, and less a margin for the scores' rounding
+    f2 = register(np.einsum("ij,ij->i", F, F))
+    g2 = float(register(np.einsum("ij,ij->i", G, G)).max())
+    reach = 4.0 * scale * scale * g2
+    limit = (0.999 * EXP_FLOOR) ** 2 / reach if reach else np.inf
+    clamp = (np.maximum.reduceat(f2, np.arange(0, n, STRIP)) > limit).tolist()
+    del f2
     # G.T once, contiguous, so every strip's scores copy nothing
     Gt = register(_c64(G.T))
     lse = register(np.empty((n, 1)))
@@ -139,13 +167,13 @@ def strip_logsumexp(F, G, scale, weight):
     strip = register(np.empty((min(STRIP, n), m)))
     prod = register(np.empty(G.shape))
     coef = scale * weight
-    for lo in range(0, n, STRIP):
+    for lo, clamped in zip(range(0, n, STRIP), clamp):
         hi = min(lo + STRIP, n)
         # the short last strip is a view of the leading rows
         p = _tiled_matmul(F[lo:hi], Gt, out=strip[:hi - lo])
         p *= scale
-        lse[lo:hi] = _logsumexp_in_place(p)
-        p *= coef
+        lse[lo:hi], s = _exp_rows(p, clamped)
+        p *= coef / s
         _tiled_matmul(p, G, out=dF[lo:hi])
         dG += np.matmul(p.T, F[lo:hi], out=prod)
     return lse, dF, dG
@@ -168,13 +196,16 @@ def activation_vjp(name, y, g, out=None):
     The product goes into out, a fresh array if None; out may be y itself,
     which is then overwritten. relu's slope comes from y: y > 0 exactly
     where the input was, and NaN passes neither test. For linear the
-    result is g itself.
+    result is g itself, or a copy of it in out.
     """
     if name == "tanh":
         return tanh_vjp(y, g, out)
     if name == "relu":
         return relu_vjp(y, g, out)
-    return g
+    if out is None:
+        return g
+    np.copyto(out, g)
+    return out
 
 
 def _activation_slope(name, y):
@@ -199,17 +230,18 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     of the head's other parameters.
 
     Anchors go in strips of HEAD_STRIP rows. A strip runs the head forward
-    over all its pairs, reads the positives of z, turns z into its
-    softmax in place with row_logsumexp's arithmetic, forms
-    dL/dd = scale * ((1/n) * softmax - (1/n) * onehot) there too and runs
+    over all its pairs, reads the positives of z, turns z into its row
+    exponentials e in place with row_exp's arithmetic, forms
+    dL/dd = scale * (((1/n) / s) * e - (1/n) * onehot) there too, s being
+    the row sums, as a dense tape's row-logsumexp gradient does, and runs
     the head backward at once, so every pair passes through the head once
     each way and nothing n x m is ever held. The live buffers are made
     once and reused by every strip: one HEAD_STRIP x m x h hidden layer,
     overwritten in place by the backward with dL/dpre; one HEAD_STRIP x m
-    buffer for z, its softmax and dL/dd; one m x h row buffer; and the
+    buffer for z, e and dL/dd; one m x h row buffer; and the
     n x 1 per-anchor losses: HEAD_STRIP * m * (h + 1) + m * h + n floats,
     each counted by the active meter. Each row goes through the
-    row-stable tiled matmul and row_logsumexp's arithmetic, so L is
+    row-stable tiled matmul and row_exp's arithmetic, so L is
     bitwise that of the same head on a dense tape; L and gA do not depend
     on HEAD_STRIP, and gB and the parameter gradients sum the strips in
     order.
@@ -239,11 +271,12 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
         z += b2
         z *= scale
         pos = z[rows, r[lo:hi]][:, None]
-        gap[lo:hi] = _logsumexp_in_place(z) - pos
-        # z, now its softmax p, becomes dL/dd; then dL/dpre overwrites
-        # the hidden layer
+        lse, s = _exp_rows(z)
+        gap[lo:hi] = lse - pos
+        # z, now e, becomes dL/dd; then dL/dpre overwrites the hidden
+        # layer
         p = z
-        p *= inv_n
+        p *= inv_n / s
         p[rows, r[lo:hi]] -= inv_n
         p *= scale
         gb2 += p.sum()

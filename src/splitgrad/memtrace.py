@@ -4,21 +4,16 @@ gradient caches, and parameters.
 The counting unit is floats, not bytes, so the numbers are precision
 independent. Counts follow lifetimes deterministically, because CPython
 frees an object the moment its last reference drops (the engine keeps
-its object graph cycle-free on purpose). Arrays are counted two ways:
-
-* the encoder pass (``autodiff.encoder_forward`` and ``encoder_vjp``)
-  counts each array it makes with plain ``track_alloc`` and
-  ``track_release`` calls, when it is made and when it is freed; with
-  no meter active it counts into one that does nothing;
-* every other array goes through ``register``, one at a time: every op
-  output, taped or not, arrays saved in a forward's context, the
-  gradients a tape's backward makes (its all-ones seed, the gradients it
-  stores and the results it adds in and drops), kernel buffers and the
-  trainers' own stores, caches and accumulators. ``register_array``
-  counts the array and makes one ``weakref.ref`` whose callback,
-  ``_release_ref``, uncounts it when it is freed; the refs live in a
-  dict keyed by the ref's id (a ref hashes its referent, and arrays are
-  unhashable).
+its object graph cycle-free on purpose). Every array is counted one
+way, through ``register``: every op output, taped or not, arrays saved
+in a forward's context, the gradients a tape's backward makes, kernel
+buffers, the encoder passes' buffers (the cached step registers one per
+encoder and phase; the encoder pass itself counts nothing) and the
+trainers' own stores, caches and accumulators. ``register_array``
+counts the array and makes one ``weakref.ref`` whose callback,
+``_release_ref``, uncounts it when it is freed; the refs live in a dict
+keyed by the ref's id (a ref hashes its referent, and arrays are
+unhashable).
 
 A counter is made visible to the engine by pushing it on a stack
 (``use_meter``) and the innermost one is active: the multi-worker step
@@ -156,30 +151,12 @@ def _release_ref(ref):
     meter.live[category] -= n
 
 
-class _Uncounted:
-    """The encoder pass's counter when no meter is active: it counts
-    nothing, and its ``live`` is there for ``encoder_vjp``'s error path."""
-
-    live = dict.fromkeys(CATEGORIES, 0)
-
-    def track_alloc(self, category, n_floats):
-        pass
-
-    track_release = track_alloc
-
-
 _meters = []
-_uncounted = _Uncounted()
 
 
 def current_meter():
     """The innermost active counter, or None."""
     return _meters[-1] if _meters else None
-
-
-def counting_meter():
-    """The innermost active counter, or one that counts nothing."""
-    return _meters[-1] if _meters else _uncounted
 
 
 @contextmanager

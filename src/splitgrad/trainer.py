@@ -19,14 +19,17 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   one encoder pass with no tape, its parameter gradients added in place
   into one buffer per parameter (step3); finally the optimizer runs
   once (step4). Peak activation memory in steps 1 and 3 depends only on
-  the sub-batch size. For sub-batch b and widths w0..wL with a linear
-  top layer, step3's forward holds every layer's output; its backward,
-  at layer k, holds the outputs below k, the gradient of layer k's
-  output (the seed, which the cache owns, at the top layer) and one of
-  the weight gradient, the bias gradient and the gradient of the layer
-  below at a time, freeing each output once read:
-  ``max(b·Σ_{i≥1} w_i, max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k
-  + max(w_{k−1}·w_k, [k>1]·b·w_{k−1})])`` floats. Step2 is one
+  the sub-batch size: each encoder's passes in a phase work in one flat
+  buffer, sized for the largest chunk and registered while they run.
+  Step1's holds the layer outputs below the top, whose output goes
+  straight into F or G. Step3's stacks the outputs the VJP reads (not a
+  linear top's), each followed by its layer's scratch, which takes the
+  weight, bias and input gradients in turn; the slope products
+  overwrite the outputs read. For sub-batch b and widths w0..wL with a
+  linear top that is ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k
+  + max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats, plus, for a chunk of
+  other than a multiple of ``kernels.TILE`` rows, the tiled matmul's
+  tail tile and its product while a layer's forward runs. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   For n_s anchors, n_t targets and embedding width d it holds
@@ -106,18 +109,18 @@ class StepStats:
     fwd_rows and bwd_rows count encoder rows run forward and backward.
     loss_phase_peak is the activation peak of the ``LOSS_PHASE`` window,
     0 in modes without one; act_peak is that of every other window. In
-    the cached path a chunk's parameter gradients are added into the
-    step's accumulators (counted as parameters) and freed one at a time,
-    so act_peak holds one weight or bias gradient, never a whole
-    encoder's. cache_floats is the largest gradient-cache count
-    over the step, summed over workers in multi mode.
+    the cached path a chunk's parameter gradients pass one at a time
+    through its encoder buffer's scratch into the step's accumulators
+    (counted as parameters), so act_peak holds one weight or bias
+    gradient, never a whole encoder's. cache_floats is the largest
+    gradient-cache count over the step, summed over workers in multi
+    mode.
 
-    The encoder pass counts every layer output and gradient it makes,
-    and applies each activation slope in place. What the meter still
-    misses is the zero-padded tail tile of ``kernels.matmul`` for a
-    chunk of other than a multiple of ``kernels.TILE`` rows, at most
-    TILE·(w_{k−1} + w_k) floats within one call, and small temporaries
-    inside the loss kernels and the taped loss ops' backward rules.
+    Every array the step makes is registered, the encoder buffers and
+    the tiled matmul's tail tiles included. The meter misses only the
+    loss kernels' per-row columns of a strip and the iteration buffer
+    numpy gives a broadcasting ufunc call (up to ``np.getbufsize()``
+    elements, freed when the call returns).
     """
 
     fwd_rows: int
@@ -205,13 +208,27 @@ def step1_graphless_forward(batch, params_f, params_g, plan):
                               "representation-store")
         G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
                               "representation-store")
-        for lo, hi in plan.anchor_chunks:
-            F[lo:hi] = encoders.encode(params_f, batch.anchors[lo:hi])
-            count("fwd_rows", hi - lo)
-        for lo, hi in plan.target_chunks:
-            G[lo:hi] = encoders.encode(params_g, batch.targets[lo:hi])
-            count("fwd_rows", hi - lo)
+        _forward_side(params_f, batch.anchors, plan.anchor_chunks, F)
+        _forward_side(params_g, batch.targets, plan.target_chunks, G)
     return F, G
+
+
+def _forward_side(params, rows, chunks, reps):
+    """A side's chunks through its encoder: each chunk's top layer goes
+    straight into its rows of reps, the layers below into one buffer,
+    sized for the largest chunk and registered while the side runs."""
+    if not chunks:
+        return
+    arrays, acts = encoders.param_arrays(params), params.activations
+    widths = ad.encoder_widths(rows.shape, arrays)
+    b = max(hi - lo for lo, hi in chunks)
+    buf = memtrace.register(np.empty(b * sum(widths[1:-1])))
+    below = (*acts[:-1], "linear")  # lays out the layers below the top
+    for lo, hi in chunks:
+        outs = ad.encoder_outputs(buf, hi - lo, widths, below)
+        outs[-1] = reps[lo:hi]
+        ad.encoder_forward(rows[lo:hi], arrays, acts, outs)
+        count("fwd_rows", hi - lo)
 
 
 def step2_build_cache(F, G, r, tau):
@@ -232,21 +249,29 @@ def _zero_grads(params):
             for p in encoders.param_arrays(params)]
 
 
-def _accumulate_chunk(params, rows, seed_rows, grad_accumulators):
-    """One encoder pass over a chunk, with no tape: the forward keeps each
-    layer's output, and the VJP seeded with the chunk's cached rows
-    consumes them and adds each layer's gradients straight into the
-    step's accumulators."""
-    arrays = encoders.param_arrays(params)
-    outs = ad.encoder_forward(rows, arrays, params.activations, keep=True)
-    count("fwd_rows", rows.shape[0])
-    ad.encoder_vjp(rows, arrays, params.activations, outs, seed_rows,
-                   grad_accumulators, consume=True)
-    count("bwd_rows", rows.shape[0])
+def _accumulate_side(params, rows, chunks, seed_rows, grads):
+    """A side's encoder passes, with no tape, in one buffer laid out by
+    ``autodiff.encoder_floats`` for the largest chunk and registered
+    while the side runs: each chunk's forward keeps what its VJP reads,
+    and the VJP, seeded with the chunk's cached rows, adds each layer's
+    gradients into grads."""
+    if not chunks:
+        return
+    arrays, acts = encoders.param_arrays(params), params.activations
+    widths = ad.encoder_widths(rows.shape, arrays)
+    b = max(hi - lo for lo, hi in chunks)
+    buf = memtrace.register(np.empty(ad.encoder_floats(b, widths, acts)))
+    for lo, hi in chunks:
+        x = rows[lo:hi]
+        outs = ad.encoder_forward(
+            x, arrays, acts, ad.encoder_outputs(buf, hi - lo, widths, acts))
+        count("fwd_rows", hi - lo)
+        ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads, buf)
+        count("bwd_rows", hi - lo)
 
 
 def step3_accumulate(batch, params_f, params_g, plan, cache):
-    """Per-sub-batch taped passes seeded from the cache; grads summed.
+    """Per-sub-batch encoder passes seeded from the cache; grads summed.
 
     Chunks run in the plan's order, which sets the order of the sums.
     """
@@ -258,14 +283,10 @@ def step3_accumulate(batch, params_f, params_g, plan, cache):
     with memtrace.phase("step3"):
         grads_f = _zero_grads(params_f)
         grads_g = _zero_grads(params_g)
-        for lo, hi in plan.anchor_chunks:
-            _accumulate_chunk(
-                params_f, batch.anchors[lo:hi], cache.u_rows[lo:hi], grads_f
-            )
-        for lo, hi in plan.target_chunks:
-            _accumulate_chunk(
-                params_g, batch.targets[lo:hi], cache.v_rows[lo:hi], grads_g
-            )
+        _accumulate_side(params_f, batch.anchors, plan.anchor_chunks,
+                         cache.u_rows, grads_f)
+        _accumulate_side(params_g, batch.targets, plan.target_chunks,
+                         cache.v_rows, grads_g)
     return grads_f, grads_g
 
 

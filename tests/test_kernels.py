@@ -114,7 +114,9 @@ def test_loss_kernels_leave_their_inputs_unchanged():
 
 def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
     # one strip buffer for every strip: a kernel that allocated per
-    # strip would register more arrays at five strips than at one
+    # strip would register more arrays at five strips than at two. Both
+    # sizes end in a short strip, whose zero-padded tail tiles
+    # _tiled_matmul registers once per call
     registered = []
     real = kernels.register
 
@@ -125,7 +127,7 @@ def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
     monkeypatch.setattr(kernels, "register", spy)
     rng = np.random.default_rng(7)
     counts = []
-    for n in (kernels.STRIP, 4 * kernels.STRIP + 3):
+    for n in (kernels.STRIP + 3, 4 * kernels.STRIP + 3):
         registered.clear()
         kernels.strip_logsumexp(rng.normal(size=(n, 8)),
                                 rng.normal(size=(n + 5, 8)), 1.0, 1.0 / n)

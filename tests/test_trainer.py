@@ -7,6 +7,7 @@ from splitgrad import autodiff as ad
 from splitgrad import deep, encoders, kernels, memtrace, multiworker, trainer
 from splitgrad import loss as loss_mod
 from splitgrad.autodiff import flat_max_rel_err
+from splitgrad.kernels import TILE
 from splitgrad.loss import Batch, direct_param_grads
 from splitgrad.trainer import (
     CacheNotFilledError,
@@ -230,29 +231,36 @@ def test_activation_peak_independent_of_batch_size():
     assert peaks[0] == peaks[1] == peaks[2]
 
 
-def _step3_peak(widths, b):
-    """The cached step's act_peak for sub-batch b and encoder widths.
+def _step3_peak(widths, n, b):
+    """The cached step's act_peak for n rows, sub-batch b and encoder
+    widths with a linear top layer.
 
-    The forward holds every layer's output. The backward at layer k
-    holds the outputs of the layers below k, the gradient of layer k's
-    output (the seed, which the cache owns, at the linear top layer) and
-    then, one at a time, the weight gradient, which is added into the
-    step's accumulator and freed, the smaller bias gradient, and the
-    gradient of the layer below (none below the first layer).
+    Each encoder's step3 buffer holds its layer outputs below the top,
+    stacked, and after each layer's output that layer's scratch: the
+    weight gradient, then the smaller bias gradient, then the gradient of
+    the layer below (none below the first layer); the top layer's
+    scratch starts after the output below it. A chunk of other than a
+    multiple of TILE rows adds, while a layer's forward runs, the tiled
+    matmul's zero-padded tail tile and its product; step3 skips the top
+    layer's forward.
     """
     L = len(widths) - 1
-    return max(b * sum(widths[1:]), max(
-        b * sum(widths[1:k]) + (b * widths[k] if k < L else 0)
-        + max(widths[k - 1] * widths[k], b * widths[k - 1] if k > 1 else 0)
-        for k in range(1, L + 1)
-    ))
+    buf = max(b * sum(widths[1:k]) + (b * widths[k] if k < L else 0)
+              + max(widths[k - 1] * widths[k],
+                    b * widths[k - 1] if k > 1 else 0)
+              for k in range(1, L + 1))
+    short = b % TILE or n % b % TILE
+    tail = max((TILE * (widths[k - 1] + widths[k]) for k in range(1, L)),
+               default=0)
+    return buf + (tail if short else 0)
 
 
 @pytest.mark.parametrize("widths,act,n,b", [
     ([24, 128, 128, 16], "tanh", 48, 16),
     ([24, 32, 16], "tanh", 64, 32),
-    ([10, 20, 12, 6], "relu", 37, 8),  # last chunk holds 5 rows
-    ([4, 2, 8], "tanh", 70, 64),  # the forward's outputs set the peak
+    ([10, 20, 12, 6], "relu", 37, 8),  # every chunk is short of a tile
+    ([4, 2, 8], "tanh", 70, 64),  # the last chunk holds 6 rows
+    ([24, 32, 16], "linear", 64, 16),  # the slope is a copy of g
 ])
 def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
                                                                n, b):
@@ -264,39 +272,66 @@ def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
     opt = encoders.init_optimizer("sgd", 1e-3)
     with memtrace.MemCounter().activate():
         res = train_step_cached(batch, pf, pg, opt, TrainConfig(1.0, b, b))
-    assert res.stats.act_peak == _step3_peak(widths, b)
+    assert res.stats.act_peak == _step3_peak(widths, n, b)
+
+
+@pytest.mark.parametrize("mode,n,b,widths,act_peak,loss_peak", [
+    ("cache", 1024, 32, [24, 32, 16], 2048, 99328),
+    ("cache", 256, 16, [24, 128, 128, 16], 20480, 24832),
+    ("deep", 128, 16, [24, 32, 16], 1280, 10368),
+])
+def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
+                                                    act_peak, loss_peak):
+    # one metered step at each shape of the step benchmark's workloads
+    # (cache-b1024, cache-wide-b256, deep-b128 with a head 8 wide)
+    rng = np.random.default_rng(5)
+    batch = loss_mod.aligned_batch(rng.normal(size=(n, widths[0])),
+                                   rng.normal(size=(n, widths[0])))
+    pf = encoders.init_params(6, widths)
+    pg = encoders.init_params(7, widths)
+    opt = encoders.init_optimizer("adam", 1.5e-2)
+    with memtrace.MemCounter().activate():
+        if mode == "cache":
+            res = train_step_cached(batch, pf, pg, opt, TrainConfig(1.0, b, b))
+        else:
+            head = deep.init_distance_head(8, widths[-1], 8)
+            res = deep.train_step_deep(batch, pf, pg, head, opt,
+                                       deep.DeepConfig(1.0, b, b))
+    assert (res.stats.act_peak, res.stats.loss_phase_peak) == (act_peak,
+                                                               loss_peak)
 
 
 @pytest.mark.parametrize("act", ["tanh", "relu"])
 def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
     # one encoder loop, two callers: step3's chunks run the encoder node's
-    # forward and VJP with no tape, and must add into the accumulators
-    # exactly what encode_graph and Tape.backward add into preset leaf
-    # buffers from the same seed rows; the second chunk is ragged
+    # forward and VJP with no tape in one buffer, and must add into the
+    # accumulators exactly what encode_graph and Tape.backward give the
+    # leaves from the same seed rows, added into zeroed accumulators in
+    # the same order; the second chunk is ragged
     rng = np.random.default_rng(12)
     p = encoders.init_params(3, [10, 20, 12, 6], act)
     rows = rng.normal(size=(21, 10))
     seed = rng.normal(size=(21, 6))
     seed0 = seed.copy()
     arrays = encoders.param_arrays(p)
+    chunks = [(0, 16), (16, 21)]
     untaped = [np.zeros_like(a) for a in arrays]
+    trainer._accumulate_side(p, rows, chunks, seed, untaped)
     taped = [np.zeros_like(a) for a in arrays]
-    for lo, hi in [(0, 16), (16, 21)]:
-        trainer._accumulate_chunk(p, rows[lo:hi], seed[lo:hi], untaped)
+    for lo, hi in chunks:
         tape = ad.Tape()
-        leaves = [tape.leaf(a, acc) for a, acc in zip(arrays, taped)]
         with ad.recording(tape):
-            out = encoders.encode_graph(
-                encoders.params_from_arrays(p, leaves),
-                ad.constant(rows[lo:hi]))
+            leaves = encoders.make_leaves(p)
+            out = encoders.encode_graph(leaves, ad.constant(rows[lo:hi]))
         tape.backward(out, seed[lo:hi])
-        assert all(tape.grad(leaf) is acc for leaf, acc in zip(leaves, taped))
+        for acc, g in zip(taped, encoders.leaf_grads(tape, leaves)):
+            acc += g
     assert np.array_equal(seed, seed0)
     for a, r in zip(untaped, taped):
         assert a.tobytes() == r.tobytes()
-    # and the same as fresh leaf gradients of one taped pass, for one chunk
+    # and the same as the leaf gradients of one taped pass, for one chunk
     first = [np.zeros_like(a) for a in arrays]
-    trainer._accumulate_chunk(p, rows, seed, first)
+    trainer._accumulate_side(p, rows, [(0, 21)], seed, first)
     tape = ad.Tape()
     with ad.recording(tape):
         leaves = encoders.make_leaves(p)
