@@ -22,10 +22,8 @@ Design choices that equivalence tests depend on:
   and never branch on an activation's name;
 * an encoder is one ``encoder`` node keeping each layer's output and no
   pre-activation; its forward and VJP (``encoder_forward``,
-  ``encoder_vjp``) are the one encoder loop, also run with no tape.
-  They write every product into buffers the caller passes in: the node
-  passes fresh ones, the cached step one flat buffer per encoder and
-  phase;
+  ``encoder_vjp``) are the one encoder loop, also run with no tape, and
+  write every product into buffers their caller passes in;
 * a VJP is called as ``vjp(ctx, g, taped)``, ``taped`` holding the
   node's input indices (None for an input not on the tape), and returns
   fresh arrays, one per input. It may return None for an untaped input
@@ -47,9 +45,8 @@ Design choices that equivalence tests depend on:
 * operations allocate fresh output arrays (no views). Every array made
   here is counted through ``memtrace.register``, from when it is made
   until it is freed: every op output, taped or not, the arrays a forward
-  saves and every gradient backward makes, from the VJP's return on.
-  The encoder pass counts nothing itself; its callers register the
-  buffers they pass in.
+  saves and every gradient backward makes, from the VJP's return on;
+  the encoder pass counts nothing, and its callers register its buffers.
 """
 
 import itertools
@@ -288,30 +285,43 @@ def encoder_widths(x_shape, arrays):
     return widths
 
 
-def encoder_outputs(buf, n, widths, acts):
-    """Views of a flat buffer for an n-row pass's layer outputs, stacked
-    from offset 0; None for a linear top, which no VJP reads."""
-    outs, at = [], 0
+def _encoder_layout(n, widths, keep_top):
+    # (output offset or None, scratch offset) by layer; see encoder_views
+    at = 0
     for k, w in enumerate(widths[1:], 1):
-        keep = k < len(acts) or acts[-1] != "linear"
-        outs.append(buf[at:at + n * w].reshape(n, w) if keep else None)
-        at += n * w
-    return outs
+        out = None
+        if k < len(widths) - 1 or keep_top:
+            out, at = at, at + n * w
+        yield out, at
 
 
-def encoder_floats(n, widths, acts, need_gx=False):
-    """Floats of the buffer an n-row ``encoder_vjp`` works in: the layer
-    outputs of ``encoder_outputs``, and right after layer k's (after the
-    one below, for a linear top) its scratch, which holds its weight,
-    bias and input gradients (none for the first layer unless need_gx)
-    in turn."""
-    floats, at = 0, 0
-    for k in range(1, len(widths)):
-        if k < len(acts) or acts[-1] != "linear":
-            at += n * widths[k]
-        gx = n * widths[k - 1] if k > 1 or need_gx else 0
-        floats = max(floats, at + max(widths[k - 1] * widths[k], gx))
-    return floats
+def encoder_views(buf, n, widths, keep_top):
+    """(outs, scratch): views of the flat buffer an n-row pass works in.
+
+    Layer k's output y_k is an n x w_k view, stacked from offset 0; the
+    top's is None unless keep_top (no VJP reads a linear top's output).
+    Layer k's scratch, a flat view, starts right after y_k, or after
+    y_{L-1} for a top not kept, and takes its weight, bias and input
+    gradients in turn.
+    """
+    outs, scratch = [], []
+    for (out, at), w in zip(_encoder_layout(n, widths, keep_top),
+                            widths[1:]):
+        outs.append(None if out is None
+                    else buf[out:out + n * w].reshape(n, w))
+        scratch.append(buf[at:])
+    return outs, scratch
+
+
+def encoder_floats(n, widths, keep_top, need_gx=False):
+    """Floats of the buffer an n-row ``encoder_vjp`` works in: for each
+    layer, its scratch's offset (see ``encoder_views``) plus the larger
+    of its weight gradient and its input gradient (none for the first
+    layer unless need_gx)."""
+    return max(
+        at + max(widths[k - 1] * widths[k],
+                 n * widths[k - 1] if k > 1 or need_gx else 0)
+        for k, (_, at) in enumerate(_encoder_layout(n, widths, keep_top), 1))
 
 
 def encoder_forward(x, arrays, acts, outs):
@@ -330,35 +340,30 @@ def encoder_forward(x, arrays, acts, outs):
     return outs
 
 
-def encoder_vjp(x, arrays, acts, outs, g, grads, buf, need_gx=False):
+def encoder_vjp(x, arrays, acts, outs, g, grads, views, need_gx=False):
     """Backpropagate g, the top output's gradient, through the layers.
 
-    Every product goes into buf, laid out as ``encoder_floats`` says for
-    g's rows: layer k's slope product into its output's slot (outs[k] may
-    be that slot, and is then overwritten), its weight and bias gradients
-    into its scratch, each then added into its entry of grads, and its
-    input's gradient there too. Returns x's gradient, a view of buf, if
-    need_gx, else None. g is never written, nor outs outside buf, and
-    nothing is counted here.
+    views are ``encoder_views`` of a buffer of ``encoder_floats`` for g's
+    rows, the top kept if it has a slope. Layer k's slope product goes
+    into its output's view (which outs[k] may be), its weight and bias
+    gradients into its scratch, each then added into grads, and its
+    input's gradient there too. Returns x's gradient, a view of the
+    buffer, if need_gx, else None. Nothing is counted here.
     """
-    n, top = g.shape[0], len(acts) - 1
-    at = n * sum(w.shape[1] for w in arrays[:-2:2])
-    for k in range(top, -1, -1):
+    slots, scratch = views
+    n = g.shape[0]
+    for k in range(len(acts) - 1, -1, -1):
         w = arrays[2 * k]
         k_in, k_out = w.shape
-        end = at
-        if k < top or acts[k] != "linear":
+        if slots[k] is not None:
             # the layer above has read y: it takes the slope product
-            end += n * k_out
-            g = kernels.activation_vjp(acts[k], outs[k], g,
-                                       buf[at:end].reshape(n, k_out))
-        dw = buf[end:end + k_in * k_out].reshape(k_in, k_out)
-        grads[2 * k] += np.matmul((outs[k - 1] if k else x).T, g, out=dw)
-        grads[2 * k + 1] += np.sum(g, axis=0, out=buf[end:end + k_out])
+            g = kernels.activation_vjp(acts[k], outs[k], g, slots[k])
+        s = scratch[k]
+        grads[2 * k] += np.matmul((outs[k - 1] if k else x).T, g,
+                                  out=s[:k_in * k_out].reshape(k_in, k_out))
+        grads[2 * k + 1] += np.sum(g, axis=0, out=s[:k_out])
         if k or need_gx:
-            g = np.matmul(g, w.T,
-                          out=buf[end:end + n * k_in].reshape(n, k_in))
-            at -= n * k_in
+            g = np.matmul(g, w.T, out=s[:n * k_in].reshape(n, k_in))
     return g if need_gx else None
 
 
@@ -370,21 +375,21 @@ def _fw_encoder(attrs, x, *arrays):
     outs = [register(np.empty((n, w))) for w in widths[1:-1]]
     outs.append(np.empty((n, widths[-1])))
     encoder_forward(x, arrays, acts, outs)
-    return outs[-1], (x, arrays, acts, outs)
+    return outs[-1], (x, arrays, acts, widths, outs)
 
 
 def _bw_encoder(ctx, g, taped):
-    x, arrays, acts, outs = ctx
+    x, arrays, acts, widths, outs = ctx
+    n, keep_top = x.shape[0], acts[-1] != "linear"
     # a first layer's input is a constant: skip its n x k product
     need_gx = taped[0] is not None
-    widths = encoder_widths(x.shape, arrays)
-    buf = register(np.empty(encoder_floats(x.shape[0], widths, acts,
-                                           need_gx)))
-    grads = [register(np.zeros_like(a)) for a in arrays]
-    gx = encoder_vjp(x, arrays, acts, outs, g, grads, buf, need_gx)
-    # the results leave buf and grads, which die here: backward counts
-    # the copies
-    return (None if gx is None else gx.copy(), *(d.copy() for d in grads))
+    buf = register(np.empty(encoder_floats(n, widths, keep_top, need_gx)))
+    # backward counts the gradients from the return on, as every VJP's
+    grads = [np.zeros_like(a) for a in arrays]
+    gx = encoder_vjp(x, arrays, acts, outs, g, grads,
+                     encoder_views(buf, n, widths, keep_top), need_gx)
+    # x's gradient leaves buf, which dies here
+    return (None if gx is None else gx.copy(), *grads)
 
 
 def _fw_add(attrs, x, y):
@@ -448,15 +453,15 @@ def _fw_row_logsumexp(attrs, x):
     if x.ndim != 2:
         raise _shape_error("row-logsumexp", x.shape)
     scale = attrs["scale"]
-    out, e, s = kernels.row_exp(x, scale)
+    e = scale * kernels._c64(x)
+    out, s = kernels.exp_rows(e)
     # the exponentials and their row sums are saved for backward: count
     # them while the tape holds them
     return out, (scale, register(e), register(s))
 
 
 def _bw_row_logsumexp(ctx, g, taped):
-    # the strip kernel's arithmetic: the gradient weight over the row sum,
-    # times the exponentials
+    # the strip kernel's arithmetic
     scale, e, s = ctx
     return (((scale * g) / s) * e,)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
+from .memtrace import register
 
 CHECKPOINT_FORMAT = "splitgrad-params"
 CHECKPOINT_VERSION = 1
@@ -84,13 +85,19 @@ def identity_params(dim):
 def encode(params, inputs):
     """Embed input rows without recording; returns a plain array.
 
-    It runs the ``encoder`` op over constants, so the rows are bitwise
-    those a tape would give, and the active meter counts the result, as
-    it counts any op output, while it lives.
+    It runs the encoder pass with no tape, so the rows are bitwise those
+    a tape would give. The layers below the top take turns in two
+    buffers; those and the result are registered.
     """
-    return ad.record("encoder", np.asarray(inputs, dtype=np.float64),
-                     *param_arrays(params),
-                     acts=tuple(params.activations)).data
+    inputs = np.asarray(inputs, dtype=np.float64)
+    arrays = param_arrays(params)
+    widths = ad.encoder_widths(inputs.shape, arrays)
+    n, hidden = inputs.shape[0], widths[1:-1]
+    bufs = [register(np.empty(n * max(hidden)))
+            for _ in range(min(2, len(hidden)))]
+    outs = [bufs[k % 2][:n * w].reshape(n, w) for k, w in enumerate(hidden)]
+    outs.append(register(np.empty((n, widths[-1]))))
+    return ad.encoder_forward(inputs, arrays, params.activations, outs)[-1]
 
 
 def make_leaves(params):

@@ -94,34 +94,17 @@ def row_logsumexp(x, scale=1.0):
     Returns (lse [n x 1], p [n x m]). p is the only n x m buffer made:
     scale, shift, exp and normalise all run in place on it.
     """
-    lse, p, s = row_exp(x, scale)
+    p = scale * _c64(x)
+    lse, s = exp_rows(p)
     p /= s
     return lse, p
 
 
-def row_exp(x, scale=1.0):
-    """(lse, e, s) for the rows of scale * x: their log-sum-exp, the exp
-    of each row shifted by its max (e, the only n x m buffer made) and
-    e's row sums, so that e / s is the row softmax."""
-    e = scale * _c64(x)
-    lse, s = _exp_rows(e)
-    return lse, e, s
-
-
-# exp is many times slower where its result is subnormal or 0 (below
-# about -708) than elsewhere; a shifted score below -700 adds less than
-# 1e-304 to its row's sum, which is at least 1, so it is clamped here
-EXP_FLOOR = -700.0
-
-
-def _exp_rows(p, clamp=True):
-    # overwrite the rows of p with exp(p - rowmax), the shifted rows
-    # clamped at EXP_FLOOR unless the caller knows none lies below it;
-    # return the rows' lse and sums [n x 1]
+def exp_rows(p):
+    """Overwrite the rows of p with exp(p - rowmax); return the rows'
+    log-sum-exp and sums s [n x 1], so that p / s is their softmax."""
     m = p.max(axis=1, keepdims=True)
     p -= m
-    if clamp:
-        np.maximum(p, EXP_FLOOR, out=p)
     np.exp(p, out=p)
     s = p.sum(axis=1, keepdims=True)
     return m + np.log(s), s
@@ -133,32 +116,22 @@ def strip_logsumexp(F, G, scale, weight):
     For a loss that gives every lse_i the gradient weight, returns
     (lse [n x 1], dF [n x d], dG [m x d]) with dF = gS @ G and
     dG = gS.T @ F, where gS = (scale * weight / s) * e for the row
-    exponentials e and their sums s of ``row_exp``. The n x m scores
+    exponentials e and their sums s of ``exp_rows``. The n x m scores
     never exist: anchors go in strips of STRIP rows, and one STRIP x m
     buffer, made before the loop, holds each strip's scores and becomes
     e and then gS in place. The dF rows are written straight into dF,
     and dG adds each strip's product through one m x d buffer. Every row
-    goes through the row-stable tiled matmul and ``row_exp``'s
+    goes through the row-stable tiled matmul and ``exp_rows``'
     arithmetic, so lse and dF are bitwise the dense ones whatever STRIP
-    is; dG sums the strips in order. A strip is clamped at EXP_FLOOR only
-    if its rows' Cauchy-Schwarz bound 2 * scale * |F_i| * max_j |G_j| on
-    how far a score lies below its row's max reaches it. Each array is
-    counted by the active meter when it is made: dF and dG, the cached
-    step's gradient cache, as n * d + m * d "gradient-cache" floats, the
-    squared row norms (n + m floats, gone before the rest is made), and
-    the strip buffer, G transposed, the product buffer and lse as
-    STRIP * m + 2 * m * d + n "activation" floats (min(STRIP, n) rows of
-    strip). The number of buffers does not depend on n.
+    is; dG sums the strips in order. Each array is counted by the active
+    meter when it is made: dF and dG, the cached step's gradient cache,
+    as n * d + m * d "gradient-cache" floats, and the strip buffer, G
+    transposed, the product buffer and lse as STRIP * m + 2 * m * d + n
+    "activation" floats (min(STRIP, n) rows of strip). The number of
+    buffers does not depend on n.
     """
     F, G = _c64(F), _c64(G)
     n, m = F.shape[0], G.shape[0]
-    # squared, and less a margin for the scores' rounding
-    f2 = register(np.einsum("ij,ij->i", F, F))
-    g2 = float(register(np.einsum("ij,ij->i", G, G)).max())
-    reach = 4.0 * scale * scale * g2
-    limit = (0.999 * EXP_FLOOR) ** 2 / reach if reach else np.inf
-    clamp = (np.maximum.reduceat(f2, np.arange(0, n, STRIP)) > limit).tolist()
-    del f2
     # G.T once, contiguous, so every strip's scores copy nothing
     Gt = register(_c64(G.T))
     lse = register(np.empty((n, 1)))
@@ -167,12 +140,12 @@ def strip_logsumexp(F, G, scale, weight):
     strip = register(np.empty((min(STRIP, n), m)))
     prod = register(np.empty(G.shape))
     coef = scale * weight
-    for lo, clamped in zip(range(0, n, STRIP), clamp):
+    for lo in range(0, n, STRIP):
         hi = min(lo + STRIP, n)
         # the short last strip is a view of the leading rows
         p = _tiled_matmul(F[lo:hi], Gt, out=strip[:hi - lo])
         p *= scale
-        lse[lo:hi], s = _exp_rows(p, clamped)
+        lse[lo:hi], s = exp_rows(p)
         p *= coef / s
         _tiled_matmul(p, G, out=dF[lo:hi])
         dG += np.matmul(p.T, F[lo:hi], out=prod)
@@ -231,7 +204,7 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
 
     Anchors go in strips of HEAD_STRIP rows. A strip runs the head forward
     over all its pairs, reads the positives of z, turns z into its row
-    exponentials e in place with row_exp's arithmetic, forms
+    exponentials e in place with exp_rows' arithmetic, forms
     dL/dd = scale * (((1/n) / s) * e - (1/n) * onehot) there too, s being
     the row sums, as a dense tape's row-logsumexp gradient does, and runs
     the head backward at once, so every pair passes through the head once
@@ -241,7 +214,7 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     buffer for z, e and dL/dd; one m x h row buffer; and the
     n x 1 per-anchor losses: HEAD_STRIP * m * (h + 1) + m * h + n floats,
     each counted by the active meter. Each row goes through the
-    row-stable tiled matmul and row_exp's arithmetic, so L is
+    row-stable tiled matmul and exp_rows' arithmetic, so L is
     bitwise that of the same head on a dense tape; L and gA do not depend
     on HEAD_STRIP, and gB and the parameter gradients sum the strips in
     order.
@@ -271,7 +244,7 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
         z += b2
         z *= scale
         pos = z[rows, r[lo:hi]][:, None]
-        lse, s = _exp_rows(z)
+        lse, s = exp_rows(z)
         gap[lo:hi] = lse - pos
         # z, now e, becomes dL/dd; then dL/dpre overwrites the hidden
         # layer

@@ -20,16 +20,13 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   into one buffer per parameter (step3); finally the optimizer runs
   once (step4). Peak activation memory in steps 1 and 3 depends only on
   the sub-batch size: each encoder's passes in a phase work in one flat
-  buffer, sized for the largest chunk and registered while they run.
-  Step1's holds the layer outputs below the top, whose output goes
-  straight into F or G. Step3's stacks the outputs the VJP reads (not a
-  linear top's), each followed by its layer's scratch, which takes the
-  weight, bias and input gradients in turn; the slope products
-  overwrite the outputs read. For sub-batch b and widths w0..wL with a
-  linear top that is ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k
-  + max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats, plus, for a chunk of
-  other than a multiple of ``kernels.TILE`` rows, the tiled matmul's
-  tail tile and its product while a layer's forward runs. Step2 is one
+  buffer for the largest chunk (``autodiff.encoder_views``), step1's
+  holding the outputs below the top, which goes straight into F or G.
+  For sub-batch b and widths w0..wL with a linear top, step3's is
+  ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k + max(w_{k−1}·w_k,
+  [k>1]·b·w_{k−1})]`` floats, plus, for a chunk of other than a
+  multiple of ``kernels.TILE`` rows, the tiled matmul's tail tile and
+  its product while a layer's forward runs. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   For n_s anchors, n_t targets and embedding width d it holds
@@ -213,19 +210,32 @@ def step1_graphless_forward(batch, params_f, params_g, plan):
     return F, G
 
 
-def _forward_side(params, rows, chunks, reps):
-    """A side's chunks through its encoder: each chunk's top layer goes
-    straight into its rows of reps, the layers below into one buffer,
-    sized for the largest chunk and registered while the side runs."""
+def _side_passes(params, rows, chunks, vjp):
+    """Each (lo, hi) chunk of a side, with its encoder's arrays and
+    activations and the ``autodiff.encoder_views`` its pass works in
+    (made once for the largest chunk), of one buffer registered while the
+    side runs: step1's (vjp False) holds the outputs below the top."""
     if not chunks:
         return
     arrays, acts = encoders.param_arrays(params), params.activations
     widths = ad.encoder_widths(rows.shape, arrays)
+    keep_top = vjp and acts[-1] != "linear"
     b = max(hi - lo for lo, hi in chunks)
-    buf = memtrace.register(np.empty(b * sum(widths[1:-1])))
-    below = (*acts[:-1], "linear")  # lays out the layers below the top
+    buf = memtrace.register(np.empty(
+        ad.encoder_floats(b, widths, keep_top) if vjp
+        else b * sum(widths[1:-1])))
+    full = ad.encoder_views(buf, b, widths, keep_top)
     for lo, hi in chunks:
-        outs = ad.encoder_outputs(buf, hi - lo, widths, below)
+        yield lo, hi, arrays, acts, (
+            full if hi - lo == b
+            else ad.encoder_views(buf, hi - lo, widths, keep_top))
+
+
+def _forward_side(params, rows, chunks, reps):
+    """A side's chunks through its encoder, each chunk's top layer
+    straight into its rows of reps."""
+    for lo, hi, arrays, acts, (outs, _) in _side_passes(params, rows,
+                                                        chunks, False):
         outs[-1] = reps[lo:hi]
         ad.encoder_forward(rows[lo:hi], arrays, acts, outs)
         count("fwd_rows", hi - lo)
@@ -250,23 +260,16 @@ def _zero_grads(params):
 
 
 def _accumulate_side(params, rows, chunks, seed_rows, grads):
-    """A side's encoder passes, with no tape, in one buffer laid out by
-    ``autodiff.encoder_floats`` for the largest chunk and registered
-    while the side runs: each chunk's forward keeps what its VJP reads,
-    and the VJP, seeded with the chunk's cached rows, adds each layer's
-    gradients into grads."""
-    if not chunks:
-        return
-    arrays, acts = encoders.param_arrays(params), params.activations
-    widths = ad.encoder_widths(rows.shape, arrays)
-    b = max(hi - lo for lo, hi in chunks)
-    buf = memtrace.register(np.empty(ad.encoder_floats(b, widths, acts)))
-    for lo, hi in chunks:
+    """A side's encoder passes, with no tape: each chunk's forward keeps
+    what its VJP reads, and the VJP, seeded with the chunk's cached rows,
+    adds each layer's gradients into grads."""
+    for lo, hi, arrays, acts, views in _side_passes(params, rows, chunks,
+                                                    True):
         x = rows[lo:hi]
-        outs = ad.encoder_forward(
-            x, arrays, acts, ad.encoder_outputs(buf, hi - lo, widths, acts))
+        ad.encoder_forward(x, arrays, acts, views[0])
         count("fwd_rows", hi - lo)
-        ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads, buf)
+        ad.encoder_vjp(x, arrays, acts, views[0], seed_rows[lo:hi], grads,
+                       views)
         count("bwd_rows", hi - lo)
 
 

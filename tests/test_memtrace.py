@@ -260,6 +260,43 @@ def test_leaf_gradients_of_direct_param_grads_stay_counted_until_freed():
     assert c.live["activation"] == 0
 
 
+def test_encoder_node_backward_holds_one_buffer_and_no_copies():
+    # the encoder node's VJP works in one registered buffer laid out as
+    # step3's, and returns its parameter gradients as made: the peak is
+    # what the forward left live plus that buffer, and once backward has
+    # registered the gradients the buffer is gone
+    rng = np.random.default_rng(7)
+    widths = [10, 20, 12, 6]
+    p = encoders.init_params(3, widths, "relu")
+    c = MemCounter()
+    with use_meter(c):
+        tape = Tape()
+        with ad.recording(tape):
+            leaves = encoders.make_leaves(p)
+            out = encoders.encode_graph(leaves, ad.constant(
+                rng.normal(size=(16, 10))))
+        held = c.live["activation"]
+        assert held == 16 * (20 + 12 + 6)
+        tape.backward(out, rng.normal(size=(16, 6)))
+        assert c.peak["activation"] == held + ad.encoder_floats(
+            16, widths, keep_top=False)
+        assert c.live["activation"] == held + encoders.total_floats(p)
+
+
+def test_encode_holds_two_hidden_layers_at_most():
+    # the graph-less encode lets the layers below the top take turns in
+    # two buffers, and the result is counted while it lives
+    rng = np.random.default_rng(8)
+    p = encoders.init_params(3, [10, 20, 12, 16, 6])
+    c = MemCounter()
+    with use_meter(c):
+        y = encoders.encode(p, rng.normal(size=(16, 10)))
+        assert c.peak["activation"] == 16 * (2 * 20 + 6)
+        assert c.live["activation"] == y.size
+        del y
+    assert c.live["activation"] == 0
+
+
 def test_budget_trips_in_the_encoder_pass_and_names_the_phase():
     # step3 registers one buffer per encoder before its first chunk, and
     # at this shape, with no chunk short of a tile, that buffer is the
@@ -377,12 +414,11 @@ def test_cached_step_makes_the_derived_per_array_registrations(monkeypatch):
         # the top
         ("step1", "representation-store"): 2,
         ("step1", "activation"): 2,
-        # strip_logsumexp's row norms of G and F, then its strip and
-        # product buffers, G transposed and lse (its dF and dG are the
-        # cache); the alignment tape's 7 op outputs; its backward's 9
-        # gradients: the all-ones seed, 6 stored and 2 added into the
-        # leaves' buffers
-        ("step2", "activation"): 2 + 4 + 7 + 9,
+        # strip_logsumexp's strip and product buffers, G transposed and
+        # lse (its dF and dG are the cache); the alignment tape's 7 op
+        # outputs; its backward's 9 gradients: the all-ones seed, 6 stored
+        # and 2 added into the leaves' buffers
+        ("step2", "activation"): 4 + 7 + 9,
         ("step2", "gradient-cache"): 2,
         # one accumulator per parameter array, and one buffer per encoder
         # for both halves of its passes
@@ -390,7 +426,7 @@ def test_cached_step_makes_the_derived_per_array_registrations(monkeypatch):
         ("step3", "activation"): 2,
     }
     assert dict(seen) == expected
-    assert sum(expected.values()) == 42
+    assert sum(expected.values()) == 40
 
 
 def _traced_peak(fn):

@@ -307,7 +307,8 @@ def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
     # forward and VJP with no tape in one buffer, and must add into the
     # accumulators exactly what encode_graph and Tape.backward give the
     # leaves from the same seed rows, added into zeroed accumulators in
-    # the same order; the second chunk is ragged
+    # the same order, by the test or, with preset leaf buffers, by
+    # backward itself; the second chunk is ragged
     rng = np.random.default_rng(12)
     p = encoders.init_params(3, [10, 20, 12, 6], act)
     rows = rng.normal(size=(21, 10))
@@ -317,18 +318,25 @@ def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
     chunks = [(0, 16), (16, 21)]
     untaped = [np.zeros_like(a) for a in arrays]
     trainer._accumulate_side(p, rows, chunks, seed, untaped)
-    taped = [np.zeros_like(a) for a in arrays]
-    for lo, hi in chunks:
-        tape = ad.Tape()
-        with ad.recording(tape):
-            leaves = encoders.make_leaves(p)
-            out = encoders.encode_graph(leaves, ad.constant(rows[lo:hi]))
-        tape.backward(out, seed[lo:hi])
-        for acc, g in zip(taped, encoders.leaf_grads(tape, leaves)):
-            acc += g
-    assert np.array_equal(seed, seed0)
-    for a, r in zip(untaped, taped):
-        assert a.tobytes() == r.tobytes()
+    for preset in (False, True):
+        taped = [np.zeros_like(a) for a in arrays]
+        for lo, hi in chunks:
+            tape = ad.Tape()
+            leaves = [tape.leaf(a, acc if preset else None)
+                      for a, acc in zip(arrays, taped)]
+            with ad.recording(tape):
+                out = encoders.encode_graph(
+                    encoders.params_from_arrays(p, leaves),
+                    ad.constant(rows[lo:hi]))
+            tape.backward(out, seed[lo:hi])
+            for acc, leaf in zip(taped, leaves):
+                if preset:
+                    assert tape.grad(leaf) is acc
+                else:
+                    acc += tape.grad(leaf)
+        assert np.array_equal(seed, seed0)
+        for a, r in zip(untaped, taped):
+            assert a.tobytes() == r.tobytes()
     # and the same as the leaf gradients of one taped pass, for one chunk
     first = [np.zeros_like(a) for a in arrays]
     trainer._accumulate_side(p, rows, [(0, 21)], seed, first)
