@@ -5,8 +5,8 @@ point at earlier nodes, so the tape is topologically ordered by
 construction. ``backward`` seeds a node (a scalar, or any node given a
 seed gradient of its shape) and sweeps the tape once in reverse,
 accumulating gradients additively; nodes unreachable from the seed keep
-a zero gradient. A tape is single-use: rerunning backward
-requires ``reset_grads``.
+a zero gradient. A tape is single-use: a second backward raises
+``TapeReuseError``, since a VJP may overwrite what its forward saved.
 
 An op records a node only when one of its inputs is a node of the
 active tape (``recording``); an op over constants alone, or run with no
@@ -23,7 +23,9 @@ Design choices that equivalence tests depend on:
 * an encoder is one ``encoder`` node keeping each layer's output and no
   pre-activation; its forward and VJP (``encoder_forward``,
   ``encoder_vjp``) are the one encoder loop, also run with no tape, and
-  write every product into buffers their caller passes in;
+  write every product into buffers their caller passes in. The VJP
+  writes each layer's slope product over the output it has just read,
+  so the node saves a sloped top as a copy and never writes its output;
 * a VJP is called as ``vjp(ctx, g, taped)``, ``taped`` holding the
   node's input indices (None for an input not on the tape), and returns
   fresh arrays, one per input. It may return None for an untaped input
@@ -33,8 +35,7 @@ Design choices that equivalence tests depend on:
 * a leaf may be given a gradient buffer (``Tape.leaf(data, grad)``):
   backward adds into it in place, as it adds into any gradient it
   already holds, so a caller that sums gradients over several tapes
-  keeps no per-tape copy; ``reset_grads`` forgets the buffer and leaves
-  its contents as they are;
+  keeps no per-tape copy;
 * backward drops its references to a VJP's results before it calls the
   next VJP, so a result that was added into an existing gradient is
   freed, and uncounted, at once;
@@ -68,7 +69,7 @@ class NoGraphError(RuntimeError):
 
 
 class TapeReuseError(RuntimeError):
-    """Backward was run twice on a tape without resetting gradients."""
+    """Backward was run twice on a tape; a tape is single-use."""
 
 
 class Tensor:
@@ -178,8 +179,7 @@ class Tape:
             raise _shape_error("backward seed", grad.shape, out.shape)
         if self._backward_done:
             raise TapeReuseError(
-                "backward already run on this tape; call reset_grads() first"
-            )
+                "backward already run on this tape; a tape is single-use")
         self._backward_done = True
         nodes, grads = self.nodes, self.grads
         grads[idx] = register(np.ones_like(out)) if grad is None else grad
@@ -211,16 +211,6 @@ class Tape:
         if g is None:
             return np.zeros_like(self.nodes[idx].output)
         return g
-
-    def reset_grads(self):
-        """Forget every gradient, preset leaf buffers included.
-
-        A buffer given to ``leaf`` keeps what backward added into it, and
-        the tape no longer refers to it: the next backward gives that
-        leaf a fresh gradient.
-        """
-        self.grads = [None] * len(self.nodes)
-        self._backward_done = False
 
     def _resolve(self, ref):
         if isinstance(ref, Tensor):
@@ -296,7 +286,8 @@ def _encoder_layout(n, widths, keep_top):
 
 
 def encoder_views(buf, n, widths, keep_top):
-    """(outs, scratch): views of the flat buffer an n-row pass works in.
+    """(outs, scratch): views of the flat buffer an n-row step3 pass
+    works in.
 
     Layer k's output y_k is an n x w_k view, stacked from offset 0; the
     top's is None unless keep_top (no VJP reads a linear top's output).
@@ -313,14 +304,13 @@ def encoder_views(buf, n, widths, keep_top):
     return outs, scratch
 
 
-def encoder_floats(n, widths, keep_top, need_gx=False):
-    """Floats of the buffer an n-row ``encoder_vjp`` works in: for each
-    layer, its scratch's offset (see ``encoder_views``) plus the larger
-    of its weight gradient and its input gradient (none for the first
-    layer unless need_gx)."""
+def encoder_floats(n, widths, keep_top):
+    """Floats of the buffer an n-row step3 pass works in: for each layer,
+    its scratch's offset (see ``encoder_views``) plus the larger of its
+    weight gradient and its input gradient (none for the first layer)."""
     return max(
         at + max(widths[k - 1] * widths[k],
-                 n * widths[k - 1] if k > 1 or need_gx else 0)
+                 n * widths[k - 1] if k > 1 else 0)
         for k, (_, at) in enumerate(_encoder_layout(n, widths, keep_top), 1))
 
 
@@ -340,24 +330,22 @@ def encoder_forward(x, arrays, acts, outs):
     return outs
 
 
-def encoder_vjp(x, arrays, acts, outs, g, grads, views, need_gx=False):
+def encoder_vjp(x, arrays, acts, outs, g, grads, scratch, need_gx):
     """Backpropagate g, the top output's gradient, through the layers.
 
-    views are ``encoder_views`` of a buffer of ``encoder_floats`` for g's
-    rows, the top kept if it has a slope. Layer k's slope product goes
-    into its output's view (which outs[k] may be), its weight and bias
-    gradients into its scratch, each then added into grads, and its
-    input's gradient there too. Returns x's gradient, a view of the
-    buffer, if need_gx, else None. Nothing is counted here.
+    Layer k's slope product is written over outs[k], the output its
+    forward saved, once the layer above has read it (a linear top saves
+    None and has none). Its products go into scratch[k], a flat buffer:
+    its weight and bias gradients, each then added into grads, and its
+    input's gradient. Returns x's gradient, a view of scratch[0], if
+    need_gx, else None. Nothing is counted here.
     """
-    slots, scratch = views
     n = g.shape[0]
     for k in range(len(acts) - 1, -1, -1):
         w = arrays[2 * k]
         k_in, k_out = w.shape
-        if slots[k] is not None:
-            # the layer above has read y: it takes the slope product
-            g = kernels.activation_vjp(acts[k], outs[k], g, slots[k])
+        if outs[k] is not None:
+            g = kernels.activation_vjp(acts[k], outs[k], g, outs[k])
         s = scratch[k]
         grads[2 * k] += np.matmul((outs[k - 1] if k else x).T, g,
                                   out=s[:k_in * k_out].reshape(k_in, k_out))
@@ -373,22 +361,28 @@ def _fw_encoder(attrs, x, *arrays):
     # the outputs below the top one are saved for backward: count them
     # while the tape holds them
     outs = [register(np.empty((n, w))) for w in widths[1:-1]]
-    outs.append(np.empty((n, widths[-1])))
-    encoder_forward(x, arrays, acts, outs)
-    return outs[-1], (x, arrays, acts, widths, outs)
+    top = np.empty((n, widths[-1]))
+    encoder_forward(x, arrays, acts, outs + [top])
+    # backward writes over what is saved: a sloped top is saved as a copy
+    outs.append(None if acts[-1] == "linear" else register(top.copy()))
+    return top, (x, arrays, acts, widths, outs)
 
 
 def _bw_encoder(ctx, g, taped):
     x, arrays, acts, widths, outs = ctx
-    n, keep_top = x.shape[0], acts[-1] != "linear"
     # a first layer's input is a constant: skip its n x k product
     need_gx = taped[0] is not None
-    buf = register(np.empty(encoder_floats(n, widths, keep_top, need_gx)))
+    ins = widths[:-1] if need_gx else widths[1:-1]
+    # one scratch for every layer's products, each a weight or an input
+    # gradient
+    scratch = register(np.empty(max(
+        [a * b for a, b in zip(widths, widths[1:])]
+        + [x.shape[0] * w for w in ins])))
     # backward counts the gradients from the return on, as every VJP's
     grads = [np.zeros_like(a) for a in arrays]
     gx = encoder_vjp(x, arrays, acts, outs, g, grads,
-                     encoder_views(buf, n, widths, keep_top), need_gx)
-    # x's gradient leaves buf, which dies here
+                     [scratch] * len(acts), need_gx)
+    # x's gradient leaves the scratch, which dies here
     return (None if gx is None else gx.copy(), *grads)
 
 

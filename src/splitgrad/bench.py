@@ -491,12 +491,6 @@ def profile_single_step(cfg):
     }
 
 
-def config_from_mapping(mapping):
-    """Build a RunConfig from string keys/values (config files, flags)."""
-    cfg = RunConfig()
-    return apply_overrides(cfg, mapping)
-
-
 # Fields whose annotated type cannot parse a string value.
 _COERCERS = {
     "train_encoders": lambda v: str(v).strip().lower() in ("1", "true", "yes"),

@@ -204,12 +204,7 @@ def build_distance_cache(pairs, r, tau):
             pairs.A, pairs.B, r, 1.0 / tau, head.b1, head.w2, head.b2,
             head.activation,
         )
-        dcache = DistanceGradientCache(
-            memtrace.register(gA, "gradient-cache"),
-            memtrace.register(gB, "gradient-cache"),
-            [memtrace.register(g, "parameters") for g in grad_tail],
-            True,
-        )
+        dcache = DistanceGradientCache(gA, gB, grad_tail, True)
     count("phi_fwd_pairs", n_pairs)
     count("phi_bwd_pairs", n_pairs)
     return dcache, loss_value

@@ -6,7 +6,8 @@ layer is linear so embeddings are unconstrained. The same code path runs
 taped and graph-less, which is what makes the two modes bit-identical:
 ``autodiff.encoder_forward`` and ``encoder_vjp`` are the one encoder
 loop. A taped pass (``encode_graph``) records one ``encoder`` node over
-all layers; ``encode`` is the graph-less, value-level entry.
+all layers; ``forward_rows`` is the graph-less pass, chunk by chunk,
+that the cached step's step1 and ``encode``, the value-level entry, run.
 
 Optimizer steps are pure functions: they return fresh parameter and
 state objects and never mutate their inputs. That property is what lets
@@ -83,21 +84,36 @@ def identity_params(dim):
 
 
 def encode(params, inputs):
-    """Embed input rows without recording; returns a plain array.
-
-    It runs the encoder pass with no tape, so the rows are bitwise those
-    a tape would give. The layers below the top take turns in two
-    buffers; those and the result are registered.
-    """
+    """Embed input rows without recording; returns a plain array, which
+    is registered. The rows are bitwise those a tape would give."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    arrays = param_arrays(params)
-    widths = ad.encoder_widths(inputs.shape, arrays)
-    n, hidden = inputs.shape[0], widths[1:-1]
-    bufs = [register(np.empty(n * max(hidden)))
-            for _ in range(min(2, len(hidden)))]
-    outs = [bufs[k % 2][:n * w].reshape(n, w) for k, w in enumerate(hidden)]
-    outs.append(register(np.empty((n, widths[-1]))))
-    return ad.encoder_forward(inputs, arrays, params.activations, outs)[-1]
+    n = inputs.shape[0]
+    out = register(np.empty((n, params.out_dim)))
+    return forward_rows(params, inputs, [(0, n)], out)
+
+
+def forward_rows(params, rows, chunks, out):
+    """Each (lo, hi) chunk of rows through the encoder, with no tape, its
+    top layer straight into out[lo:hi]; returns out. Layer k below the
+    top goes into half k % 2 of one registered buffer, each half as wide
+    as the widest layer it takes, viewed once for the largest chunk."""
+    if not chunks:
+        return out
+    arrays, acts = param_arrays(params), params.activations
+    hidden = ad.encoder_widths(rows.shape, arrays)[1:-1]
+    b = max(hi - lo for lo, hi in chunks)
+    half = [max(hidden[h::2], default=0) for h in (0, 1)]
+    buf = register(np.empty(b * sum(half)))
+
+    def views(n):
+        return [buf[k % 2 * b * half[0]:][:n * w].reshape(n, w)
+                for k, w in enumerate(hidden)]
+
+    full = views(b)
+    for lo, hi in chunks:
+        outs = full if hi - lo == b else views(hi - lo)
+        ad.encoder_forward(rows[lo:hi], arrays, acts, outs + [out[lo:hi]])
+    return out
 
 
 def make_leaves(params):

@@ -213,20 +213,23 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     overwritten in place by the backward with dL/dpre; one HEAD_STRIP x m
     buffer for z, e and dL/dd; one m x h row buffer; and the
     n x 1 per-anchor losses: HEAD_STRIP * m * (h + 1) + m * h + n floats,
-    each counted by the active meter. Each row goes through the
-    row-stable tiled matmul and exp_rows' arithmetic, so L is
-    bitwise that of the same head on a dense tape; L and gA do not depend
-    on HEAD_STRIP, and gB and the parameter gradients sum the strips in
-    order.
+    each counted by the active meter. The gradients are counted from when
+    they are made: gA and gB, deep mode's distance gradient cache, as
+    (n + m) * h "gradient-cache" floats, the others as "parameters". Each
+    row goes through the row-stable tiled matmul and exp_rows'
+    arithmetic, so L is bitwise that of the same head on a dense tape; L
+    and gA do not depend on HEAD_STRIP, and gB and the parameter
+    gradients sum the strips in order.
     """
     A, B, w2 = _c64(A), _c64(B), _c64(w2)
     r = np.asarray(r, dtype=np.int64)
     n, m, h = A.shape[0], B.shape[0], B.shape[1]
     inv_n = 1.0 / n
     gap = register(np.empty((n, 1)))
-    gA = np.empty(A.shape)
-    gB = np.zeros(B.shape)
-    gb1, gw2, gb2 = np.zeros(h), np.zeros((h, 1)), np.zeros(1)
+    gA = register(np.empty(A.shape), "gradient-cache")
+    gB = register(np.zeros(B.shape), "gradient-cache")
+    gb1, gw2, gb2 = (register(np.zeros(shape), "parameters")
+                     for shape in (h, (h, 1), 1))
     w2_row = w2[:, 0]
     strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
     zs = register(np.empty((min(HEAD_STRIP, n) * m, 1)))

@@ -28,15 +28,21 @@ makes one ``kernels.strip_logsumexp`` call, which streams lse over
 strips of ``kernels.STRIP`` anchors through one reused buffer and
 returns dL/dF and dL/dG, the gradient cache; a small tape of the
 alignment term then adds its gradients into them in place. It holds
-max(STRIP * n_t + 2 * n_t * d + n_s, 4 * n_s * d + n_t * d + 6 * n_s + 4)
-activation floats besides the cache (99328 at n = 1024, d = 16) and
-never the n_s x n_t scores. ``direct_param_grads`` keeps the dense tail
-(scores, softmax and the scores' gradient, about 3 * n_s * n_t floats),
-for two reasons: the direct step is the baseline the cached step is
-checked against, so it shares none of the strip code; and it stands for
-plain large-batch training, whose activation peak the acceptance suite
-requires to grow at least 3.9x from batch 64 to 256 (with the streamed
-tail it grew 3.81x).
+max(STRIP * n_t + 2 * n_t * d + n_s,
+4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4) activation floats
+besides the cache (99328 at n = 1024, d = 16) and never the n_s x n_t
+scores. The second term is the alignment tape's backward: G[r],
+F * G[r] and the latter's gradient, six n_s x 1 columns and four
+scalars, and on top of those either the mul VJP's two n_s x d results,
+live together until F's is added into dF, or G[r]'s gradient and the
+n_t x d scatter the index-rows VJP then makes of it.
+``direct_param_grads`` keeps the dense tail (scores, softmax and the
+scores' gradient, about 3 * n_s * n_t floats), for two reasons: the
+direct step is the baseline the cached step is checked against, so it
+shares none of the strip code; and it stands for plain large-batch
+training, whose activation peak the acceptance suite requires to grow
+at least 3.9x from batch 64 to 256 (with the streamed tail it grew
+3.81x).
 
 The reference and both loss paths call the same kernels, row by row in
 the same order, so their loss values agree bitwise.

@@ -20,20 +20,19 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   into one buffer per parameter (step3); finally the optimizer runs
   once (step4). Peak activation memory in steps 1 and 3 depends only on
   the sub-batch size: each encoder's passes in a phase work in one flat
-  buffer for the largest chunk (``autodiff.encoder_views``), step1's
-  holding the outputs below the top, which goes straight into F or G.
-  For sub-batch b and widths w0..wL with a linear top, step3's is
-  ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k + max(w_{k−1}·w_k,
-  [k>1]·b·w_{k−1})]`` floats, plus, for a chunk of other than a
-  multiple of ``kernels.TILE`` rows, the tiled matmul's tail tile and
-  its product while a layer's forward runs. Step2 is one
+  buffer for the largest chunk, step1's (``encoders.forward_rows``)
+  holding the layers below the top in two halves, at most b·Σ_{0<k<L}
+  w_k floats for sub-batch b and widths w0..wL. With a linear top,
+  step3's (``autodiff.encoder_views``) is ``max_k [b·Σ_{i<k} w_i +
+  [k<L]·b·w_k + max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats. Either
+  adds, for a chunk of other than a multiple of ``kernels.TILE`` rows,
+  the tiled matmul's tail tile and its product. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   For n_s anchors, n_t targets and embedding width d it holds
-  ``max(STRIP·n_t + 2·n_t·d + n_s, 4·n_s·d + n_t·d + 6·n_s + 4)``
-  activation floats, never the n x n scores: the kernel's strip buffer,
-  G transposed, product buffer and lse, or the alignment tape's
-  backward. At n = 1024 and d = 16 that is 99328.
+  ``max(STRIP·n_t + 2·n_t·d + n_s, 4·n_s·d + max(n_s, n_t)·d + 6·n_s +
+  4)`` activation floats (see ``loss``), never the n x n scores. At
+  n = 1024 and d = 16 that is 99328.
 * ``train_step_accumulation``: classic gradient accumulation. Chunks
   are independent small batches, so negatives come only from within a
   chunk; this is deliberately NOT equivalent to the direct step.
@@ -205,40 +204,10 @@ def step1_graphless_forward(batch, params_f, params_g, plan):
                               "representation-store")
         G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
                               "representation-store")
-        _forward_side(params_f, batch.anchors, plan.anchor_chunks, F)
-        _forward_side(params_g, batch.targets, plan.target_chunks, G)
+        encoders.forward_rows(params_f, batch.anchors, plan.anchor_chunks, F)
+        encoders.forward_rows(params_g, batch.targets, plan.target_chunks, G)
+    count("fwd_rows", batch.n_anchors + batch.n_targets)
     return F, G
-
-
-def _side_passes(params, rows, chunks, vjp):
-    """Each (lo, hi) chunk of a side, with its encoder's arrays and
-    activations and the ``autodiff.encoder_views`` its pass works in
-    (made once for the largest chunk), of one buffer registered while the
-    side runs: step1's (vjp False) holds the outputs below the top."""
-    if not chunks:
-        return
-    arrays, acts = encoders.param_arrays(params), params.activations
-    widths = ad.encoder_widths(rows.shape, arrays)
-    keep_top = vjp and acts[-1] != "linear"
-    b = max(hi - lo for lo, hi in chunks)
-    buf = memtrace.register(np.empty(
-        ad.encoder_floats(b, widths, keep_top) if vjp
-        else b * sum(widths[1:-1])))
-    full = ad.encoder_views(buf, b, widths, keep_top)
-    for lo, hi in chunks:
-        yield lo, hi, arrays, acts, (
-            full if hi - lo == b
-            else ad.encoder_views(buf, hi - lo, widths, keep_top))
-
-
-def _forward_side(params, rows, chunks, reps):
-    """A side's chunks through its encoder, each chunk's top layer
-    straight into its rows of reps."""
-    for lo, hi, arrays, acts, (outs, _) in _side_passes(params, rows,
-                                                        chunks, False):
-        outs[-1] = reps[lo:hi]
-        ad.encoder_forward(rows[lo:hi], arrays, acts, outs)
-        count("fwd_rows", hi - lo)
 
 
 def step2_build_cache(F, G, r, tau):
@@ -260,16 +229,27 @@ def _zero_grads(params):
 
 
 def _accumulate_side(params, rows, chunks, seed_rows, grads):
-    """A side's encoder passes, with no tape: each chunk's forward keeps
-    what its VJP reads, and the VJP, seeded with the chunk's cached rows,
-    adds each layer's gradients into grads."""
-    for lo, hi, arrays, acts, views in _side_passes(params, rows, chunks,
-                                                    True):
+    """A side's encoder passes, with no tape, in one buffer registered
+    while the side runs and laid out by ``autodiff.encoder_views`` (made
+    once for the largest chunk): each chunk's forward keeps what its VJP
+    reads, and the VJP, seeded with the chunk's cached rows, adds each
+    layer's gradients into grads."""
+    if not chunks:
+        return
+    arrays, acts = encoders.param_arrays(params), params.activations
+    widths = ad.encoder_widths(rows.shape, arrays)
+    keep_top = acts[-1] != "linear"
+    b = max(hi - lo for lo, hi in chunks)
+    buf = memtrace.register(np.empty(ad.encoder_floats(b, widths, keep_top)))
+    full = ad.encoder_views(buf, b, widths, keep_top)
+    for lo, hi in chunks:
+        outs, scratch = (full if hi - lo == b else
+                         ad.encoder_views(buf, hi - lo, widths, keep_top))
         x = rows[lo:hi]
-        ad.encoder_forward(x, arrays, acts, views[0])
+        ad.encoder_forward(x, arrays, acts, outs)
         count("fwd_rows", hi - lo)
-        ad.encoder_vjp(x, arrays, acts, views[0], seed_rows[lo:hi], grads,
-                       views)
+        ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads,
+                       scratch, False)
         count("bwd_rows", hi - lo)
 
 

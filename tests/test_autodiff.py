@@ -56,10 +56,10 @@ def test_backward_single_use():
         x = tape.leaf(np.ones(4))
         s = ad.sum_all(x)
     tape.backward(s)
-    with pytest.raises(TapeReuseError):
+    np.testing.assert_array_equal(tape.grad(x), np.ones(4))
+    with pytest.raises(TapeReuseError, match="single-use"):
         tape.backward(s)
-    tape.reset_grads()
-    tape.backward(s)
+    # the refused second backward added nothing
     np.testing.assert_array_equal(tape.grad(x), np.ones(4))
 
 
@@ -123,22 +123,6 @@ def test_leaf_gradient_buffer_receives_the_gradient_in_place():
 def test_leaf_gradient_buffer_must_match_the_leaf_shape():
     with pytest.raises(ShapeMismatchError, match="leaf gradient"):
         Tape().leaf(np.ones((2, 3)), np.zeros((3, 2)))
-
-
-def test_reset_grads_drops_a_preset_leaf_buffer():
-    rng = np.random.default_rng(22)
-    x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
-    buf = np.zeros((3, 4))
-    tape, leaf = _leaf_matmul_grad(x, w, buf)
-    added = buf.copy()
-    tape.reset_grads()
-    # the buffer keeps what was added and the tape forgets it
-    assert tape.grad(leaf) is not buf
-    np.testing.assert_array_equal(tape.grad(leaf), np.zeros((3, 4)))
-    tape.backward(len(tape) - 1)
-    assert tape.grad(leaf) is not buf
-    assert np.array_equal(tape.grad(leaf), added)
-    assert np.array_equal(buf, added)
 
 
 def test_added_in_gradient_is_released_before_the_next_vjp():

@@ -12,7 +12,6 @@ from splitgrad.bench import (
     ConfigError,
     RunConfig,
     apply_overrides,
-    config_from_mapping,
     emit_metrics_jsonl,
     emit_summary_csv,
     evaluate_ranks,
@@ -321,8 +320,8 @@ def test_profile_single_step_runs_sequential_and_deep():
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def test_config_from_mapping_coerces_strings():
-    cfg = config_from_mapping({
+def test_apply_overrides_coerces_strings():
+    cfg = apply_overrides(RunConfig(), {
         "mode": "cache", "batch_size": "64", "temperature": "0.5",
         "train_encoders": "false", "eval_k": "1,10",
         "activation_budget": "none",

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 
 from splitgrad import kernels
+from splitgrad.memtrace import CATEGORIES, MemCounter, use_meter
 
 
 def test_active_backend_is_valid():
@@ -214,3 +215,23 @@ def test_adam_update_matches_reference_sequence():
     np.testing.assert_array_equal(p, rp)
     np.testing.assert_array_equal(m, rm)
     np.testing.assert_array_equal(v, rv)
+
+
+def test_head_strip_loss_counts_its_gradients_when_it_makes_them():
+    # deep mode's distance gradient cache (dL/dA and dL/dB) and the other
+    # head gradients are counted by the kernel itself, as strip_logsumexp
+    # counts dF and dG, so they are live under the meter when it returns
+    rng = np.random.default_rng(8)
+    n, m, h = kernels.HEAD_STRIP + 3, 13, 5
+    A, B = rng.normal(size=(n, h)), rng.normal(size=(m, h))
+    r = rng.integers(0, m, size=n)
+    b1, w2, b2 = rng.normal(size=h), rng.normal(size=(h, 1)), np.ones(1)
+    c = MemCounter()
+    with use_meter(c):
+        _, gA, gB, tail = kernels.head_strip_loss(A, B, r, 2.0, b1, w2, b2,
+                                                  "tanh")
+        assert c.live["gradient-cache"] == gA.size + gB.size == (n + m) * h
+        assert c.live["parameters"] == sum(g.size for g in tail) == 2 * h + 1
+        assert c.live["activation"] == 0
+        del gA, gB, tail
+    assert c.live == dict.fromkeys(CATEGORIES, 0)

@@ -301,16 +301,22 @@ def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
                                                                loss_peak)
 
 
-@pytest.mark.parametrize("act", ["tanh", "relu"])
-def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
+@pytest.mark.parametrize("acts", [("tanh", "tanh", "linear"),
+                                  ("relu", "relu", "linear"),
+                                  ("tanh", "relu", "tanh")],
+                         ids=["tanh", "relu", "sloped-top"])
+def test_step3_chunks_equal_the_taped_encoder_node_bitwise(acts):
     # one encoder loop, two callers: step3's chunks run the encoder node's
     # forward and VJP with no tape in one buffer, and must add into the
     # accumulators exactly what encode_graph and Tape.backward give the
     # leaves from the same seed rows, added into zeroed accumulators in
     # the same order, by the test or, with preset leaf buffers, by
-    # backward itself; the second chunk is ragged
+    # backward itself; the second chunk is ragged. A sloped top's output
+    # is kept by step3 and saved as a copy by the node, whose VJP writes
+    # its slope product there: the node's output stays as it was
     rng = np.random.default_rng(12)
-    p = encoders.init_params(3, [10, 20, 12, 6], act)
+    p = encoders.init_params(3, [10, 20, 12, 6])
+    p.activations = list(acts)
     rows = rng.normal(size=(21, 10))
     seed = rng.normal(size=(21, 6))
     seed0 = seed.copy()
@@ -328,7 +334,9 @@ def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
                 out = encoders.encode_graph(
                     encoders.params_from_arrays(p, leaves),
                     ad.constant(rows[lo:hi]))
+            out0 = out.data.copy()
             tape.backward(out, seed[lo:hi])
+            assert out.data.tobytes() == out0.tobytes()
             for acc, leaf in zip(taped, leaves):
                 if preset:
                     assert tape.grad(leaf) is acc
@@ -344,7 +352,9 @@ def test_step3_chunks_equal_the_taped_encoder_node_bitwise(act):
     with ad.recording(tape):
         leaves = encoders.make_leaves(p)
         out = encoders.encode_graph(leaves, ad.constant(rows))
+    assert out.data.tobytes() == encoders.encode(p, rows).tobytes()
     tape.backward(out, seed)
+    assert out.data.tobytes() == encoders.encode(p, rows).tobytes()
     for a, r in zip(first, encoders.leaf_grads(tape, leaves)):
         assert np.array_equal(a, r)
 
