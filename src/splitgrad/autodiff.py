@@ -490,9 +490,7 @@ def _fw_index_rows(attrs, x):
 
 def _bw_index_rows(ctx, g, taped):
     shape, idx = ctx
-    out = np.zeros(shape)
-    kernels.scatter_add_rows(out, idx, g)
-    return (out,)
+    return (kernels.scatter_add_rows(np.zeros(shape), idx, g),)
 
 
 def _fw_pick_per_row(attrs, x):

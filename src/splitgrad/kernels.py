@@ -202,24 +202,24 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     Returns (L, gA, gB, [gb1, gw2, gb2]): dL/dA, dL/dB and the gradients
     of the head's other parameters.
 
-    Anchors go in strips of HEAD_STRIP rows. A strip runs the head forward
-    over all its pairs, reads the positives of z, turns z into its row
-    exponentials e in place with exp_rows' arithmetic, forms
-    dL/dd = scale * (((1/n) / s) * e - (1/n) * onehot) there too, s being
-    the row sums, as a dense tape's row-logsumexp gradient does, and runs
-    the head backward at once, so every pair passes through the head once
-    each way and nothing n x m is ever held. The live buffers are made
-    once and reused by every strip: one HEAD_STRIP x m x h hidden layer,
-    overwritten in place by the backward with dL/dpre; one HEAD_STRIP x m
-    buffer for z, e and dL/dd; one m x h row buffer; and the
-    n x 1 per-anchor losses: HEAD_STRIP * m * (h + 1) + m * h + n floats,
-    each counted by the active meter. The gradients are counted from when
-    they are made: gA and gB, deep mode's distance gradient cache, as
-    (n + m) * h "gradient-cache" floats, the others as "parameters". Each
-    row goes through the row-stable tiled matmul and exp_rows'
-    arithmetic, so L is bitwise that of the same head on a dense tape; L
-    and gA do not depend on HEAD_STRIP, and gB and the parameter
-    gradients sum the strips in order.
+    Anchors go in strips of HEAD_STRIP rows, and each pair passes through
+    the head once each way. A strip runs the head forward, reads the
+    positives of z, and turns z in place into its row exponentials e
+    (exp_rows' arithmetic), then into dL/dd = scale * (((1/n) / s) * e -
+    (1/n) * onehot) for the row sums s, as a dense tape's row-logsumexp
+    gradient does. The backward overwrites the hidden layer with its slope:
+    the strip's gA rows are one batched product dL/dd_i @ slope_i, times
+    w2, and gb1 adds their sum; the hidden layer then becomes
+    slope * dL/dd, and gB adds its axis-0 sum, taken through the m x h row
+    buffer, times w2. Nothing n x m is held: the buffers, made once and
+    counted by the active meter, are the HEAD_STRIP x m x h hidden layer, a
+    HEAD_STRIP x m one for z, e and dL/dd, the row buffer and the n x 1
+    per-anchor losses, HEAD_STRIP * m * (h + 1) + m * h + n floats. The
+    gradients are counted when made: gA and gB, deep mode's distance
+    gradient cache, as (n + m) * h "gradient-cache" floats, the others as
+    "parameters". Rows go through the row-stable tiled matmul and exp_rows'
+    arithmetic, so L is bitwise a dense tape's; L and gA do not depend on
+    HEAD_STRIP, and gB and the parameter gradients sum the strips in order.
     """
     A, B, w2 = _c64(A), _c64(B), _c64(w2)
     r = np.asarray(r, dtype=np.int64)
@@ -230,7 +230,6 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     gB = register(np.zeros(B.shape), "gradient-cache")
     gb1, gw2, gb2 = (register(np.zeros(shape), "parameters")
                      for shape in (h, (h, 1), 1))
-    w2_row = w2[:, 0]
     strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
     zs = register(np.empty((min(HEAD_STRIP, n) * m, 1)))
     row = register(np.empty((m, h)))
@@ -242,29 +241,25 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
         hid += b1
         activate(activation, hid)
         flat = hid.reshape(-1, h)
-        z = _tiled_matmul(flat, w2, out=zs[:(hi - lo) * m])
-        z = z.reshape(hi - lo, m)
+        z = _tiled_matmul(flat, w2, out=zs[:(hi - lo) * m]).reshape(-1, m)
         z += b2
         z *= scale
         pos = z[rows, r[lo:hi]][:, None]
         lse, s = exp_rows(z)
         gap[lo:hi] = lse - pos
-        # z, now e, becomes dL/dd; then dL/dpre overwrites the hidden
-        # layer
-        p = z
+        p = z  # now e, it becomes dL/dd
         p *= inv_n / s
         p[rows, r[lo:hi]] -= inv_n
         p *= scale
         gb2 += p.sum()
         gw2 += np.matmul(flat.T, p.reshape(-1, 1))
         _activation_slope(activation, hid)
-        for i in rows:
-            # dL/dpre = (dL/dd * w2) * slope, in the dense tape's order
-            np.multiply(p[i, :, None], w2_row, out=row)
-            hid[i] *= row
-        np.sum(hid, axis=1, out=gA[lo:hi])
-        gB += np.sum(hid, axis=0, out=row)
-        gb1 += hid.sum(axis=(0, 1))
+        g = gA[lo:hi]
+        np.matmul(p[:, None, :], hid, out=g[:, None, :])
+        g *= w2[:, 0]
+        gb1 += g.sum(axis=0)
+        hid *= p[:, :, None]
+        gB += np.multiply(np.sum(hid, axis=0, out=row), w2[:, 0], out=row)
     return inv_n * float(gap.sum()), gA, gB, [gb1, gw2, gb2]
 
 
@@ -275,8 +270,16 @@ def row_softmax_vjp(p, g):
 
 
 def scatter_add_rows(out, idx, rows):
-    """out[idx[k]] += rows[k], accumulated in ascending k order."""
-    np.add.at(out, np.ascontiguousarray(idx, dtype=np.int64), _c64(rows))
+    """out[idx[k]] += rows[k], accumulated in ascending k order; when no
+    row of out is named twice (-1 and n - 1 name one row), one buffered
+    add, bitwise np.add.at's, through an unregistered copy of those rows."""
+    idx, rows = np.ascontiguousarray(idx, dtype=np.int64), _c64(rows)
+    seen = np.zeros(out.shape[0], dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) < idx.size:
+        np.add.at(out, idx, rows)
+    else:
+        out[idx] += rows
     return out
 
 

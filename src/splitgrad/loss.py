@@ -246,8 +246,7 @@ def analytic_rep_grads(F, G, r, tau=1.0, result=None):
     n_s = F.shape[0]
     coef = -1.0 / (n_s * tau)
     u = coef * (G[r] - np.matmul(p, G))
-    epsilon = np.zeros_like(G)
-    kernels.scatter_add_rows(epsilon, r, F)
+    epsilon = kernels.scatter_add_rows(np.zeros_like(G), r, F)
     v = coef * (epsilon - np.matmul(p.T, F))
     return RepresentationGradients(u=u, v=v, epsilon=epsilon)
 

@@ -3,6 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitgrad import kernels
 from splitgrad.memtrace import CATEGORIES, MemCounter, use_meter
@@ -85,12 +88,17 @@ def test_row_contract_holds_with_one_blas_thread():
     ids = [f"{__file__}::{name}" for name in (
         "test_matmul_row_chunks_bitwise_stable",
         "test_pair_scores_block_stable")]
+    # gA comes out of a batched matmul per strip, which must give each
+    # row the same bits whatever the strip height at this thread count too
+    ids.append(os.path.join(os.path.dirname(__file__), "test_deep.py")
+               + "::test_head_strip_height_changes_no_loss_or_gA_bit")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout, proc.stdout
+    # the strip-height test runs at two temperatures
+    assert "4 passed" in proc.stdout, proc.stdout
 
 
 def test_loss_kernels_leave_their_inputs_unchanged():
@@ -165,6 +173,40 @@ def test_scatter_add_rows_accumulates_duplicates():
     )
 
 
+@st.composite
+def unique_scatters(draw):
+    # distinct rows of out, each named by its positive or its negative index
+    n = draw(st.integers(1, 12))
+    picked = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    signs = draw(st.lists(st.booleans(), min_size=len(picked),
+                          max_size=len(picked)))
+    idx = np.array([i - n if neg else i for i, neg in zip(picked, signs)],
+                   dtype=np.int64)
+    return n, idx, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(unique_scatters())
+def test_scatter_add_rows_with_unique_rows_is_bitwise_add_at(case):
+    n, idx, seed = case
+    rng = np.random.default_rng(seed)
+    start = rng.normal(size=(n, 3))
+    rows = rng.normal(size=(idx.size, 3))
+    want = start.copy()
+    np.add.at(want, idx, rows)
+    got = kernels.scatter_add_rows(start.copy(), idx, rows)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scatter_add_rows_adds_both_rows_a_negative_index_aliases():
+    # -1 and n - 1 name the same row: a buffered add would keep only one
+    out = np.zeros((3, 2))
+    rows = np.array([[1.0, 2.0], [10.0, 20.0]])
+    kernels.scatter_add_rows(out, np.array([-1, 2]), rows)
+    np.testing.assert_array_equal(
+        out, np.array([[0.0, 0.0], [0.0, 0.0], [11.0, 22.0]]))
+
+
 def test_elementwise_vjps():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 6))
@@ -235,3 +277,59 @@ def test_head_strip_loss_counts_its_gradients_when_it_makes_them():
         assert c.live["activation"] == 0
         del gA, gB, tail
     assert c.live == dict.fromkeys(CATEGORIES, 0)
+
+
+def _dense_head_grads(A, B, r, scale, b1, w2, b2, activation):
+    # the head over all n x m pairs at once, in plain numpy: the loss, its
+    # gradients [gA, gB, gb1, gw2, gb2], and for each gradient the same
+    # sums over the magnitudes of their terms
+    n = A.shape[0]
+    pre = A[:, None] + B[None] + b1
+    hid = {"tanh": np.tanh(pre), "relu": np.maximum(pre, 0.0),
+           "linear": pre}[activation]
+    slope = {"tanh": 1.0 - hid * hid, "relu": (hid > 0).astype(float),
+             "linear": np.ones_like(hid)}[activation]
+    z = scale * (np.einsum("ijk,k->ij", hid, w2[:, 0]) + b2)
+    top = z.max(axis=1, keepdims=True)
+    e = np.exp(z - top)
+    lse = top[:, 0] + np.log(e.sum(axis=1))
+    loss = np.mean(lse - z[np.arange(n), r])
+    p = e / e.sum(axis=1, keepdims=True)
+    p[np.arange(n), r] -= 1.0
+    p *= scale / n
+
+    def grads(p, slope, hid, w):
+        return [np.einsum("ij,ijk,k->ik", p, slope, w),
+                np.einsum("ij,ijk,k->jk", p, slope, w),
+                np.einsum("ij,ijk,k->k", p, slope, w),
+                np.einsum("ij,ijk->k", p, hid)[:, None],
+                np.array([p.sum()])]
+
+    return (loss, grads(p, slope, hid, w2[:, 0]),
+            grads(np.abs(p), np.abs(slope), np.abs(hid), np.abs(w2[:, 0])))
+
+
+@pytest.mark.parametrize("activation", kernels.ACTIVATIONS)
+@pytest.mark.parametrize("n, m", [(kernels.HEAD_STRIP + 3, 13),
+                                  (2 * kernels.HEAD_STRIP, 7)])
+def test_head_strip_loss_gradients_match_a_dense_reference(activation, n, m):
+    # n != m, a ragged last strip or whole strips, and repeated positives
+    rng = np.random.default_rng(11)
+    h = 5
+    A, B = rng.normal(size=(n, h)), rng.normal(size=(m, h))
+    r = rng.integers(0, m, size=n)
+    r[:3] = r[3]
+    b1, w2, b2 = (rng.normal(size=shape) for shape in (h, (h, 1), 1))
+    loss, gA, gB, tail = kernels.head_strip_loss(A, B, r, 1.5, b1, w2, b2,
+                                                 activation)
+    want_loss, want, terms = _dense_head_grads(A, B, r, 1.5, b1, w2, b2,
+                                               activation)
+    assert abs(loss - want_loss) <= 1e-13 * abs(want_loss)
+    # each row of dL/dd sums to zero, so gb2 is zero in exact arithmetic,
+    # and with a linear head's unit slope so are gA and gb1: their
+    # roundoff is bounded by the size of the terms summed, not the result
+    exact_zero = {4} | ({0, 2} if activation == "linear" else set())
+    for k, (got, ref, mag) in enumerate(zip([gA, gB] + tail, want, terms)):
+        assert got.shape == ref.shape
+        size = np.max(mag) if k in exact_zero else np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * size, k
