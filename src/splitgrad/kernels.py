@@ -270,16 +270,8 @@ def row_softmax_vjp(p, g):
 
 
 def scatter_add_rows(out, idx, rows):
-    """out[idx[k]] += rows[k], accumulated in ascending k order; when no
-    row of out is named twice (-1 and n - 1 name one row), one buffered
-    add, bitwise np.add.at's, through an unregistered copy of those rows."""
-    idx, rows = np.ascontiguousarray(idx, dtype=np.int64), _c64(rows)
-    seen = np.zeros(out.shape[0], dtype=bool)
-    seen[idx] = True
-    if np.count_nonzero(seen) < idx.size:
-        np.add.at(out, idx, rows)
-    else:
-        out[idx] += rows
+    """out[idx[k]] += rows[k], accumulated in ascending k order."""
+    np.add.at(out, np.ascontiguousarray(idx, dtype=np.int64), _c64(rows))
     return out
 
 

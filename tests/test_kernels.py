@@ -4,8 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from splitgrad import kernels
 from splitgrad.memtrace import CATEGORIES, MemCounter, use_meter
@@ -171,40 +169,6 @@ def test_scatter_add_rows_accumulates_duplicates():
     np.testing.assert_array_equal(
         out, np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
     )
-
-
-@st.composite
-def unique_scatters(draw):
-    # distinct rows of out, each named by its positive or its negative index
-    n = draw(st.integers(1, 12))
-    picked = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    signs = draw(st.lists(st.booleans(), min_size=len(picked),
-                          max_size=len(picked)))
-    idx = np.array([i - n if neg else i for i, neg in zip(picked, signs)],
-                   dtype=np.int64)
-    return n, idx, draw(st.integers(0, 2**16))
-
-
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(unique_scatters())
-def test_scatter_add_rows_with_unique_rows_is_bitwise_add_at(case):
-    n, idx, seed = case
-    rng = np.random.default_rng(seed)
-    start = rng.normal(size=(n, 3))
-    rows = rng.normal(size=(idx.size, 3))
-    want = start.copy()
-    np.add.at(want, idx, rows)
-    got = kernels.scatter_add_rows(start.copy(), idx, rows)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_scatter_add_rows_adds_both_rows_a_negative_index_aliases():
-    # -1 and n - 1 name the same row: a buffered add would keep only one
-    out = np.zeros((3, 2))
-    rows = np.array([[1.0, 2.0], [10.0, 20.0]])
-    kernels.scatter_add_rows(out, np.array([-1, 2]), rows)
-    np.testing.assert_array_equal(
-        out, np.array([[0.0, 0.0], [0.0, 0.0], [11.0, 22.0]]))
 
 
 def test_elementwise_vjps():

@@ -467,13 +467,15 @@ def _floats_the_meter_misses(act):
     }
 
 
-def _alignment_floats_the_meter_misses():
-    # 64 anchors, 8 targets 64 wide: the alignment tape's backward sets
+def _alignment_floats_the_meter_misses(n_t):
+    # 64 anchors, n_t targets 64 wide: the alignment tape's backward sets
     # step2's peak (see test_alignment_tape_peak_takes_the_larger_side),
-    # far above the strip kernel's 1600 floats
+    # far above the strip kernel's 1600 floats. With 8 targets the
+    # positives repeat; with 64 they are a permutation, as in every
+    # aligned batch, so an unregistered copy of the scattered rows shows
     rng = np.random.default_rng(10)
-    F, G = rng.normal(size=(64, 64)), rng.normal(size=(8, 64))
-    r = rng.integers(0, 8, size=64)
+    F, G = rng.normal(size=(64, 64)), rng.normal(size=(n_t, 64))
+    r = rng.integers(0, 8, size=64) if n_t == 8 else rng.permutation(n_t)
     c = MemCounter()
     with use_meter(c):
         (_, dF, dG), seen = _traced_peak(
@@ -543,5 +545,7 @@ def test_meter_sees_every_buffer_of_the_cached_step(act):
     for phase, floats in bounds.items():
         missed = min(run[phase] for run in runs)
         assert missed <= _ufunc_buffer(floats) + ORACLE_SLACK, phase
-    missed = min(_alignment_floats_the_meter_misses() for _ in range(2))
-    assert missed <= ORACLE_SLACK
+    for n_t in (8, 64):
+        missed = min(_alignment_floats_the_meter_misses(n_t)
+                     for _ in range(2))
+        assert missed <= ORACLE_SLACK, n_t
