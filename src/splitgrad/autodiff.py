@@ -25,7 +25,9 @@ Design choices that equivalence tests depend on:
   ``encoder_vjp``) are the one encoder loop, also run with no tape, and
   write every product into buffers their caller passes in. The VJP
   writes each layer's slope product over the output it has just read,
-  so the node saves a sloped top as a copy and never writes its output;
+  so the node saves a sloped top as a copy and never writes its output,
+  and forms each input gradient against a contiguous transpose of its
+  weight (``weight_transposes``), as the ``matmul`` VJP does;
 * a VJP is called as ``vjp(ctx, g, taped)``, ``taped`` holding the
   node's input indices (None for an input not on the tape), and returns
   fresh arrays, one per input. It may return None for an untaped input
@@ -46,8 +48,10 @@ Design choices that equivalence tests depend on:
 * operations allocate fresh output arrays (no views). Every array made
   here is counted through ``memtrace.register``, from when it is made
   until it is freed: every op output, taped or not, the arrays a forward
-  saves and every gradient backward makes, from the VJP's return on;
-  the encoder pass counts nothing, and its callers register its buffers.
+  saves and every gradient backward makes, from the VJP's return on,
+  and the weight transposes a VJP multiplies by, as "parameters"; the
+  encoder pass counts nothing, and its callers register its buffers and
+  transposes.
 """
 
 import itertools
@@ -258,8 +262,11 @@ def _fw_matmul(attrs, x, w):
 
 
 def _bw_matmul(ctx, g, taped):
+    # x's gradient against w's contiguous transpose, as encoder_vjp forms
+    # it, so that a layer of three ops gives the encoder node's bits
     x, w = ctx
-    return (np.matmul(g, w.T) if taped[0] is not None else None,
+    return (np.matmul(g, register(w.T.copy(), "parameters"))
+            if taped[0] is not None else None,
             np.matmul(x.T, g) if taped[1] is not None else None)
 
 
@@ -330,29 +337,42 @@ def encoder_forward(x, arrays, acts, outs):
     return outs
 
 
-def encoder_vjp(x, arrays, acts, outs, g, grads, scratch, need_gx):
+def weight_transposes(arrays, need_gx):
+    """The weights w1, w2, ... of arrays transposed, each a C-contiguous
+    copy registered as "parameters" (its size is its weight's, whatever
+    the rows), for ``encoder_vjp``'s input gradients; None for w1 unless
+    need_gx. At a sub-batch's rows BLAS forms g @ w.T 1.6-2 times as
+    fast from the copy as from the transposed view, with the same
+    bits."""
+    return [register(w.T.copy(), "parameters") if k or need_gx else None
+            for k, w in enumerate(arrays[::2])]
+
+
+def encoder_vjp(x, arrays, acts, outs, g, grads, scratch, wts):
     """Backpropagate g, the top output's gradient, through the layers.
 
     Layer k's slope product is written over outs[k], the output its
     forward saved, once the layer above has read it (a linear top saves
     None and has none). Its products go into scratch[k], a flat buffer:
     its weight and bias gradients, each then added into grads, and its
-    input's gradient. Returns x's gradient, a view of scratch[0], if
-    need_gx, else None. Nothing is counted here.
+    input's gradient, g @ wts[k], for wts from ``weight_transposes``.
+    Returns x's gradient, a view of scratch[0], or None if wts[0] is
+    None. Nothing is counted here.
     """
     n = g.shape[0]
     for k in range(len(acts) - 1, -1, -1):
-        w = arrays[2 * k]
-        k_in, k_out = w.shape
+        k_in, k_out = arrays[2 * k].shape
         if outs[k] is not None:
             g = kernels.activation_vjp(acts[k], outs[k], g, outs[k])
         s = scratch[k]
         grads[2 * k] += np.matmul((outs[k - 1] if k else x).T, g,
                                   out=s[:k_in * k_out].reshape(k_in, k_out))
-        grads[2 * k + 1] += np.sum(g, axis=0, out=s[:k_out])
-        if k or need_gx:
-            g = np.matmul(g, w.T, out=s[:n * k_in].reshape(n, k_in))
-    return g if need_gx else None
+        # np.sum's bits without its Python wrapper
+        grads[2 * k + 1] += np.add.reduce(g, axis=0, out=s[:k_out])
+        if wts[k] is None:
+            return None
+        g = np.matmul(g, wts[k], out=s[:n * k_in].reshape(n, k_in))
+    return g
 
 
 def _fw_encoder(attrs, x, *arrays):
@@ -381,7 +401,7 @@ def _bw_encoder(ctx, g, taped):
     # backward counts the gradients from the return on, as every VJP's
     grads = [np.zeros_like(a) for a in arrays]
     gx = encoder_vjp(x, arrays, acts, outs, g, grads,
-                     [scratch] * len(acts), need_gx)
+                     [scratch] * len(acts), weight_transposes(arrays, need_gx))
     # x's gradient leaves the scratch, which dies here
     return (None if gx is None else gx.copy(), *grads)
 

@@ -13,11 +13,12 @@ phi once per pair, forward and backward, in three phases:
    anchors in strips of ``kernels.HEAD_STRIP`` rows, in the step's
    ``trainer.LOSS_PHASE`` window. Each strip runs the rest of phi over
    all its pairs, takes the softmax loss of the scaled distances and
-   runs phi's backward straight away, into dL/dA rows, dL/dB and the b1,
-   w2 and b2 gradients. It holds one strip of hidden units and one strip
-   of distances, which become their softmax in place, at a time, never
-   an n x n array; the dL/dA and dL/dB rows are the distance gradient
-   cache.
+   runs phi's backward straight away, into dL/dA rows, dL/dB and the b1
+   and w2 gradients; b2's is an exact zero, as the row softmax ignores a
+   shift of every distance of a row. It holds one strip of hidden units
+   and one strip of distances, which become their softmax in place, at a
+   time, never an n x n array; the dL/dA and dL/dB rows are the distance
+   gradient cache.
 3. ``update_omega_and_fold``: folds that cache through the first layer,
    u = gA w1a^T and v = gB w1b^T, a representation gradient cache the
    encoder step3 consumes as usual, and adds the w1a and w1b gradients.
@@ -269,6 +270,8 @@ def train_step_deep(batch, params_f, params_g, head, opt_state, config):
     plan = plan_subbatches(
         batch.n_anchors, batch.n_targets, config.sub_batch_s, config.sub_batch_t
     )
+    # frozen encoders run no step3, whose peak step1's passes would fill
+    plan.runs_step3 = config.train_encoders
     F, G, pairs = forward_collect(batch, params_f, params_g, head, plan)
     dcache, loss_value = build_distance_cache(pairs, batch.r, config.tau)
     grad_head, rep_cache = update_omega_and_fold(F, G, head, dcache, plan)

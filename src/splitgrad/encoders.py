@@ -92,22 +92,31 @@ def encode(params, inputs):
     return forward_rows(params, inputs, [(0, n)], out)
 
 
+def forward_floats(n, widths):
+    """Floats of the buffer ``forward_rows`` makes for chunks of at most
+    n rows through layers of widths w0..wL: two halves of n rows, each
+    as wide as the widest layer below the top that it takes."""
+    hidden = widths[1:-1]
+    return n * (max(hidden[::2], default=0) + max(hidden[1::2], default=0))
+
+
 def forward_rows(params, rows, chunks, out):
     """Each (lo, hi) chunk of rows through the encoder, with no tape, its
     top layer straight into out[lo:hi]; returns out. Layer k below the
-    top goes into half k % 2 of one registered buffer, each half as wide
-    as the widest layer it takes, viewed once for the largest chunk."""
+    top goes into half k % 2 of one registered buffer of
+    ``forward_floats`` for the largest chunk, viewed once for it."""
     if not chunks:
         return out
     arrays, acts = param_arrays(params), params.activations
-    hidden = ad.encoder_widths(rows.shape, arrays)[1:-1]
+    widths = ad.encoder_widths(rows.shape, arrays)
     b = max(hi - lo for lo, hi in chunks)
-    half = [max(hidden[h::2], default=0) for h in (0, 1)]
-    buf = register(np.empty(b * sum(half)))
+    buf = register(np.empty(forward_floats(b, widths)))
+    # half 1 starts after b rows of half 0's widest layer
+    at = b * max(widths[1:-1:2], default=0)
 
     def views(n):
-        return [buf[k % 2 * b * half[0]:][:n * w].reshape(n, w)
-                for k, w in enumerate(hidden)]
+        return [buf[k % 2 * at:][:n * w].reshape(n, w)
+                for k, w in enumerate(widths[1:-1])]
 
     full = views(b)
     for lo, hi in chunks:

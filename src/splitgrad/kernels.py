@@ -66,6 +66,16 @@ def _tiled_matmul(x, w, out=None):
     return out
 
 
+def tail_floats(widths, chunks):
+    """Floats ``_tiled_matmul`` registers, a zero-padded tail tile and its
+    product, when chunks of rows pass through products w0 x w1, w1 x w2,
+    ... of widths w0, w1, ...: the widest product's, if some chunk is
+    short of a whole tile, else none."""
+    if all((hi - lo) % TILE == 0 for lo, hi in chunks):
+        return 0
+    return TILE * max((a + b for a, b in zip(widths, widths[1:])), default=0)
+
+
 def matmul(x, w):
     """Row-deterministic x @ w: rows of a chunk match the full product."""
     return _tiled_matmul(_c64(x), _c64(w))
@@ -183,12 +193,13 @@ def activation_vjp(name, y, g, out=None):
 
 def _activation_slope(name, y):
     # overwrite the activation's output y with its derivative there; the
-    # in-place form of activation_vjp for head_strip_loss's strips
+    # in-place form of activation_vjp for head_strip_loss's strips, with
+    # its bits (relu's slope is y > 0, as relu_vjp takes it)
     if name == "tanh":
         y *= y
         np.subtract(1.0, y, out=y)
     elif name == "relu":
-        np.sign(y, out=y)
+        np.greater(y, 0.0, out=y)
     else:
         y.fill(1.0)
 
@@ -211,7 +222,11 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     the strip's gA rows are one batched product dL/dd_i @ slope_i, times
     w2, and gb1 adds their sum; the hidden layer then becomes
     slope * dL/dd, and gB adds its axis-0 sum, taken through the m x h row
-    buffer, times w2. Nothing n x m is held: the buffers, made once and
+    buffer, times w2. gb2 is returned as an exact zero, b2's true
+    gradient: b2 shifts every z of a row alike, which the row softmax
+    ignores, so the rows of dL/dd sum to zero and their computed sum is
+    roundoff alone, on which an optimizer would step b2 (Adam at full
+    rate, whatever its size). Nothing n x m is held: the buffers, made once and
     counted by the active meter, are the HEAD_STRIP x m x h hidden layer, a
     HEAD_STRIP x m one for z, e and dL/dd, the row buffer and the n x 1
     per-anchor losses, HEAD_STRIP * m * (h + 1) + m * h + n floats. The
@@ -251,7 +266,6 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
         p *= inv_n / s
         p[rows, r[lo:hi]] -= inv_n
         p *= scale
-        gb2 += p.sum()
         gw2 += np.matmul(flat.T, p.reshape(-1, 1))
         _activation_slope(activation, hid)
         g = gA[lo:hi]

@@ -20,13 +20,20 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   into one buffer per parameter (step3); finally the optimizer runs
   once (step4). Peak activation memory in steps 1 and 3 depends only on
   the sub-batch size: each encoder's passes in a phase work in one flat
-  buffer for the largest chunk, step1's (``encoders.forward_rows``)
-  holding the layers below the top in two halves, at most b·Σ_{0<k<L}
-  w_k floats for sub-batch b and widths w0..wL. With a linear top,
-  step3's (``autodiff.encoder_views``) is ``max_k [b·Σ_{i<k} w_i +
-  [k<L]·b·w_k + max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats. Either
-  adds, for a chunk of other than a multiple of ``kernels.TILE`` rows,
-  the tiled matmul's tail tile and its product. Step2 is one
+  buffer for the largest chunk. With a linear top, step3's
+  (``autodiff.encoder_views``) is ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k +
+  max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats for sub-batch b and widths
+  w0..wL. Either phase adds, for a chunk of other than a multiple of
+  ``kernels.TILE`` rows, the tiled matmul's tail tile and its product.
+  Step1's (``encoders.forward_rows``) holds the layers below the top in
+  two halves, R·(max of the odd-numbered w_k + max of the even) floats
+  for passes of R rows; keeping no graph, it takes R as the largest
+  multiple of b whose floats, tail tiles counted, fit in step3's for b
+  (``_step1_chunks``), so that step1 peaks at most where step3 does
+  (80 rows at sub-batch 16 for widths 24-128-128-16). A step that runs
+  no step3 keeps R = b. Step3's VJPs form each input gradient against a
+  contiguous transpose of its weight, made once per encoder and side
+  and counted as parameters. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   For n_s anchors, n_t targets and embedding width d it holds
@@ -48,6 +55,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders
+from . import kernels
 from . import loss as loss_mod
 from . import memtrace
 
@@ -58,10 +66,14 @@ class CacheNotFilledError(RuntimeError):
 
 @dataclass
 class SubBatchPlan:
-    """Ordered contiguous partition of anchor and target indices."""
+    """Ordered contiguous partition of anchor and target indices, the
+    sub-batches step3 re-encodes. runs_step3 is False for a step that
+    runs no step3 (deep mode with frozen encoders): its step1 then
+    encodes in the sub-batches, since no step3 buffer covers more."""
 
     anchor_chunks: list
     target_chunks: list
+    runs_step3: bool = True
 
 
 def _chunk_ranges(n, size):
@@ -108,7 +120,11 @@ class StepStats:
     the cached path a chunk's parameter gradients pass one at a time
     through its encoder buffer's scratch into the step's accumulators
     (counted as parameters), so act_peak holds one weight or bias
-    gradient, never a whole encoder's. cache_floats is the largest
+    gradient, never a whole encoder's. The weight transposes the VJPs
+    multiply by are counted as parameters too: their size is the
+    weights', whatever the batch. Step1's passes take as many rows as
+    fit in step3's peak, so the step1 window may reach act_peak (and a
+    budget trip there) where step3 sets it. cache_floats is the largest
     gradient-cache count over the step, summed over workers in multi
     mode.
 
@@ -197,15 +213,52 @@ def step_stats(meters=None):
 # the cached procedure
 # ---------------------------------------------------------------------------
 
+def _step1_chunks(params, rows, chunks):
+    """The passes step1 runs one side's rows in: R rows each, R the
+    largest multiple of the side's sub-batch b whose
+    ``encoders.forward_rows`` floats fit in step3's for b, tail tiles
+    counted on both sides; the sub-batches themselves if no larger R
+    fits. Step1 keeps no graph, so it needs fewer floats per row than
+    step3, and takes more rows per pass for the same peak."""
+    if not chunks:
+        return chunks
+    widths = ad.encoder_widths(rows.shape, encoders.param_arrays(params))
+    keep_top = params.activations[-1] != "linear"
+    b = max(hi - lo for lo, hi in chunks)
+    # step3 runs no forward through a linear top
+    budget = (ad.encoder_floats(b, widths, keep_top)
+              + kernels.tail_floats(widths if keep_top else widths[:-1],
+                                    chunks))
+    n, per_row = rows.shape[0], encoders.forward_floats(1, widths)
+    top = -(-n // b)
+    if per_row:
+        top = min(top, budget // (b * per_row))
+    for j in range(top, 1, -1):
+        passes = _chunk_ranges(n, j * b)
+        if (min(j * b, n) * per_row + kernels.tail_floats(widths, passes)
+                <= budget):
+            return passes
+    return chunks
+
+
 def step1_graphless_forward(batch, params_f, params_g, plan):
-    """Encode every chunk without recording; collect all representations."""
+    """Encode every row without recording; collect all representations.
+
+    Each side runs in the passes of ``_step1_chunks``, or, if the plan
+    runs no step3, in its sub-batches. A row's representation does not
+    depend on the pass it is in.
+    """
+    a_chunks, t_chunks = plan.anchor_chunks, plan.target_chunks
     with memtrace.phase("step1"):
+        if plan.runs_step3:
+            a_chunks = _step1_chunks(params_f, batch.anchors, a_chunks)
+            t_chunks = _step1_chunks(params_g, batch.targets, t_chunks)
         F = memtrace.register(np.empty((batch.n_anchors, params_f.out_dim)),
                               "representation-store")
         G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
                               "representation-store")
-        encoders.forward_rows(params_f, batch.anchors, plan.anchor_chunks, F)
-        encoders.forward_rows(params_g, batch.targets, plan.target_chunks, G)
+        encoders.forward_rows(params_f, batch.anchors, a_chunks, F)
+        encoders.forward_rows(params_g, batch.targets, t_chunks, G)
     count("fwd_rows", batch.n_anchors + batch.n_targets)
     return F, G
 
@@ -240,6 +293,7 @@ def _accumulate_side(params, rows, chunks, seed_rows, grads):
     widths = ad.encoder_widths(rows.shape, arrays)
     keep_top = acts[-1] != "linear"
     b = max(hi - lo for lo, hi in chunks)
+    wts = ad.weight_transposes(arrays, False)
     buf = memtrace.register(np.empty(ad.encoder_floats(b, widths, keep_top)))
     full = ad.encoder_views(buf, b, widths, keep_top)
     for lo, hi in chunks:
@@ -249,7 +303,7 @@ def _accumulate_side(params, rows, chunks, seed_rows, grads):
         ad.encoder_forward(x, arrays, acts, outs)
         count("fwd_rows", hi - lo)
         ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads,
-                       scratch, False)
+                       scratch, wts)
         count("bwd_rows", hi - lo)
 
 

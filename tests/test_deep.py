@@ -289,6 +289,26 @@ def test_early_interaction_trains_head_only():
     assert res.stats.bwd_rows == 0
 
 
+@pytest.mark.parametrize("train_encoders", [True, False])
+def test_adam_leaves_the_head_output_bias_bitwise_unchanged(train_encoders):
+    # b2 shifts every distance of a row alike, which the row softmax
+    # ignores: head_strip_loss returns its gradient as the exact zero it
+    # is, so Adam does not step b2 on roundoff while the rest trains
+    batch, pf, pg, head = _setup()
+    arrays = head_arrays(head)
+    head = head_from_arrays(head, arrays[:4] + [np.array([0.3])])
+    start = head_arrays(head)
+    opt = encoders.init_optimizer("adam", 1e-2)
+    cfg = DeepConfig(sub_batch_s=5, sub_batch_t=6,
+                     train_encoders=train_encoders)
+    for _ in range(4):
+        res = train_step_deep(batch, pf, pg, head, opt, cfg)
+        pf, pg, head, opt = res.params_f, res.params_g, res.head, res.opt_state
+    end = head_arrays(head)
+    assert end[4].tobytes() == start[4].tobytes()
+    assert not any(np.array_equal(a, b) for a, b in zip(start[:4], end[:4]))
+
+
 def test_head_bias_gradient_is_pure_roundoff():
     """A constant shift of every distance cancels in the row softmax, so
     the output-bias gradient is mathematically zero; what survives is

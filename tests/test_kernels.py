@@ -86,17 +86,26 @@ def test_row_contract_holds_with_one_blas_thread():
     ids = [f"{__file__}::{name}" for name in (
         "test_matmul_row_chunks_bitwise_stable",
         "test_pair_scores_block_stable")]
-    # gA comes out of a batched matmul per strip, which must give each
-    # row the same bits whatever the strip height at this thread count too
-    ids.append(os.path.join(os.path.dirname(__file__), "test_deep.py")
-               + "::test_head_strip_height_changes_no_loss_or_gA_bit")
+    here = os.path.dirname(__file__)
+    ids += [os.path.join(here, name) for name in (
+        # gA comes out of a batched matmul per strip, which must give each
+        # row the same bits whatever the strip height at this thread count
+        # too
+        "test_deep.py::test_head_strip_height_changes_no_loss_or_gA_bit",
+        # an input gradient is g @ w.T against a contiguous transpose, a
+        # BLAS layout of its own: the taped layer, the encoder node and
+        # step3's chunks must still agree bitwise
+        "test_autodiff.py::test_dense_matches_three_op_layer_bitwise",
+        "test_trainer.py::"
+        "test_step3_chunks_equal_the_taped_encoder_node_bitwise")]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # the strip-height test runs at two temperatures
-    assert "4 passed" in proc.stdout, proc.stdout
+    # the strip-height test runs at two temperatures, and the two encoder
+    # tests at three activation sets each
+    assert "10 passed" in proc.stdout, proc.stdout
 
 
 def test_loss_kernels_leave_their_inputs_unchanged():
@@ -140,6 +149,23 @@ def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
                                 rng.normal(size=(n + 5, 8)), 1.0, 1.0 / n)
         counts.append(len(registered))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name", kernels.ACTIVATIONS)
+def test_activation_slope_is_activation_vjp_of_ones_bitwise(name):
+    # head_strip_loss's in-place slope must give the bits activation_vjp
+    # gives, on outputs that hold exact zeros (relu's whole negative
+    # side, tanh at 0)
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(6, 9))
+    x[0] = 0.0
+    x[1, ::2] = -0.0
+    y = kernels.activate(name, x)
+    assert np.any(y == 0.0)
+    want = kernels.activation_vjp(name, y, np.ones_like(y))
+    got = y.copy()
+    kernels._activation_slope(name, got)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_row_softmax_rows_sum_to_one():

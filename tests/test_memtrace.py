@@ -411,13 +411,17 @@ def test_cached_step_makes_the_derived_per_array_registrations(monkeypatch):
         # and 2 added into the leaves' buffers
         ("step2", "activation"): 4 + 7 + 9,
         ("step2", "gradient-cache"): 2,
-        # one accumulator per parameter array, and one buffer per encoder
-        # for both halves of its passes
-        ("step3", "parameters"): 2 * 2 * layers,
+        # the transpose of the ones column that the alignment tape's
+        # matmul VJP multiplies by
+        ("step2", "parameters"): 1,
+        # one accumulator per parameter array, one transpose per weight
+        # above the first, and one buffer per encoder for both halves of
+        # its passes
+        ("step3", "parameters"): 2 * 2 * layers + 2 * (layers - 1),
         ("step3", "activation"): 2,
     }
     assert dict(seen) == expected
-    assert sum(expected.values()) == 40
+    assert sum(expected.values()) == 45
 
 
 def _traced_peak(fn):
@@ -440,8 +444,9 @@ def _floats_the_meter_misses(act):
     ragged. The meter's peak of a phase is its activation peak plus the
     arrays of other categories that the phase makes first and holds to
     its end: step1's stores, step2's gradient cache, step3's
-    accumulators. tracemalloc also sees Python objects and numpy's
-    iteration buffers.
+    accumulators, and the weight transposes of the side that is running,
+    which both sides' encoders make alike. tracemalloc also sees Python
+    objects and numpy's iteration buffers.
     """
     n, dims, b = 128, [24, 128, 128, 16], 16
     rng = np.random.default_rng(9)
@@ -463,7 +468,8 @@ def _floats_the_meter_misses(act):
         "step1": step1 - c.phase_peak("step1") - F.size - G.size,
         "step2": step2 - c.phase_peak("step2") - cache.float_count,
         "step3": step3 - c.phase_peak("step3")
-        - sum(g.size for g in grads[0] + grads[1]),
+        - sum(g.size for g in grads[0] + grads[1])
+        - sum(w.size for w, _ in pf.layers[1:]),
     }
 
 
@@ -536,11 +542,12 @@ def test_meter_sees_step3_activation_slopes():
 def test_meter_sees_every_buffer_of_the_cached_step(act):
     # the same oracle, absolute, in every phase: step1's and step3's
     # buffers, the strip kernel's and the alignment term's arrays. The
-    # broadcasts are the bias adds of 16 x 128 rows and the strip's
-    # per-row columns over 64 x 128 scores; the best of two runs drops
-    # first-call allocations
+    # broadcasts are the bias adds of step1's passes of 80 rows and
+    # step3's sub-batches of 16, 128 wide, and the strip's per-row
+    # columns over 64 x 128 scores; the best of two runs drops first-call
+    # allocations
     runs = [_floats_the_meter_misses(act) for _ in range(2)]
-    bounds = {"step1": 16 * 128, "step2": kernels.STRIP * 128,
+    bounds = {"step1": 80 * 128, "step2": kernels.STRIP * 128,
               "step3": 16 * 128}
     for phase, floats in bounds.items():
         missed = min(run[phase] for run in runs)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitgrad import autodiff as ad
 from splitgrad import deep, encoders, kernels, memtrace, multiworker, trainer
@@ -299,6 +301,101 @@ def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
                                        deep.DeepConfig(1.0, b, b))
     assert (res.stats.act_peak, res.stats.loss_phase_peak) == (act_peak,
                                                                loss_peak)
+
+
+@pytest.mark.parametrize("n,b,widths,rows", [
+    (1024, 32, [24, 32, 16], 64),
+    (256, 16, [24, 128, 128, 16], 80),  # 20480 of step3's 20480 floats
+    (128, 16, [24, 32, 16], 32),
+])
+def test_step1_passes_fill_step3s_budget_at_the_benchmark_shapes(n, b,
+                                                                 widths, rows):
+    p = encoders.init_params(6, widths)
+    chunks = trainer._step1_chunks(p, np.zeros((n, widths[0])),
+                                   trainer._chunk_ranges(n, b))
+    assert chunks == trainer._chunk_ranges(n, rows)
+
+
+def _peaks(step):
+    # step's result and its meter's activation peak by window
+    c = memtrace.MemCounter()
+    with c.activate():
+        res = step()
+    return res, {name: c.phase_peak(name) for name in c.phase_peaks}
+
+
+@st.composite
+def _row_budget_cases(draw):
+    widths = ([draw(st.integers(1, 12))]
+              + draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+              + [draw(st.integers(1, 10))])
+    sizes = st.sampled_from((1, 3, 8, 16, 17, 32, 48))
+    return dict(
+        mode=draw(st.sampled_from(("cache", "deep", "frozen"))),
+        widths=widths,
+        acts=[draw(st.sampled_from(kernels.ACTIVATIONS)) for _ in widths[1:]],
+        n_s=draw(st.integers(1, 70)), n_t=draw(st.integers(1, 70)),
+        bs_s=draw(sizes), bs_t=draw(sizes),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_row_budget_cases())
+# a linear top's tail tile is step1's alone: counted in step3's budget it
+# would admit 16-row passes whose tail tops step3's peak
+@example(dict(mode="cache", widths=[4, 2, 8], acts=["tanh", "linear"],
+              n_s=70, n_t=70, bs_s=8, bs_t=8, seed=0))
+def test_step1_passes_stay_within_step3s_peak(case):
+    # step1 runs more rows per pass than a sub-batch only where its
+    # buffer and tail tiles fit in step3's: against the same step with
+    # step1 in the sub-batches, the step's act_peak never rises, F and G
+    # and the loss are bitwise the same, and a step with no step3 keeps
+    # step1 as it was. Cases draw widths, activations (a sloped top
+    # included), ragged n, and sub-batches short of a tile or beyond n
+    rng = np.random.default_rng(case["seed"])
+    widths, n_s, n_t = case["widths"], case["n_s"], case["n_t"]
+    batch = Batch(rng.normal(size=(n_s, widths[0])),
+                  rng.normal(size=(n_t, widths[0])),
+                  rng.integers(0, n_t, size=n_s))
+    pf = encoders.init_params(case["seed"] + 1, widths)
+    pg = encoders.init_params(case["seed"] + 2, widths)
+    pf.activations = pg.activations = list(case["acts"])
+    bs_s, bs_t, mode = case["bs_s"], case["bs_t"], case["mode"]
+    opt = encoders.init_optimizer("sgd", 1e-2)
+
+    def step():
+        if mode == "cache":
+            return train_step_cached(batch, pf, pg, opt,
+                                     TrainConfig(1.0, bs_s, bs_t))
+        head = deep.init_distance_head(case["seed"] + 3, widths[-1], 4)
+        return deep.train_step_deep(
+            batch, pf, pg, head, opt,
+            deep.DeepConfig(1.0, bs_s, bs_t, mode == "deep"))
+
+    res, peaks = _peaks(step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "_step1_chunks", lambda params, rows, c: c)
+        ref_res, ref_peaks = _peaks(step)
+    assert res.loss == ref_res.loss
+    assert res.stats.act_peak <= ref_res.stats.act_peak
+    if mode == "frozen":
+        assert "step3" not in peaks
+        assert peaks == ref_peaks
+    else:
+        assert peaks["step3"] == ref_peaks["step3"]
+        assert peaks["step1"] <= max(peaks["step3"], ref_peaks["step1"])
+        if ref_peaks["step1"] <= peaks["step3"]:
+            assert res.stats.act_peak == ref_res.stats.act_peak
+    if mode == "cache" and case["acts"][-1] == "linear":
+        assert peaks["step3"] == max(_step3_peak(widths, n, min(b, n))
+                                     for n, b in ((n_s, bs_s), (n_t, bs_t)))
+    plan = plan_subbatches(n_s, n_t, bs_s, bs_t)
+    F, G = step1_graphless_forward(batch, pf, pg, plan)
+    for p, rows, chunks, got in ((pf, batch.anchors, plan.anchor_chunks, F),
+                                 (pg, batch.targets, plan.target_chunks, G)):
+        want = encoders.forward_rows(p, rows, chunks, np.empty(got.shape))
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("acts", [("tanh", "tanh", "linear"),
