@@ -202,11 +202,12 @@ def generate_task(cfg, mix_anchor=None, mix_target=None):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_ranks(params_f, params_g, anchors, targets, r=None):
+def evaluate_ranks(params_f, params_g, anchors, targets, r=None, head=None):
     """Rank of each anchor's true positive among all targets (0-based).
 
-    Scores are encoded dot products; ties resolve toward the lower
-    target index via a stable sort on negated scores.
+    Scores are encoded dot products, or with an mlp head its scores of
+    the encoded pairs (``kernels.head_scores``); ties resolve toward the
+    lower target index via a stable sort on negated scores.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -216,20 +217,25 @@ def evaluate_ranks(params_f, params_g, anchors, targets, r=None):
         r = np.arange(anchors.shape[0])
     F = encoders.encode(params_f, anchors)
     G = encoders.encode(params_g, targets)
-    scores = kernels.pair_scores(F, G)
+    if head is None or head.kind == "dot":
+        scores = kernels.pair_scores(F, G)
+    else:
+        scores = kernels.head_scores(F, G, *deep_mod.head_arrays(head),
+                                     head.activation)
     order = np.argsort(-scores, axis=1, kind="stable")
     positions = np.argsort(order, axis=1, kind="stable")
     return positions[np.arange(anchors.shape[0]), r]
 
 
-def evaluate_topk(params_f, params_g, anchors, targets, ks, r=None):
+def evaluate_topk(params_f, params_g, anchors, targets, ks, r=None,
+                  head=None):
     """hit@k for each requested k: fraction of positives ranked in top k."""
     for k in ks:
         if k > np.asarray(targets).shape[0]:
             raise ValueError(
                 f"evaluate: k={k} exceeds {np.asarray(targets).shape[0]} targets"
             )
-    ranks = evaluate_ranks(params_f, params_g, anchors, targets, r)
+    ranks = evaluate_ranks(params_f, params_g, anchors, targets, r, head)
     return _hits_at(ranks, ks)
 
 
@@ -391,7 +397,8 @@ def run_experiment(cfg):
 
     ks = tuple(cfg.eval_k)
     ranks = evaluate_ranks(
-        params_f, params_g, task.eval_anchors, task.eval_targets
+        params_f, params_g, task.eval_anchors, task.eval_targets,
+        head=state.head,
     )
     hits = _hits_at(ranks, ks)
     run_values = {
@@ -453,6 +460,37 @@ def save_run_checkpoint(result, path):
         groups["phi"] = deep_mod.head_to_group(result.head)
     encoders.save_params_file(path, groups)
     return path
+
+
+def load_run_checkpoint(path, cfg):
+    """(params_f, params_g, head) from a ``save_run_checkpoint`` file; head
+    is None without a phi group. A file that cannot be read, is malformed
+    or does not fit cfg's input widths raises ConfigError naming it."""
+    try:
+        groups = encoders.load_params_file(path)
+        if "f" not in groups or "g" not in groups:
+            raise ValueError("lacks encoder groups")
+        params_f = encoders.params_from_group(groups["f"])
+        params_g = encoders.params_from_group(groups["g"])
+        head = (deep_mod.head_from_group(groups["phi"]) if "phi" in groups
+                else None)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
+    d = params_f.out_dim
+    widths = [
+        ("anchor input width", params_f.in_dim, "in_dim_s", cfg.in_dim_s),
+        ("target input width", params_g.in_dim, "in_dim_t", cfg.in_dim_t),
+        ("target embedding width", params_g.out_dim, "the anchors'", d),
+    ]
+    if head is not None:
+        widths.append(("head width", head.d, "the embedding width", d))
+    for what, got, ref, want in widths:
+        if got != want:
+            raise ConfigError(f"checkpoint {path}: {what} {got} differs "
+                              f"from {ref} {want}")
+    return params_f, params_g, head
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 Verbs: train (one run, emitting metrics.jsonl / summary.csv /
 params.json), eval (rank held-out pairs with saved parameters), sweep
 (batch-size series in one summary), and profile (per-category float
-peaks for a single step).
+peaks for a single step). A deep run's hit@k, in train and in eval,
+ranks with its trained head.
 
 Flags override config-file values; exit code 0 on success, 2 for
-configuration errors, 3 when the activation budget is exceeded, 4 when
-training produces a non-finite loss or parameter.
+configuration errors (a missing or malformed eval checkpoint among
+them), 3 when the activation budget is exceeded, 4 when training
+produces a non-finite loss or parameter.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import dataclasses
 import os
 import sys
 
-from . import bench, encoders
+from . import bench
 from .bench import ConfigError, NonFiniteError
 from .memtrace import BudgetExceededError
 
@@ -129,19 +131,12 @@ def cmd_eval(args):
     cfg = bench.check_task_fits(
         bench.validate_config(_build_config(args)), train=False
     )
-    params_path = args.params or os.path.join(args.out, "params.json")
-    try:
-        groups = encoders.load_params_file(params_path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint: {exc}") from exc
-    if "f" not in groups or "g" not in groups:
-        raise ConfigError(f"checkpoint {params_path} lacks encoder groups")
-    params_f = encoders.params_from_group(groups["f"])
-    params_g = encoders.params_from_group(groups["g"])
+    params_f, params_g, head = bench.load_run_checkpoint(
+        args.params or os.path.join(args.out, "params.json"), cfg)
     task = bench.generate_task(cfg)
     hits = bench.evaluate_topk(
         params_f, params_g, task.eval_anchors, task.eval_targets,
-        tuple(cfg.eval_k),
+        tuple(cfg.eval_k), head=head,
     )
     print(f"eval_pairs={task.n_eval}")
     for k in sorted(hits):

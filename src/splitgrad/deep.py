@@ -240,10 +240,7 @@ def update_omega_and_fold(F, G, head, dcache, plan):
 
 
 @dataclass
-class DeepConfig:
-    tau: float = 1.0
-    sub_batch_s: int = 8
-    sub_batch_t: int = 8
+class DeepConfig(trainer.TrainConfig):
     train_encoders: bool = True
 
 
@@ -260,10 +257,7 @@ def train_step_deep(batch, params_f, params_g, head, opt_state, config):
                 "a dot head with frozen encoders has nothing to train"
             )
         res = trainer.train_step_cached(
-            batch, params_f, params_g, opt_state,
-            trainer.TrainConfig(config.tau, config.sub_batch_s,
-                                config.sub_batch_t),
-        )
+            batch, params_f, params_g, opt_state, config)
         res.head = head
         return res
     trainer.begin_step(config.tau)
@@ -341,13 +335,26 @@ def head_to_group(head):
 
 
 def head_from_group(group):
+    """The head a ``head_to_group`` group describes, checked as
+    ``encoders.params_from_group`` checks an encoder's: ValueError names
+    an unknown kind or activation, or an array of the wrong shape."""
     meta = group["meta"]
-    if meta["head_kind"] == "dot":
-        return dot_head(int(meta["d"]))
+    kind, d = meta["head_kind"], int(meta["d"])
+    if kind == "dot":
+        return dot_head(d)
+    activation = meta.get("activation", "tanh")
+    if kind != "mlp" or activation not in kernels.ACTIVATIONS:
+        raise ValueError(f"unknown head kind {kind!r} or activation "
+                         f"{activation!r}")
     arrays = [
         np.asarray(group["arrays"][name], dtype=np.float64)
         for name in HEAD_ARRAYS
     ]
-    shell = DistanceHead(kind="mlp", d=int(meta["d"]),
-                         activation=meta.get("activation", "tanh"))
+    h = arrays[2].size
+    for name, arr, shape in zip(HEAD_ARRAYS, arrays,
+                                ((d, h), (d, h), (h,), (h, 1), (1,))):
+        if arr.shape != shape:
+            raise ValueError(f"head array {name} has shape {arr.shape}, "
+                             f"not {shape}")
+    shell = DistanceHead(kind="mlp", d=d, activation=activation)
     return head_from_arrays(shell, arrays)

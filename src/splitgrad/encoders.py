@@ -247,18 +247,40 @@ def params_to_group(params):
 
 
 def params_from_group(group):
-    meta = group["meta"]
-    n_layers = len(meta["activations"])
+    """The EncoderParams a ``params_to_group`` group describes.
+
+    The group is checked before any pass runs, as it may come from any
+    file: one activation per layer, each in ``kernels.ACTIVATIONS``; a w
+    and a b for every layer, each weight taking the width the layer below
+    gives and each bias as wide as its weight; and out_dim the top
+    width. ValueError names the first fault.
+    """
+    meta, arrays = group["meta"], group["arrays"]
+    activations = list(meta["activations"])
+    for name in activations:
+        if name not in kernels.ACTIVATIONS:
+            raise ValueError(f"unknown activation {name!r}; choose from "
+                             f"{kernels.ACTIVATIONS}")
+    if not activations or len(arrays) != 2 * len(activations):
+        raise ValueError(f"{len(activations)} activations for "
+                         f"{len(arrays)} weight and bias arrays")
     layers = []
-    for k in range(n_layers):
-        w = np.asarray(group["arrays"][f"layer{k}.w"], dtype=np.float64)
-        b = np.asarray(group["arrays"][f"layer{k}.b"], dtype=np.float64)
+    for k in range(len(activations)):
+        names = (f"layer{k}.w", f"layer{k}.b")
+        if not all(name in arrays for name in names):
+            raise ValueError(f"layer {k} lacks {names[0]} or {names[1]}")
+        w, b = (np.asarray(arrays[name], dtype=np.float64) for name in names)
+        if (w.ndim != 2 or b.shape != w.shape[1:]
+                or (layers and w.shape[0] != layers[-1][0].shape[1])):
+            raise ValueError(f"layer {k}: weight {w.shape} and bias "
+                             f"{b.shape} do not chain onto the layer below")
         layers.append((w, b))
-    return EncoderParams(
-        layers=layers,
-        activations=list(meta["activations"]),
-        out_dim=int(meta["out_dim"]),
-    )
+    out_dim = int(meta["out_dim"])
+    if out_dim != layers[-1][0].shape[1]:
+        raise ValueError(f"out_dim {out_dim} is not the top width "
+                         f"{layers[-1][0].shape[1]}")
+    return EncoderParams(layers=layers, activations=activations,
+                         out_dim=out_dim)
 
 
 def save_params_file(path, groups):
@@ -279,7 +301,8 @@ def save_params_file(path, groups):
 def load_params_file(path):
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if (not isinstance(payload, dict)
+            or payload.get("format") != CHECKPOINT_FORMAT):
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(

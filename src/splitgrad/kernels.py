@@ -98,18 +98,6 @@ def row_softmax(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def row_logsumexp(x, scale=1.0):
-    """Log-sum-exp of each row of scale * x, and that row softmax.
-
-    Returns (lse [n x 1], p [n x m]). p is the only n x m buffer made:
-    scale, shift, exp and normalise all run in place on it.
-    """
-    p = scale * _c64(x)
-    lse, s = exp_rows(p)
-    p /= s
-    return lse, p
-
-
 def exp_rows(p):
     """Overwrite the rows of p with exp(p - rowmax); return the rows'
     log-sum-exp and sums s [n x 1], so that p / s is their softmax."""
@@ -204,6 +192,38 @@ def _activation_slope(name, y):
         y.fill(1.0)
 
 
+def _head_strip(A, B, b1, w2, b2, activation, hid, z):
+    # the head over every pair of a strip of anchor rows A and the target
+    # rows B: act(A_i + B_j + b1) into hid [len(A) x m x h], then that
+    # times w2, plus b2, into the anchor-major column z; returns z
+    np.add(A[:, None], B[None], out=hid)
+    hid += b1
+    activate(activation, hid)
+    _tiled_matmul(hid.reshape(-1, hid.shape[2]), w2, out=z)
+    z += b2
+    return z
+
+
+def head_scores(F, G, w1a, w1b, b1, w2, b2, activation):
+    """An MLP head's n x m scores of the rows of F against those of G,
+    act(A_i + B_j + b1) @ w2 + b2 with A = F @ w1a and B = G @ w1b.
+
+    Anchors go in strips of HEAD_STRIP rows through one registered
+    HEAD_STRIP x m x h buffer, with ``head_strip_loss``' arithmetic, so
+    nothing n x m x h is held and a score is bitwise the one that kernel
+    scales (and ``deep.phi_pairs``').
+    """
+    A, B, w2 = matmul(F, w1a), matmul(G, w1b), _c64(w2)
+    n, m, h = A.shape[0], B.shape[0], B.shape[1]
+    scores = register(np.empty((n, m)))
+    strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
+    for lo in range(0, n, HEAD_STRIP):
+        hi = min(lo + HEAD_STRIP, n)
+        _head_strip(A[lo:hi], B, b1, w2, b2, activation, strip[:hi - lo],
+                    scores[lo:hi].reshape(-1, 1))
+    return scores
+
+
 def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     """Softmax loss over an MLP head's pair scores, with its gradients.
 
@@ -252,12 +272,9 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
         hi = min(lo + HEAD_STRIP, n)
         rows = np.arange(hi - lo)
         hid = strip[:hi - lo]
-        np.add(A[lo:hi, None], B[None], out=hid)
-        hid += b1
-        activate(activation, hid)
         flat = hid.reshape(-1, h)
-        z = _tiled_matmul(flat, w2, out=zs[:(hi - lo) * m]).reshape(-1, m)
-        z += b2
+        z = _head_strip(A[lo:hi], B, b1, w2, b2, activation, hid,
+                        zs[:(hi - lo) * m]).reshape(-1, m)
         z *= scale
         pos = z[rows, r[lo:hi]][:, None]
         lse, s = exp_rows(z)

@@ -9,10 +9,10 @@ log-sum-exp minus the positive logit:
     lse_i = log sum_j exp(F_i . G_j / tau),   pos_i = F_i . G_{r_i} / tau.
 
 lse is the uniformity term and pos the alignment term of Wang & Isola
-(arXiv 2005.10242). ``kernels.row_logsumexp`` computes lse stably (it
-subtracts the row max) and folds 1/tau in; no probability is ever
-logged, so the loss stays finite whenever the scaled scores
-F_i . G_j / tau are.
+(arXiv 2005.10242). Every path takes lse through one arithmetic,
+``kernels.exp_rows``, over the scores scaled by 1/tau: it subtracts the
+row max before the exp, and no probability is ever logged, so the loss
+stays finite whenever the scaled scores F_i . G_j / tau are.
 
 Three implementations coexist on purpose:
 
@@ -168,7 +168,9 @@ def contrastive_loss(F, G, r, tau=1.0):
         )
     validate_positive_map(r, G.shape[0])
     scores = kernels.pair_scores(F, G)
-    lse, p = kernels.row_logsumexp(scores, 1.0 / tau)
+    p = (1.0 / tau) * scores
+    lse, s = kernels.exp_rows(p)
+    p /= s
     neg_pos = (-1.0 / tau) * kernels.matmul(F * G[r], np.ones((F.shape[1], 1)))
     loss = (1.0 / F.shape[0]) * (lse + neg_pos).sum()
     return SimilarityResult(logits=(1.0 / tau) * scores, p=p, loss=float(loss))

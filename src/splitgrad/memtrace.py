@@ -38,7 +38,7 @@ CATEGORIES = (
 
 
 class MemAccountingError(RuntimeError):
-    """Raised when a category would go below zero live floats."""
+    """Raised on a negative alloc, an unknown category or a nested phase."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -79,17 +79,6 @@ class MemCounter:
             peaks = self.phase_peaks[self._phase]
             if live > peaks[category]:
                 peaks[category] = live
-
-    def track_release(self, category, n_floats):
-        live = self.live.get(category)
-        if live is None:
-            raise MemAccountingError(f"unknown category {category!r}")
-        if n_floats > live:
-            raise MemAccountingError(
-                f"releasing {n_floats} floats from {category!r} with only "
-                f"{live} live"
-            )
-        self.live[category] = live - n_floats
 
     def register_array(self, arr, category):
         """Count arr now and uncount it automatically when it is freed."""

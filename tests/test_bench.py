@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from splitgrad import bench, encoders, kernels
+from splitgrad import autodiff as ad
+from splitgrad import bench, deep, encoders, kernels
 from splitgrad.bench import (
     METRICS_FIELDS,
     ConfigError,
@@ -135,6 +136,24 @@ def test_evaluate_topk_validation():
         evaluate_topk(p, p, xs, xs, ks=(9,))
     with pytest.raises(ValueError, match="empty eval set"):
         evaluate_topk(p, p, np.zeros((0, 2)), xs, ks=(1,))
+
+
+def test_frozen_encoder_deep_run_ranks_with_its_head():
+    # all learning lives in the head: the encoders' dot products would
+    # rank as the untrained run does
+    result = run_experiment(_small(mode="deep", train_encoders=False,
+                                   eval_frac=0.35))
+    task = generate_task(result.config)
+    F = encoders.encode(result.params_f, task.eval_anchors)
+    G = encoders.encode(result.params_g, task.eval_targets)
+    n = task.n_eval
+    assert n > kernels.HEAD_STRIP
+    scores = deep.phi_pairs(result.head, ad.constant(F),
+                            ad.constant(G)).data.reshape(n, n)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranks = np.argsort(order, axis=1, kind="stable")[np.arange(n),
+                                                     np.arange(n)]
+    assert np.array_equal(result.ranks, ranks)
 
 
 def test_untrained_encoders_score_near_chance():
@@ -408,11 +427,61 @@ def test_cli_eval_reads_train_checkpoint(tmp_path):
     assert "hit@5=" in proc.stdout
 
 
-def test_cli_eval_missing_checkpoint_is_config_error(tmp_path):
+def test_cli_eval_of_a_deep_run_prints_its_hits(tmp_path):
+    # frozen encoders: all learning lives in the head, so eval must rank
+    # with the checkpoint's head, as the run did
+    out = tmp_path / "run"
+    cfg = tmp_path / "deep.cfg"
+    with open(_fast_config(tmp_path)) as fh:
+        cfg.write_text(fh.read() + "train_encoders = false\n"
+                       "eval_frac = 0.35\n")
+    train = _cli("train", "--mode", "deep", "--config", str(cfg), *_FAST,
+                 "--out", str(out))
+    assert train.returncode == 0, train.stderr
+    proc = _cli("eval", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    hits = [line for line in train.stdout.splitlines()
+            if line.startswith("hit@")]
+    assert len(hits) == 2
+    assert hits == [line for line in proc.stdout.splitlines()
+                    if line.startswith("hit@")]
+
+
+def _set_activation(payload, name):
+    payload["groups"]["f"]["meta"]["activations"][0] = name
+
+
+# edits that each leave a valid checkpoint malformed
+_CHECKPOINT_EDITS = {
+    "wrong-format": lambda p: p.update(format="other-params"),
+    "unknown-activation": lambda p: _set_activation(p, "swish"),
+    "extra-activation":
+        lambda p: p["groups"]["f"]["meta"]["activations"].append("linear"),
+    "unchained-weights":
+        lambda p: p["groups"]["g"]["arrays"]["layer1.w"].pop(),
+    "input-width": lambda p: p["groups"]["f"]["arrays"]["layer0.w"].pop(),
+}
+
+
+@pytest.mark.parametrize("case", ("missing", "not-json", *_CHECKPOINT_EDITS))
+def test_cli_eval_missing_checkpoint_is_config_error(tmp_path, case):
+    path = tmp_path / "params.json"
+    if case == "not-json":
+        path.write_text("{not json")
+    elif case != "missing":
+        payload = {
+            "format": encoders.CHECKPOINT_FORMAT,
+            "version": encoders.CHECKPOINT_VERSION,
+            "groups": {side: encoders.params_to_group(
+                encoders.init_params(seed, [8, 10, 6]))
+                for seed, side in ((1, "f"), (2, "g"))},
+        }
+        _CHECKPOINT_EDITS[case](payload)
+        path.write_text(json.dumps(payload))
     proc = _cli("eval", "--config", _fast_config(tmp_path),
-                "--out", str(tmp_path / "nowhere"))
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr
+                "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and str(path) in proc.stderr
 
 
 def _k10_config(tmp_path):

@@ -74,6 +74,29 @@ def test_head_group_round_trip_exact():
     assert d.kind == "dot" and d.d == 7
 
 
+def test_head_group_rejects_a_malformed_head():
+    group = head_to_group(init_distance_head(2, 5, hidden=3))
+    group["meta"]["activation"] = "swish"
+    with pytest.raises(ValueError, match="'swish'"):
+        head_from_group(group)
+    group = head_to_group(init_distance_head(2, 5, hidden=3))
+    group["arrays"]["w1b"].pop()
+    with pytest.raises(ValueError, match=r"w1b has shape \(4, 3\)"):
+        head_from_group(group)
+
+
+@pytest.mark.parametrize("activation", kernels.ACTIVATIONS)
+def test_head_scores_are_phi_pairs_bitwise(activation):
+    rng = np.random.default_rng(7)
+    n, m = 2 * kernels.HEAD_STRIP + 3, 11
+    h = init_distance_head(8, 4, hidden=3, activation=activation)
+    h.b2 = np.full(1, 0.25)
+    F, G = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
+    want = phi_pairs(h, ad.constant(F), ad.constant(G)).data.reshape(n, m)
+    got = kernels.head_scores(F, G, *head_arrays(h), activation)
+    assert np.array_equal(got, want)
+
+
 def test_phi_pairs_matches_manual_mlp():
     rng = np.random.default_rng(5)
     h = init_distance_head(6, 4, hidden=3)

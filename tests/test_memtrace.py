@@ -32,23 +32,17 @@ def test_categories_fixed():
 
 def test_alloc_release_updates_live_and_peak():
     c = MemCounter()
-    c.track_alloc("activation", 100)
-    c.track_alloc("activation", 50)
+    c.track_alloc("activation", 30)
+    arr = c.register_array(np.zeros(120), "activation")
     assert c.live["activation"] == 150
     assert c.peak["activation"] == 150
-    c.track_release("activation", 120)
+    del arr
+    gc.collect()
     assert c.live["activation"] == 30
     assert c.peak["activation"] == 150
     c.track_alloc("gradient-cache", 7)
     assert c.peak["gradient-cache"] == 7
     assert c.peak["activation"] == 150
-
-
-def test_release_below_zero_is_violation():
-    c = MemCounter()
-    c.track_alloc("activation", 5)
-    with pytest.raises(MemAccountingError):
-        c.track_release("activation", 6)
 
 
 def test_unknown_category_rejected():
@@ -71,13 +65,14 @@ def test_register_array_releases_on_garbage_collection():
 def test_budget_enforced_on_activation_only():
     c = MemCounter(activation_budget=10)
     c.track_alloc("representation-store", 1000)
-    c.track_alloc("activation", 10)
+    arr = c.register_array(np.zeros(10), "activation")
     with pytest.raises(BudgetExceededError,
                        match="exceed budget 10 outside any phase"):
         c.track_alloc("activation", 1)
     # the failed alloc left nothing live; the message names the phase
     # that was open
-    c.track_release("activation", 10)
+    del arr
+    gc.collect()
     with pytest.raises(BudgetExceededError, match="in phase 'step2'"):
         with c.phase("step2"):
             c.track_alloc("activation", 11)
@@ -138,8 +133,9 @@ def test_phase_nesting_rejected():
 def test_begin_step_clears_phase_peaks_not_category_peaks():
     c = MemCounter()
     with c.phase("p"):
-        c.track_alloc("activation", 9)
-        c.track_release("activation", 9)
+        arr = c.register_array(np.zeros(9), "activation")
+        del arr
+        gc.collect()
     c.begin_step()
     assert c.phase_peak("p") == 0
     assert c.peak["activation"] == 9
