@@ -302,7 +302,7 @@ def init_state(cfg):
     )
     opt_state = encoders.init_optimizer(cfg.optimizer, cfg.lr)
     meter = memtrace.MemCounter(activation_budget=cfg.activation_budget)
-    for arr in encoders.param_arrays(params_f) + encoders.param_arrays(params_g):
+    for arr in params_f.arrays + params_g.arrays:
         meter.track_alloc("parameters", arr.size)
     state = RunState(params_f, params_g, opt_state, meter)
     if cfg.mode == "deep":
@@ -348,8 +348,7 @@ MODES = tuple(STEPS)
 
 def _check_finite(mode, step_idx, loss, state):
     """Stop a run whose loss or updated parameters left the finite floats."""
-    arrays = (encoders.param_arrays(state.params_f)
-              + encoders.param_arrays(state.params_g))
+    arrays = state.params_f.arrays + state.params_g.arrays
     if state.head is not None:
         arrays += deep_mod.head_arrays(state.head)
     if not np.isfinite(loss):

@@ -89,9 +89,9 @@ def _build_config(args):
     return bench.apply_overrides(cfg, overrides)
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, kind=int):
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        values = [kind(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad {flag}: {exc}") from exc
     if not values:
@@ -146,7 +146,7 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     base = _build_config(args)
-    sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
+    sizes = _parse_list(args.batch_sizes, "--batch-sizes")
     configs = [
         bench.check_task_fits(bench.validate_config(
             bench.apply_overrides(base, {"batch_size": size})
@@ -173,9 +173,9 @@ def cmd_sweep(args):
 
 def cmd_profile(args):
     cfg = bench.validate_config(_build_config(args))
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    modes = _parse_list(args.modes, "--modes", str)
     if args.batch_sizes is not None:
-        sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
+        sizes = _parse_list(args.batch_sizes, "--batch-sizes")
     else:
         sizes = [cfg.batch_size]
     rows = [

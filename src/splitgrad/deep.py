@@ -75,6 +75,9 @@ class DistanceHead:
 
 
 def init_distance_head(seed, d, hidden=8, activation="tanh"):
+    if d < 1 or hidden < 1:
+        raise ValueError(f"head widths must be at least 1, got d {d} and "
+                         f"hidden {hidden}")
     rng = np.random.default_rng(seed)
     bound1 = 1.0 / np.sqrt(2 * d)
     bound2 = 1.0 / np.sqrt(hidden)
@@ -337,7 +340,8 @@ def head_to_group(head):
 def head_from_group(group):
     """The head a ``head_to_group`` group describes, checked as
     ``encoders.params_from_group`` checks an encoder's: ValueError names
-    an unknown kind or activation, or an array of the wrong shape."""
+    an unknown kind or activation, or an array of the wrong shape, empty
+    or not finite."""
     meta = group["meta"]
     kind, d = meta["head_kind"], int(meta["d"])
     if kind == "dot":
@@ -356,5 +360,7 @@ def head_from_group(group):
         if arr.shape != shape:
             raise ValueError(f"head array {name} has shape {arr.shape}, "
                              f"not {shape}")
+        if arr.size == 0 or not np.isfinite(arr).all():
+            raise ValueError(f"head array {name} is empty or not finite")
     shell = DistanceHead(kind="mlp", d=d, activation=activation)
     return head_from_arrays(shell, arrays)

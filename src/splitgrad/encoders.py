@@ -9,6 +9,11 @@ loop. A taped pass (``encode_graph``) records one ``encoder`` node over
 all layers; ``forward_rows`` is the graph-less pass, chunk by chunk,
 that the cached step's step1 and ``encode``, the value-level entry, run.
 
+An encoder's parameters are one flat list, ``EncoderParams.arrays`` =
+[w1, b1, w2, b2, ...]: the order the encoder loop, the gradient lists,
+the optimizer and a checkpoint's ``layer{k}.w``/``layer{k}.b`` arrays
+use. Its widths are read off the weights; nothing stores them twice.
+
 Optimizer steps are pure functions: they return fresh parameter and
 state objects and never mutate their inputs. That property is what lets
 replicated workers stay bit-identical by construction.
@@ -29,27 +34,33 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class EncoderParams:
-    """Layer list of (weight, bias) pairs plus per-layer activations."""
+    """One encoder's parameters as the flat list that every pass, every
+    gradient list and the optimizer take: ``arrays`` is [w1, b1, w2, b2,
+    ...], weight k of shape (width k, width k + 1), with one activation
+    per layer. The widths are read off the arrays."""
 
-    layers: list
+    arrays: list
     activations: list
-    out_dim: int
 
     def copy(self):
-        return EncoderParams(
-            layers=[(w.copy(), b.copy()) for w, b in self.layers],
-            activations=list(self.activations),
-            out_dim=self.out_dim,
-        )
+        return EncoderParams([a.copy() for a in self.arrays],
+                             list(self.activations))
+
+    @property
+    def layers(self):
+        """(weight, bias) pairs, bottom layer first."""
+        return list(zip(self.arrays[::2], self.arrays[1::2]))
 
     @property
     def in_dim(self):
-        return self.layers[0][0].shape[0] if self.layers else self.out_dim
+        return self.arrays[0].shape[0]
+
+    @property
+    def out_dim(self):
+        return self.arrays[-2].shape[1]
 
     def dims(self):
-        if not self.layers:
-            return [self.out_dim]
-        return [self.layers[0][0].shape[0]] + [w.shape[1] for w, _ in self.layers]
+        return [self.in_dim] + [w.shape[1] for w in self.arrays[::2]]
 
 
 def init_params(seed, dims, activation="tanh"):
@@ -59,28 +70,22 @@ def init_params(seed, dims, activation="tanh"):
     """
     if len(dims) < 2:
         raise ValueError(f"dims needs an input and an output size, got {dims}")
+    if min(dims) < 1:
+        raise ValueError(f"every width in dims must be at least 1, got {dims}")
     if activation not in kernels.ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
-    layers = []
-    activations = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
+    arrays = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        layers.append((w, b))
-        activations.append(activation if k < len(dims) - 2 else "linear")
-    return EncoderParams(layers=layers, activations=activations, out_dim=dims[-1])
+        arrays += [rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                   np.zeros(fan_out)]
+    return EncoderParams(arrays, [activation] * (len(dims) - 2) + ["linear"])
 
 
 def identity_params(dim):
     """A single linear layer that reproduces its input exactly."""
-    return EncoderParams(
-        layers=[(np.eye(dim), np.zeros(dim))],
-        activations=["linear"],
-        out_dim=dim,
-    )
+    return EncoderParams([np.eye(dim), np.zeros(dim)], ["linear"])
 
 
 def encode(params, inputs):
@@ -107,7 +112,7 @@ def forward_rows(params, rows, chunks, out):
     ``forward_floats`` for the largest chunk, viewed once for it."""
     if not chunks:
         return out
-    arrays, acts = param_arrays(params), params.activations
+    arrays, acts = params.arrays, params.activations
     widths = ad.encoder_widths(rows.shape, arrays)
     b = max(hi - lo for lo, hi in chunks)
     buf = register(np.empty(forward_floats(b, widths)))
@@ -127,46 +132,35 @@ def forward_rows(params, rows, chunks, out):
 
 def make_leaves(params):
     """The params with every array registered as a leaf on the active tape."""
-    leaves = [ad.leaf(a) for a in param_arrays(params)]
-    return params_from_arrays(params, leaves)
+    return params_from_arrays(params, [ad.leaf(a) for a in params.arrays])
 
 
 def encode_graph(params, x):
     """Embed a Tensor of input rows through parameter arrays or leaves,
     as one ``encoder`` node."""
-    return ad.record("encoder", x, *param_arrays(params),
+    return ad.record("encoder", x, *params.arrays,
                      acts=tuple(params.activations))
 
 
 def param_arrays(params):
-    """Flat list of arrays or leaves in a fixed order (w, b per layer)."""
-    out = []
-    for w, b in params.layers:
-        out.append(w)
-        out.append(b)
-    return out
+    """The flat list of arrays or leaves (w, b per layer), the caller's
+    to keep."""
+    return list(params.arrays)
 
 
 def params_from_arrays(params, arrays):
-    """Rebuild an EncoderParams from a flat array list (same layout)."""
-    layers = []
-    it = iter(arrays)
-    for _ in params.layers:
-        layers.append((next(it), next(it)))
-    return EncoderParams(
-        layers=layers,
-        activations=list(params.activations),
-        out_dim=params.out_dim,
-    )
+    """An EncoderParams with params' activations over a flat array list
+    (same layout)."""
+    return EncoderParams(list(arrays), list(params.activations))
 
 
 def leaf_grads(tape, leaves):
     """Gradients of the flat parameter list after a backward pass."""
-    return [tape.grad(t) for t in param_arrays(leaves)]
+    return [tape.grad(t) for t in leaves.arrays]
 
 
 def total_floats(params):
-    return sum(w.size + b.size for w, b in params.layers)
+    return sum(a.size for a in params.arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +223,11 @@ def optimizer_step(state, params, grads):
 # checkpoint file
 # ---------------------------------------------------------------------------
 
+def _array_names(n_layers):
+    """A checkpoint group's array names, in the flat list's order."""
+    return [f"layer{k}.{name}" for k in range(n_layers) for name in "wb"]
+
+
 def params_to_group(params):
     """Serializable description of one encoder's parameters."""
     return {
@@ -239,9 +238,8 @@ def params_to_group(params):
             "out_dim": int(params.out_dim),
         },
         "arrays": {
-            f"layer{k}.{name}": arr.tolist()
-            for k, (w, b) in enumerate(params.layers)
-            for name, arr in (("w", w), ("b", b))
+            name: a.tolist() for name, a in
+            zip(_array_names(len(params.activations)), params.arrays)
         },
     }
 
@@ -251,9 +249,9 @@ def params_from_group(group):
 
     The group is checked before any pass runs, as it may come from any
     file: one activation per layer, each in ``kernels.ACTIVATIONS``; a w
-    and a b for every layer, each weight taking the width the layer below
-    gives and each bias as wide as its weight; and out_dim the top
-    width. ValueError names the first fault.
+    and a b for every layer, each non-empty and finite, each weight
+    taking the width the layer below gives and each bias as wide as its
+    weight; and out_dim the top width. ValueError names the first fault.
     """
     meta, arrays = group["meta"], group["arrays"]
     activations = list(meta["activations"])
@@ -261,26 +259,25 @@ def params_from_group(group):
         if name not in kernels.ACTIVATIONS:
             raise ValueError(f"unknown activation {name!r}; choose from "
                              f"{kernels.ACTIVATIONS}")
-    if not activations or len(arrays) != 2 * len(activations):
-        raise ValueError(f"{len(activations)} activations for "
-                         f"{len(arrays)} weight and bias arrays")
-    layers = []
-    for k in range(len(activations)):
-        names = (f"layer{k}.w", f"layer{k}.b")
-        if not all(name in arrays for name in names):
-            raise ValueError(f"layer {k} lacks {names[0]} or {names[1]}")
-        w, b = (np.asarray(arrays[name], dtype=np.float64) for name in names)
+    names = _array_names(len(activations))
+    if not activations or set(arrays) != set(names):
+        raise ValueError(f"{len(activations)} activations take arrays "
+                         f"{names}, not {sorted(arrays)}")
+    flat = [np.asarray(arrays[name], dtype=np.float64) for name in names]
+    for name, a in zip(names, flat):
+        if a.size == 0 or not np.isfinite(a).all():
+            raise ValueError(f"array {name} is empty or not finite")
+    for k, (w, b) in enumerate(zip(flat[::2], flat[1::2])):
         if (w.ndim != 2 or b.shape != w.shape[1:]
-                or (layers and w.shape[0] != layers[-1][0].shape[1])):
+                or (k and w.shape[0] != flat[2 * k - 2].shape[1])):
             raise ValueError(f"layer {k}: weight {w.shape} and bias "
                              f"{b.shape} do not chain onto the layer below")
-        layers.append((w, b))
+    params = EncoderParams(flat, activations)
     out_dim = int(meta["out_dim"])
-    if out_dim != layers[-1][0].shape[1]:
+    if out_dim != params.out_dim:
         raise ValueError(f"out_dim {out_dim} is not the top width "
-                         f"{layers[-1][0].shape[1]}")
-    return EncoderParams(layers=layers, activations=activations,
-                         out_dim=out_dim)
+                         f"{params.out_dim}")
+    return params
 
 
 def save_params_file(path, groups):

@@ -128,11 +128,15 @@ class StepStats:
     gradient-cache count over the step, summed over workers in multi
     mode.
 
-    Every array the step makes is registered, the encoder buffers and
-    the tiled matmul's tail tiles included. The meter misses only the
-    loss kernels' per-row columns of a strip and the iteration buffer
-    numpy gives a broadcasting ufunc call (up to ``np.getbufsize()``
-    elements, freed when the call returns).
+    Every array the step's passes make is registered, the encoder
+    buffers and the tiled matmul's tail tiles included. The meter does
+    not count what the optimizer makes (``encoders.optimizer_step``'s
+    and ``kernels.adam_update``'s new parameters, m and v and Adam's two
+    scratch buffers), the tied-encoder gradient sum of
+    ``_apply_optimizer``, the copies ``multiworker.reduce_grads`` makes,
+    the loss kernels' per-row columns of a strip, or the iteration
+    buffer numpy gives a broadcasting ufunc call (up to
+    ``np.getbufsize()`` elements, freed when the call returns).
     """
 
     fwd_rows: int
@@ -222,7 +226,7 @@ def _step1_chunks(params, rows, chunks):
     step3, and takes more rows per pass for the same peak."""
     if not chunks:
         return chunks
-    widths = ad.encoder_widths(rows.shape, encoders.param_arrays(params))
+    widths = ad.encoder_widths(rows.shape, params.arrays)
     keep_top = params.activations[-1] != "linear"
     b = max(hi - lo for lo, hi in chunks)
     # step3 runs no forward through a linear top
@@ -278,7 +282,7 @@ def step2_build_cache(F, G, r, tau):
 
 def _zero_grads(params):
     return [memtrace.register(np.zeros_like(p), "parameters")
-            for p in encoders.param_arrays(params)]
+            for p in params.arrays]
 
 
 def _accumulate_side(params, rows, chunks, seed_rows, grads):
@@ -289,7 +293,7 @@ def _accumulate_side(params, rows, chunks, seed_rows, grads):
     layer's gradients into grads."""
     if not chunks:
         return
-    arrays, acts = encoders.param_arrays(params), params.activations
+    arrays, acts = params.arrays, params.activations
     widths = ad.encoder_widths(rows.shape, arrays)
     keep_top = acts[-1] != "linear"
     b = max(hi - lo for lo, hi in chunks)
@@ -336,11 +340,11 @@ def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state,
     head's arrays) follow the encoders in the optimizer's array list.
     Returns the new encoders, the new state and the updated extras.
     """
-    arrays = encoders.param_arrays(params_f)
+    arrays = params_f.arrays
     if params_f is params_g:
         grads = [a + b for a, b in zip(grads_f, grads_g)]
     else:
-        arrays = arrays + encoders.param_arrays(params_g)
+        arrays = arrays + params_g.arrays
         grads = grads_f + grads_g
     n_enc = len(arrays)
     new_arrays, new_state = encoders.optimizer_step(

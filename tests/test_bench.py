@@ -451,15 +451,47 @@ def _set_activation(payload, name):
     payload["groups"]["f"]["meta"]["activations"][0] = name
 
 
+def _set_weight(payload, value):
+    payload["groups"]["f"]["arrays"]["layer0.w"][0][0] = value
+
+
+def _rename_array(payload, old, new):
+    arrays = payload["groups"]["f"]["arrays"]
+    arrays[new] = arrays.pop(old)
+
+
+def _add_nan_head(payload):
+    group = deep.head_to_group(deep.init_distance_head(3, 6, hidden=4))
+    group["arrays"]["w2"][0][0] = float("nan")
+    payload["groups"]["phi"] = group
+
+
+def _empty_top_layers(payload):
+    # both sides, so that their embedding widths (0) still agree
+    for group in payload["groups"].values():
+        arrays = group["arrays"]
+        arrays["layer1.w"] = [[] for _ in arrays["layer1.w"]]
+        arrays["layer1.b"] = []
+        group["meta"]["out_dim"] = 0
+
+
 # edits that each leave a valid checkpoint malformed
 _CHECKPOINT_EDITS = {
     "wrong-format": lambda p: p.update(format="other-params"),
+    "wrong-version":
+        lambda p: p.update(version=encoders.CHECKPOINT_VERSION + 1),
+    "no-g-group": lambda p: p["groups"].pop("g"),
     "unknown-activation": lambda p: _set_activation(p, "swish"),
     "extra-activation":
         lambda p: p["groups"]["f"]["meta"]["activations"].append("linear"),
+    "missing-array": lambda p: _rename_array(p, "layer0.b", "layer0.c"),
     "unchained-weights":
         lambda p: p["groups"]["g"]["arrays"]["layer1.w"].pop(),
+    "wrong-out-dim": lambda p: p["groups"]["f"]["meta"].update(out_dim=5),
     "input-width": lambda p: p["groups"]["f"]["arrays"]["layer0.w"].pop(),
+    "non-finite-weight": lambda p: _set_weight(p, float("nan")),
+    "non-finite-head": _add_nan_head,
+    "empty-layer": _empty_top_layers,
 }
 
 
@@ -482,6 +514,22 @@ def test_cli_eval_missing_checkpoint_is_config_error(tmp_path, case):
                 "--out", str(tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and str(path) in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("train", "--config", "{tmp}/missing.cfg"), "cannot read config file"),
+    (("sweep", "--batch-sizes", "8,x"), "bad --batch-sizes"),
+    (("sweep", "--batch-sizes", ","), "--batch-sizes is empty"),
+    (("profile", "--batch-sizes", ","), "--batch-sizes is empty"),
+    (("profile", "--modes", ","), "--modes is empty"),
+])
+def test_cli_bad_flag_values_are_config_errors(tmp_path, args, message):
+    proc = _cli(*(a.format(tmp=tmp_path) for a in args),
+                "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and message in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def _k10_config(tmp_path):
@@ -551,6 +599,15 @@ def test_cli_train_untrainable_temperature_exits_2(tmp_path, tau):
     assert "temperature" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_check_finite_stops_non_finite_parameters_under_a_finite_loss():
+    state = bench.init_state(_small(mode="cache"))
+    bench._check_finite("cache", 2, 1.0, state)
+    encoders.param_arrays(state.params_g)[-1][0] = np.inf
+    with pytest.raises(bench.NonFiniteError,
+                       match="step 2: non-finite parameters"):
+        bench._check_finite("cache", 2, 1.0, state)
 
 
 def test_emit_metrics_jsonl_rejects_non_finite(tmp_path):

@@ -85,6 +85,19 @@ def test_head_group_rejects_a_malformed_head():
         head_from_group(group)
 
 
+@pytest.mark.parametrize("d, hidden", [(4, 0), (0, 4)])
+def test_init_distance_head_rejects_a_zero_width(d, hidden):
+    with pytest.raises(ValueError, match="at least 1"):
+        init_distance_head(3, d, hidden)
+
+
+def test_head_group_rejects_a_non_finite_array():
+    group = head_to_group(init_distance_head(2, 5, hidden=3))
+    group["arrays"]["b1"][1] = math.inf
+    with pytest.raises(ValueError, match="b1 is empty or not finite"):
+        head_from_group(group)
+
+
 @pytest.mark.parametrize("activation", kernels.ACTIVATIONS)
 def test_head_scores_are_phi_pairs_bitwise(activation):
     rng = np.random.default_rng(7)

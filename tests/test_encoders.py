@@ -34,6 +34,20 @@ def test_init_params_validation():
         encoders.init_params(0, [5, 4], activation="swish")
 
 
+@pytest.mark.parametrize("dims", [[6, 4, 0], [6, 0, 4], [0, 4]])
+def test_init_params_rejects_a_zero_width(dims):
+    with pytest.raises(ValueError, match="at least 1"):
+        encoders.init_params(1, dims)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_params_group_rejects_a_non_finite_array(value):
+    group = encoders.params_to_group(encoders.init_params(1, [5, 4, 3]))
+    group["arrays"]["layer1.b"][2] = value
+    with pytest.raises(ValueError, match="layer1.b is empty or not finite"):
+        encoders.params_from_group(group)
+
+
 def test_encode_matches_manual_forward():
     rng = np.random.default_rng(1)
     p = encoders.init_params(2, [6, 5, 3])
