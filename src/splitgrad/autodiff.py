@@ -505,7 +505,11 @@ def _fw_index_rows(attrs, x):
     if x.ndim != 2:
         raise _shape_error("index-rows", x.shape)
     idx = attrs["idx"]
-    return x[idx], (x.shape, idx)
+    # the VJP's scatter takes row numbers in [0, len(x)), and np.take
+    # would wrap a negative one
+    if idx.size and idx.min() < 0:
+        raise IndexError(f"index-rows: negative row index {idx.min()}")
+    return np.take(x, idx, axis=0), (x.shape, idx)
 
 
 def _bw_index_rows(ctx, g, taped):

@@ -21,7 +21,21 @@ This module also owns the activations: ``ACTIVATIONS`` names them, and
 on a name (``head_strip_loss`` applies the slope in place through
 ``_activation_slope``). The taped ops, the encoders and the config
 check all go through them.
+
+The loss kernels' strip loops run inside ``_row_buffer``. numpy (2.x)
+copies a broadcast operand, such as a strip's per-row max or sum
+column, through its ufunc iteration buffer (``np.getbufsize()``
+elements, 8192 by default) whenever a row is shorter than that buffer:
+on a 64 x 1024 strip, ``p -= m`` took 57 µs against 25 µs for a
+contiguous pass of the same size (numpy 2.4, one core of a 2-core
+AVX-512 host). ``_row_buffer`` sets the buffer to one row, rounded up
+to a multiple of 16, for the loop, and gives the caller's size back
+after it. Elementwise results do not depend on the buffer size, so
+every output keeps its bits, and the buffer, which no meter sees,
+holds at most one row.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,11 +49,24 @@ STRIP = 64
 # HEAD_STRIP * m * (h + 1) floats for m targets and a head h wide
 HEAD_STRIP = 8
 ACTIVATIONS = ("tanh", "relu", "linear")
+# numpy's default ufunc iteration buffer, in elements
+UFUNC_BUFSIZE = 8192
 
 
 def active_backend() -> str:
     """Name of the kernel lane in use."""
     return "numpy"
+
+
+@contextmanager
+def _row_buffer(row):
+    # run a strip loop with numpy's ufunc iteration buffer at row elements,
+    # rounded up to a multiple of 16 and capped at numpy's default (see
+    # the module docstring); np.errstate gives the caller's size back on
+    # exit and on a raise
+    with np.errstate():
+        np.setbufsize(min(16 * max(1, -(-row // 16)), UFUNC_BUFSIZE))
+        yield
 
 
 def _c64(a):
@@ -138,15 +165,19 @@ def strip_logsumexp(F, G, scale, weight):
     strip = register(np.empty((min(STRIP, n), m)))
     prod = register(np.empty(G.shape))
     coef = scale * weight
-    for lo in range(0, n, STRIP):
-        hi = min(lo + STRIP, n)
-        # the short last strip is a view of the leading rows
-        p = _tiled_matmul(F[lo:hi], Gt, out=strip[:hi - lo])
-        p *= scale
-        lse[lo:hi], s = exp_rows(p)
-        p *= coef / s
-        _tiled_matmul(p, G, out=dF[lo:hi])
-        dG += np.matmul(p.T, F[lo:hi], out=prod)
+    with _row_buffer(m):
+        for lo in range(0, n, STRIP):
+            hi = min(lo + STRIP, n)
+            # the short last strip is a view of the leading rows
+            p = _tiled_matmul(F[lo:hi], Gt, out=strip[:hi - lo])
+            # x * 1.0 is x bitwise: at the default temperature this skips
+            # a pass over the strip
+            if scale != 1.0:
+                p *= scale
+            lse[lo:hi], s = exp_rows(p)
+            p *= coef / s
+            _tiled_matmul(p, G, out=dF[lo:hi])
+            dG += np.matmul(p.T, F[lo:hi], out=prod)
     return lse, dF, dG
 
 
@@ -217,10 +248,11 @@ def head_scores(F, G, w1a, w1b, b1, w2, b2, activation):
     n, m, h = A.shape[0], B.shape[0], B.shape[1]
     scores = register(np.empty((n, m)))
     strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
-    for lo in range(0, n, HEAD_STRIP):
-        hi = min(lo + HEAD_STRIP, n)
-        _head_strip(A[lo:hi], B, b1, w2, b2, activation, strip[:hi - lo],
-                    scores[lo:hi].reshape(-1, 1))
+    with _row_buffer(m * h):
+        for lo in range(0, n, HEAD_STRIP):
+            hi = min(lo + HEAD_STRIP, n)
+            _head_strip(A[lo:hi], B, b1, w2, b2, activation,
+                        strip[:hi - lo], scores[lo:hi].reshape(-1, 1))
     return scores
 
 
@@ -268,29 +300,30 @@ def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
     strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
     zs = register(np.empty((min(HEAD_STRIP, n) * m, 1)))
     row = register(np.empty((m, h)))
-    for lo in range(0, n, HEAD_STRIP):
-        hi = min(lo + HEAD_STRIP, n)
-        rows = np.arange(hi - lo)
-        hid = strip[:hi - lo]
-        flat = hid.reshape(-1, h)
-        z = _head_strip(A[lo:hi], B, b1, w2, b2, activation, hid,
-                        zs[:(hi - lo) * m]).reshape(-1, m)
-        z *= scale
-        pos = z[rows, r[lo:hi]][:, None]
-        lse, s = exp_rows(z)
-        gap[lo:hi] = lse - pos
-        p = z  # now e, it becomes dL/dd
-        p *= inv_n / s
-        p[rows, r[lo:hi]] -= inv_n
-        p *= scale
-        gw2 += np.matmul(flat.T, p.reshape(-1, 1))
-        _activation_slope(activation, hid)
-        g = gA[lo:hi]
-        np.matmul(p[:, None, :], hid, out=g[:, None, :])
-        g *= w2[:, 0]
-        gb1 += g.sum(axis=0)
-        hid *= p[:, :, None]
-        gB += np.multiply(np.sum(hid, axis=0, out=row), w2[:, 0], out=row)
+    with _row_buffer(m * h):
+        for lo in range(0, n, HEAD_STRIP):
+            hi = min(lo + HEAD_STRIP, n)
+            rows = np.arange(hi - lo)
+            hid = strip[:hi - lo]
+            flat = hid.reshape(-1, h)
+            z = _head_strip(A[lo:hi], B, b1, w2, b2, activation, hid,
+                            zs[:(hi - lo) * m]).reshape(-1, m)
+            z *= scale
+            pos = z[rows, r[lo:hi]][:, None]
+            lse, s = exp_rows(z)
+            gap[lo:hi] = lse - pos
+            p = z  # now e, it becomes dL/dd
+            p *= inv_n / s
+            p[rows, r[lo:hi]] -= inv_n
+            p *= scale
+            gw2 += np.matmul(flat.T, p.reshape(-1, 1))
+            _activation_slope(activation, hid)
+            g = gA[lo:hi]
+            np.matmul(p[:, None, :], hid, out=g[:, None, :])
+            g *= w2[:, 0]
+            gb1 += g.sum(axis=0)
+            hid *= p[:, :, None]
+            gB += np.multiply(np.sum(hid, axis=0, out=row), w2[:, 0], out=row)
     return inv_n * float(gap.sum()), gA, gB, [gb1, gw2, gb2]
 
 
@@ -301,8 +334,21 @@ def row_softmax_vjp(p, g):
 
 
 def scatter_add_rows(out, idx, rows):
-    """out[idx[k]] += rows[k], accumulated in ascending k order."""
-    np.add.at(out, np.ascontiguousarray(idx, dtype=np.int64), _c64(rows))
+    """Add into out, for every row j, the sum of the rows[k] with idx[k] = j;
+    return out. idx must lie in [0, len(out)).
+
+    Each column is one np.bincount, which sums a row's terms from zero in
+    ascending k order, so into an out of zeros the result is bitwise
+    np.add.at's. Besides out, the call holds one column of rows and one
+    of out, where np.add.at holds about 5.5 KB of index-iterator state
+    whatever the shapes; at 1024 x 16 it takes 0.12 ms against
+    np.add.at's 0.20.
+    """
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    rows = _c64(rows)
+    for c in range(out.shape[1]):
+        out[:, c] += np.bincount(idx, weights=rows[:, c],
+                                 minlength=out.shape[0])
     return out
 
 

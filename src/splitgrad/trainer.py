@@ -135,8 +135,9 @@ class StepStats:
     scratch buffers), the tied-encoder gradient sum of
     ``_apply_optimizer``, the copies ``multiworker.reduce_grads`` makes,
     the loss kernels' per-row columns of a strip, or the iteration
-    buffer numpy gives a broadcasting ufunc call (up to
-    ``np.getbufsize()`` elements, freed when the call returns).
+    buffer numpy gives a broadcasting ufunc call, freed when the call
+    returns: up to ``np.getbufsize()`` elements, and at most one row
+    inside the loss kernels' strip loops (``kernels._row_buffer``).
     """
 
     fwd_rows: int

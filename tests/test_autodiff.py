@@ -278,6 +278,10 @@ def test_index_rows_repeated_indices_accumulate():
     np.testing.assert_array_equal(
         tape.grad(x), np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
     )
+    # a row index out of [0, 3) fails in the forward, before the scatter
+    for bad in (np.array([0, -1]), np.array([3])):
+        with pytest.raises(IndexError):
+            ad.index_rows(ad.constant(np.ones((3, 2))), bad)
 
 
 def test_pick_per_row_vjp_writes_one_entry_per_row():

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -151,6 +152,68 @@ def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("row, size", [(0, 16), (1, 16), (90, 96),
+                                       (1024, 1024), (8200, 8192)])
+def test_row_buffer_is_one_row_rounded_up_to_16_and_capped(row, size):
+    with kernels._row_buffer(row):
+        assert np.getbufsize() == size
+    assert np.getbufsize() == kernels.UFUNC_BUFSIZE
+
+
+def _loss_kernel_outputs(row, h):
+    # strip_logsumexp over rows of `row` targets, and head_strip_loss and
+    # head_scores over rows of row // h targets h wide, each with a
+    # ragged last strip
+    rng = np.random.default_rng(12)
+    d, m = 3, row // h
+    F = rng.normal(size=(kernels.STRIP + 5, d))
+    G = rng.normal(size=(row, d))
+    A = rng.normal(size=(kernels.HEAD_STRIP + 3, h))
+    B = rng.normal(size=(m, h))
+    r = rng.integers(0, m, size=len(A))
+    w1a, w1b = rng.normal(size=(d, h)), rng.normal(size=(d, h))
+    b1, w2, b2 = rng.normal(size=h), rng.normal(size=(h, 1)), np.ones(1)
+    loss, gA, gB, tail = kernels.head_strip_loss(A, B, r, 2.0, b1, w2, b2,
+                                                 "tanh")
+    scores = kernels.head_scores(F[:len(A)], G[:m], w1a, w1b, b1, w2, b2,
+                                 "relu")
+    return [*kernels.strip_logsumexp(F, G, 2.0, 0.1), np.array(loss), gA, gB,
+            *tail, scores]
+
+
+@pytest.mark.parametrize("row, h", [(90, 2), (1024, 8), (8200, 8)])
+def test_loss_kernels_keep_their_bits_and_the_callers_buffer(monkeypatch,
+                                                             row, h):
+    # the strip loops run with numpy's ufunc buffer at one row
+    # (_row_buffer): rows of 90 floats (not a multiple of 16), 1024 and
+    # 8200 (above numpy's default) give the bits of loops run without
+    # it, under the default buffer and under a caller's 16-float one,
+    # and leave the caller's size as it was, also when a kernel raises
+    # on mismatched widths inside its loop
+    def bits(arrays):
+        return [a.tobytes() for a in arrays]
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_row_buffer",
+                  lambda row: contextlib.nullcontext())
+        want = bits(_loss_kernel_outputs(row, h))
+    one = np.ones((3, 2))
+    for size in (kernels.UFUNC_BUFSIZE, 16):
+        with np.errstate():
+            np.setbufsize(size)
+            assert bits(_loss_kernel_outputs(row, h)) == want
+            assert np.getbufsize() == size
+            with pytest.raises(ValueError):
+                kernels.strip_logsumexp(one, np.ones((row, 3)), 1.0, 1.0)
+            assert np.getbufsize() == size
+            with pytest.raises(ValueError):
+                kernels.head_strip_loss(one, np.ones((row, 3)), [0, 0, 0],
+                                        1.0, np.ones(2), np.ones((2, 1)),
+                                        np.ones(1), "tanh")
+            assert np.getbufsize() == size
+    assert np.getbufsize() == kernels.UFUNC_BUFSIZE
+
+
 @pytest.mark.parametrize("name", kernels.ACTIVATIONS)
 def test_activation_slope_is_activation_vjp_of_ones_bitwise(name):
     # head_strip_loss's in-place slope must give the bits activation_vjp
@@ -195,6 +258,17 @@ def test_scatter_add_rows_accumulates_duplicates():
     np.testing.assert_array_equal(
         out, np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
     )
+    # into zeros, bitwise np.add.at's sums in ascending k order: repeated
+    # and permuted indices, signed zeros, terms of very different sizes
+    rng = np.random.default_rng(13)
+    rows = rng.normal(size=(300, 5)) * rng.choice([0.0, 1e-300, 1.0, 1e300],
+                                                  size=(300, 5))
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    for idx in (rng.integers(0, 7, size=300), rng.permutation(300)):
+        want = np.zeros((300, 5))
+        np.add.at(want, idx, rows)
+        got = kernels.scatter_add_rows(np.zeros((300, 5)), idx, rows)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_elementwise_vjps():

@@ -222,12 +222,13 @@ def test_streamed_and_dense_graphs_agree_bitwise_within_one_strip():
     shapes = [(None, None, None)] * 8 + [(kernels.STRIP, 90, 16)]
     for n_s, n_t, d in shapes:
         F, G, r = _random_instance(rng, n_s, n_t, d)
-        tau = float(rng.uniform(0.05, 2.0))
-        streamed = loss_mod.loss_graph_from_reps(F, G, r, tau)
-        dense = _dense_loss_and_grads(F, G, r, tau)
-        assert streamed[0] == dense[0]
-        assert np.array_equal(streamed[1], dense[1])
-        assert np.array_equal(streamed[2], dense[2])
+        # and tau = 1, at which the strip kernel skips its scale pass
+        for tau in (float(rng.uniform(0.05, 2.0)), 1.0):
+            streamed = loss_mod.loss_graph_from_reps(F, G, r, tau)
+            dense = _dense_loss_and_grads(F, G, r, tau)
+            assert streamed[0] == dense[0]
+            assert np.array_equal(streamed[1], dense[1])
+            assert np.array_equal(streamed[2], dense[2])
 
 
 def test_taped_graphs_reject_bad_positive_index():

@@ -508,7 +508,8 @@ def test_alignment_tape_peak_takes_the_larger_side(n_s, n_t, d, peak):
 
 # what no meter sees: numpy (2.x) gives a ufunc call that broadcasts an
 # operand, such as a bias row or a per-row column, an iteration buffer of
-# up to np.getbufsize() elements, freed when the call returns; and
+# up to np.getbufsize() elements (one row inside the loss kernels' strip
+# loops), freed when the call returns; and
 # Python objects (views, lists, the meter's weakrefs) and first-call
 # allocations, under ORACLE_SLACK floats (about 1000 are seen: the
 # meter's weakrefs and its dict's growth, views, numpy's call overhead).
@@ -540,11 +541,10 @@ def test_meter_sees_every_buffer_of_the_cached_step(act):
     # buffers, the strip kernel's and the alignment term's arrays. The
     # broadcasts are the bias adds of step1's passes of 80 rows and
     # step3's sub-batches of 16, 128 wide, and the strip's per-row
-    # columns over 64 x 128 scores; the best of two runs drops first-call
-    # allocations
+    # columns, whose buffer the strip loop holds to one row of 128
+    # scores; the best of two runs drops first-call allocations
     runs = [_floats_the_meter_misses(act) for _ in range(2)]
-    bounds = {"step1": 80 * 128, "step2": kernels.STRIP * 128,
-              "step3": 16 * 128}
+    bounds = {"step1": 80 * 128, "step2": 128, "step3": 16 * 128}
     for phase, floats in bounds.items():
         missed = min(run[phase] for run in runs)
         assert missed <= _ufunc_buffer(floats) + ORACLE_SLACK, phase
