@@ -3,22 +3,26 @@
 Instead of a dot product, pair scores come from a scalar head phi
 applied to each (anchor embedding, target embedding) pair,
 phi(f, g) = act(f w1a + g w1b + b1) w2 + b2. Its first layer is
-separable, so the cached step splits at A = F w1a and B = G w1b and runs
-phi once per pair, forward and backward, in three phases:
+separable, so the cached step splits at A = F w1a and B = G w1b + b1,
+with b1 on the target side, and runs phi once per pair, forward and
+backward, in three phases:
 
 1. ``forward_collect``: a graph-less forward collects all
-   representations F and G (the encoder step1) and then A and B, kept as
-   the representation store; O(n * (d + h)) floats.
+   representations F and G (the encoder step1) and then A and B
+   (``kernels.head_target_side``, which adds b1 to each target row
+   once), kept as the representation store; O(n * (d + h)) floats.
 2. ``build_distance_cache``: ``kernels.head_strip_loss`` walks the
    anchors in strips of ``kernels.HEAD_STRIP`` rows, in the step's
-   ``trainer.LOSS_PHASE`` window. Each strip runs the rest of phi over
-   all its pairs, takes the softmax loss of the scaled distances and
-   runs phi's backward straight away, into dL/dA rows, dL/dB and the b1
-   and w2 gradients; b2's is an exact zero, as the row softmax ignores a
-   shift of every distance of a row. It holds one strip of hidden units
-   and one strip of distances, which become their softmax in place, at a
-   time, never an n x n array; the dL/dA and dL/dB rows are the distance
-   gradient cache.
+   ``trainer.LOSS_PHASE`` window. Each strip runs the rest of phi,
+   act(A_i + B_j) w2 + b2, over all its pairs, takes the softmax loss of
+   the scaled distances and runs phi's backward straight away, into
+   dL/dA rows, dL/dB and the b1 and w2 gradients; b2's is an exact
+   zero, as the row softmax ignores a shift of every distance of a row.
+   It holds one strip of hidden units and one buffer that holds a
+   strip's distances, which become their softmax in place, and then the
+   dL/dB row sum, never an n x n array (the kernel's docstring gives
+   the floats); the dL/dA and dL/dB rows are the distance gradient
+   cache.
 3. ``update_omega_and_fold``: folds that cache through the first layer,
    u = gA w1a^T and v = gB w1b^T, a representation gradient cache the
    encoder step3 consumes as usual, and adds the w1a and w1b gradients.
@@ -142,7 +146,9 @@ def phi_pairs(head, Fb, Gb):
     if head.kind == "dot":
         return ad.matmul(ad.mul(xf, xg), np.ones((d, 1)))
     w1a, w1b, b1, w2, b2 = head_arrays(head)
-    pre = ad.add(ad.add(ad.matmul(xf, w1a), ad.matmul(xg, w1b)), b1)
+    # b1 on the target side, as kernels.head_target_side adds it, so the
+    # cached step's loss and scores are bitwise these
+    pre = ad.add(ad.matmul(xf, w1a), ad.add(ad.matmul(xg, w1b), b1))
     hidden = ad.activation(pre, head.activation)
     return ad.add(ad.matmul(hidden, w2), b2)
 
@@ -159,7 +165,7 @@ def _require_mlp(head, phase):
 @dataclass
 class PairInputs:
     """What the loss phase reads: the head and its first layer per side,
-    A = F @ w1a and B = G @ w1b."""
+    A = F @ w1a and B = G @ w1b + b1."""
 
     head: DistanceHead
     A: np.ndarray
@@ -179,16 +185,18 @@ class DistanceGradientCache:
 def forward_collect(batch, params_f, params_g, head, plan):
     """Graph-less pass: all representations and the head's first layer.
 
-    The first layer is separable, act(F_i w1a + G_j w1b + b1), so its two
-    products are taken once per row here, not once per pair.
+    The first layer is separable, act(F_i w1a + (G_j w1b + b1)), so its
+    two sides are taken once per row here, not once per pair: A = F w1a
+    and B = G w1b + b1 (``kernels.head_target_side``).
     """
     _require_mlp(head, "forward_collect")
     F, G = trainer.step1_graphless_forward(batch, params_f, params_g, plan)
     with memtrace.phase("pairs"):
         A = memtrace.register(kernels.matmul(F, head.w1a),
                               "representation-store")
-        B = memtrace.register(kernels.matmul(G, head.w1b),
-                              "representation-store")
+        B = memtrace.register(
+            kernels.head_target_side(G, head.w1b, head.b1),
+            "representation-store")
     return F, G, PairInputs(head, A, B)
 
 
@@ -205,8 +213,7 @@ def build_distance_cache(pairs, r, tau):
     head = pairs.head
     with memtrace.phase(trainer.LOSS_PHASE):
         loss_value, gA, gB, grad_tail = kernels.head_strip_loss(
-            pairs.A, pairs.B, r, 1.0 / tau, head.b1, head.w2, head.b2,
-            head.activation,
+            pairs.A, pairs.B, r, 1.0 / tau, head.w2, head.b2, head.activation,
         )
         dcache = DistanceGradientCache(gA, gB, grad_tail, True)
     count("phi_fwd_pairs", n_pairs)

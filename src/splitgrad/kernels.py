@@ -45,8 +45,8 @@ TILE = 16
 # anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
 # the last strip can end in a zero-padded tile
 STRIP = 64
-# anchor rows per strip of head_strip_loss: a strip holds
-# HEAD_STRIP * m * (h + 1) floats for m targets and a head h wide
+# anchor rows per strip of head_strip_loss and head_scores; the loss
+# kernel's buffers are in its docstring
 HEAD_STRIP = 8
 ACTIVATIONS = ("tanh", "relu", "linear")
 # numpy's default ufunc iteration buffer, in elements
@@ -223,12 +223,26 @@ def _activation_slope(name, y):
         y.fill(1.0)
 
 
-def _head_strip(A, B, b1, w2, b2, activation, hid, z):
+def head_target_side(G, w1b, b1):
+    """The target side of an MLP head's first layer, B = G @ w1b + b1.
+
+    b1 rides on the target side, added once per target row, so the
+    strip kernels form the hidden layer as A_i + B_j with no per-pair
+    bias pass. With ``deep.phi_pairs``, which adds b1 to its target
+    product before the anchor product, this is the only code that
+    decides where b1 goes.
+    """
+    B = matmul(G, w1b)
+    B += b1
+    return B
+
+
+def _head_strip(A, B, w2, b2, activation, hid, z):
     # the head over every pair of a strip of anchor rows A and the target
-    # rows B: act(A_i + B_j + b1) into hid [len(A) x m x h], then that
-    # times w2, plus b2, into the anchor-major column z; returns z
+    # rows B, which carry b1 (head_target_side): act(A_i + B_j) into hid
+    # [len(A) x m x h], then that times w2, plus b2, into the anchor-major
+    # column z; returns z
     np.add(A[:, None], B[None], out=hid)
-    hid += b1
     activate(activation, hid)
     _tiled_matmul(hid.reshape(-1, hid.shape[2]), w2, out=z)
     z += b2
@@ -237,93 +251,123 @@ def _head_strip(A, B, b1, w2, b2, activation, hid, z):
 
 def head_scores(F, G, w1a, w1b, b1, w2, b2, activation):
     """An MLP head's n x m scores of the rows of F against those of G,
-    act(A_i + B_j + b1) @ w2 + b2 with A = F @ w1a and B = G @ w1b.
+    act(A_i + B_j) @ w2 + b2 with A = F @ w1a and B = G @ w1b + b1
+    (``head_target_side``).
 
     Anchors go in strips of HEAD_STRIP rows through one registered
     HEAD_STRIP x m x h buffer, with ``head_strip_loss``' arithmetic, so
     nothing n x m x h is held and a score is bitwise the one that kernel
     scales (and ``deep.phi_pairs``').
     """
-    A, B, w2 = matmul(F, w1a), matmul(G, w1b), _c64(w2)
+    A, B, w2 = matmul(F, w1a), head_target_side(G, w1b, b1), _c64(w2)
     n, m, h = A.shape[0], B.shape[0], B.shape[1]
     scores = register(np.empty((n, m)))
     strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
     with _row_buffer(m * h):
         for lo in range(0, n, HEAD_STRIP):
             hi = min(lo + HEAD_STRIP, n)
-            _head_strip(A[lo:hi], B, b1, w2, b2, activation,
-                        strip[:hi - lo], scores[lo:hi].reshape(-1, 1))
+            _head_strip(A[lo:hi], B, w2, b2, activation, strip[:hi - lo],
+                        scores[lo:hi].reshape(-1, 1))
     return scores
 
 
-def head_strip_loss(A, B, r, scale, b1, w2, b2, activation):
+def head_strip_loss(A, B, r, scale, w2, b2, activation):
     """Softmax loss over an MLP head's pair scores, with its gradients.
 
-    The head scores the pair (i, j) as d_ij = act(A_i + B_j + b1) @ w2 + b2,
-    where A = F @ w1a and B = G @ w1b are its first layer, split by side;
-    the loss is L = (1/n) * sum_i [lse_i(z) - z_{i, r_i}] with z = scale * d.
+    The head scores the pair (i, j) as d_ij = act(A_i + B_j) @ w2 + b2,
+    where A = F @ w1a and B = G @ w1b + b1 are its first layer, split by
+    side, with b1 on the target side (``head_target_side``); the loss is
+    L = (1/n) * sum_i [lse_i(z) - z_{i, r_i}] with z = scale * d.
     Returns (L, gA, gB, [gb1, gw2, gb2]): dL/dA, dL/dB and the gradients
-    of the head's other parameters.
+    of the head's other parameters. gb1 is the sum of the gA rows, as b1
+    enters every pair's hidden layer once.
 
     Anchors go in strips of HEAD_STRIP rows, and each pair passes through
     the head once each way. A strip runs the head forward, reads the
     positives of z, and turns z in place into its row exponentials e
     (exp_rows' arithmetic), then into dL/dd = scale * (((1/n) / s) * e -
     (1/n) * onehot) for the row sums s, as a dense tape's row-logsumexp
-    gradient does. The backward overwrites the hidden layer with its slope:
-    the strip's gA rows are one batched product dL/dd_i @ slope_i, times
-    w2, and gb1 adds their sum; the hidden layer then becomes
-    slope * dL/dd, and gB adds its axis-0 sum, taken through the m x h row
-    buffer, times w2. gb2 is returned as an exact zero, b2's true
-    gradient: b2 shifts every z of a row alike, which the row softmax
-    ignores, so the rows of dL/dd sum to zero and their computed sum is
-    roundoff alone, on which an optimizer would step b2 (Adam at full
-    rate, whatever its size). Nothing n x m is held: the buffers, made once and
-    counted by the active meter, are the HEAD_STRIP x m x h hidden layer, a
-    HEAD_STRIP x m one for z, e and dL/dd, the row buffer and the n x 1
-    per-anchor losses, HEAD_STRIP * m * (h + 1) + m * h + n floats. The
+    gradient does; at scale 1.0 both scale passes are skipped, as
+    x * 1.0 is x. One flat offset per anchor, i * m + r_i within its
+    strip, reads the positives and subtracts 1/n. The backward
+    overwrites the hidden layer with its slope: the strip's gA rows are
+    one batched product dL/dd_i @ slope_i, times w2, and gb1 adds their
+    sum; the hidden layer then becomes slope * dL/dd, and gB adds its
+    axis-0 sum, taken into an m x h row buffer, times w2. gb2 is
+    returned as an exact zero, b2's true gradient: b2 shifts every z of
+    a row alike, which the row softmax ignores, so the rows of dL/dd sum
+    to zero and their computed sum is roundoff alone, on which an
+    optimizer would step b2 (Adam at full rate, whatever its size).
+
+    Nothing n x m is held. The buffers, made once and counted by the
+    active meter, are the HEAD_STRIP x m x h hidden layer, one buffer of
+    max(HEAD_STRIP * m, m * h) floats and the n x 1 per-anchor losses:
+    HEAD_STRIP * m * h + max(HEAD_STRIP * m, m * h) + n floats, with
+    min(HEAD_STRIP, n) for HEAD_STRIP. That is deep mode's loss-phase
+    peak, plus TILE * (h + 1) floats (``tail_floats``) when a strip's
+    pair count is not a multiple of TILE. The shared buffer's first
+    HEAD_STRIP * m floats hold z, then e, then dL/dd, and its first
+    m * h the row buffer: z is read for the last time by the hidden
+    layer's product with dL/dd, before the row sum is written. The
     gradients are counted when made: gA and gB, deep mode's distance
-    gradient cache, as (n + m) * h "gradient-cache" floats, the others as
-    "parameters". Rows go through the row-stable tiled matmul and exp_rows'
-    arithmetic, so L is bitwise a dense tape's; L and gA do not depend on
-    HEAD_STRIP, and gB and the parameter gradients sum the strips in order.
+    gradient cache, as (n + m) * h "gradient-cache" floats, the others
+    as "parameters". Rows go through the row-stable tiled matmul and
+    exp_rows' arithmetic, so L is bitwise a dense tape's; L and gA do
+    not depend on HEAD_STRIP, and gB and the parameter gradients sum the
+    strips in order.
     """
     A, B, w2 = _c64(A), _c64(B), _c64(w2)
     r = np.asarray(r, dtype=np.int64)
     n, m, h = A.shape[0], B.shape[0], B.shape[1]
+    # a flat offset would read a neighbour's score where r_i is out of
+    # range, so that raises here
+    if r.size and not 0 <= r.min() <= r.max() < m:
+        raise IndexError(f"positive index out of range for {m} targets")
+    rows = min(HEAD_STRIP, n)
     inv_n = 1.0 / n
     gap = register(np.empty((n, 1)))
     gA = register(np.empty(A.shape), "gradient-cache")
     gB = register(np.zeros(B.shape), "gradient-cache")
     gb1, gw2, gb2 = (register(np.zeros(shape), "parameters")
                      for shape in (h, (h, 1), 1))
-    strip = register(np.empty((min(HEAD_STRIP, n), m, h)))
-    zs = register(np.empty((min(HEAD_STRIP, n) * m, 1)))
-    row = register(np.empty((m, h)))
+    strip = register(np.empty((rows, m, h)))
+    shared = register(np.empty(max(rows * m, m * h)))
+    row = shared[:m * h].reshape(m, h)
+    w2c = w2[:, 0]
+    # each anchor's positive as a flat offset into its strip's z,
+    # i * m + r_i, as a column, so that the positives come out as one
+    pos_at = (np.arange(n) % HEAD_STRIP * m + r)[:, None]
     with _row_buffer(m * h):
         for lo in range(0, n, HEAD_STRIP):
             hi = min(lo + HEAD_STRIP, n)
-            rows = np.arange(hi - lo)
             hid = strip[:hi - lo]
-            flat = hid.reshape(-1, h)
-            z = _head_strip(A[lo:hi], B, b1, w2, b2, activation, hid,
-                            zs[:(hi - lo) * m]).reshape(-1, m)
-            z *= scale
-            pos = z[rows, r[lo:hi]][:, None]
+            zf = shared[:(hi - lo) * m]
+            z = _head_strip(A[lo:hi], B, w2, b2, activation, hid,
+                            zf.reshape(-1, 1)).reshape(-1, m)
+            # x * 1.0 is x bitwise: at the default temperature this
+            # skips two passes over the strip
+            if scale != 1.0:
+                z *= scale
+            at = pos_at[lo:hi]
+            pos = zf[at]
             lse, s = exp_rows(z)
-            gap[lo:hi] = lse - pos
+            np.subtract(lse, pos, out=gap[lo:hi])
             p = z  # now e, it becomes dL/dd
             p *= inv_n / s
-            p[rows, r[lo:hi]] -= inv_n
-            p *= scale
-            gw2 += np.matmul(flat.T, p.reshape(-1, 1))
+            zf[at] -= inv_n
+            if scale != 1.0:
+                p *= scale
+            gw2 += np.matmul(hid.reshape(-1, h).T, zf.reshape(-1, 1))
             _activation_slope(activation, hid)
             g = gA[lo:hi]
             np.matmul(p[:, None, :], hid, out=g[:, None, :])
-            g *= w2[:, 0]
-            gb1 += g.sum(axis=0)
+            g *= w2c
+            gb1 += np.add.reduce(g, axis=0)
             hid *= p[:, :, None]
-            gB += np.multiply(np.sum(hid, axis=0, out=row), w2[:, 0], out=row)
+            # p's last read is above: the row sum overwrites its floats
+            np.add.reduce(hid, axis=0, out=row)
+            row *= w2c
+            gB += row
     return inv_n * float(gap.sum()), gA, gB, [gb1, gw2, gb2]
 
 

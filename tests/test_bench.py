@@ -277,15 +277,21 @@ def test_profile_single_step_peaks():
     assert d_big["act_peak"] > d_small["act_peak"]
 
 
-@pytest.mark.parametrize("n", [128, 256])
-def test_deep_loss_phase_holds_one_head_strip(n):
-    # one HEAD_STRIP x n x h hidden layer, one HEAD_STRIP x n buffer that
-    # holds each strip's z and then its softmax, an n x h row buffer and
-    # the n x 1 per-anchor losses, and nothing else: an unregistered
-    # buffer or a second strip-sized one breaks the equality
-    h = RunConfig().phi_hidden
-    peak = _profile("deep", n, 16)["loss_phase_peak"]
-    assert peak == kernels.HEAD_STRIP * n * (h + 1) + n * h + n
+@pytest.mark.parametrize("n, h", [
+    pytest.param(128, RunConfig().phi_hidden, id="128"),
+    pytest.param(256, RunConfig().phi_hidden, id="256"),
+    pytest.param(128, kernels.HEAD_STRIP - 3, id="128-narrow-head"),
+    pytest.param(128, kernels.HEAD_STRIP + 5, id="128-wide-head"),
+])
+def test_deep_loss_phase_holds_one_head_strip(n, h):
+    # one HEAD_STRIP x n x h hidden layer, one buffer that holds each
+    # strip's z, then its softmax, and then the n x h row sum, and the
+    # n x 1 per-anchor losses, and nothing else: an unregistered buffer
+    # or a second strip-sized one breaks the equality. Heads narrower and
+    # wider than HEAD_STRIP size the shared buffer by each term of its max
+    peak = _profile("deep", n, 16, phi_hidden=h)["loss_phase_peak"]
+    assert peak == (kernels.HEAD_STRIP * n * h
+                    + max(kernels.HEAD_STRIP * n, n * h) + n)
 
 
 def test_deep_loss_phase_grows_linearly_in_batch():

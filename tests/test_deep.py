@@ -37,6 +37,17 @@ def _setup(seed=0, n_s=12, n_t=15, din=7, d=6, hidden=5):
     return batch, pf, pg, head
 
 
+def _with_b1(head, seed):
+    # init_distance_head sets b1 to zero, where (A + B) + b1 and
+    # A + (B + b1) agree; a nonzero b1 pins the side it is added on. A
+    # distance that moves by one ulp moves the loss's bits only now and
+    # then, as the mean over anchors rounds it away, so each loss test
+    # takes a draw whose loss changes when b1 moves to either other side
+    head.b1 = np.random.default_rng(seed).normal(scale=0.5,
+                                                 size=head.b1.shape)
+    return head
+
+
 def test_head_init_shapes_and_determinism():
     h = init_distance_head(3, 6, hidden=5)
     assert h.w1a.shape == (6, 5)
@@ -102,7 +113,8 @@ def test_head_group_rejects_a_non_finite_array():
 def test_head_scores_are_phi_pairs_bitwise(activation):
     rng = np.random.default_rng(7)
     n, m = 2 * kernels.HEAD_STRIP + 3, 11
-    h = init_distance_head(8, 4, hidden=3, activation=activation)
+    h = _with_b1(init_distance_head(8, 4, hidden=3, activation=activation),
+                 9)
     h.b2 = np.full(1, 0.25)
     F, G = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
     want = phi_pairs(h, ad.constant(F), ad.constant(G)).data.reshape(n, m)
@@ -172,12 +184,13 @@ def test_distance_cache_loss_matches_softmax_over_phi_pairs():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("tau", [0.7, 5e-4])
+@pytest.mark.parametrize("tau", [1.0, 0.7, 5e-4])
 @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
 def test_cached_step_matches_direct_for_every_head_activation(activation,
                                                               tau):
     batch, pf, pg, _ = _setup(seed=4)
-    head = init_distance_head(7, 6, hidden=5, activation=activation)
+    head = _with_b1(init_distance_head(7, 6, hidden=5,
+                                       activation=activation), 0)
     gf, gg, gh, ref_loss = deep_direct_grads(batch, pf, pg, head, tau=tau)
     res = train_step_deep(batch, pf, pg, head,
                           encoders.init_optimizer("sgd", 1.0),
@@ -217,6 +230,7 @@ def test_bad_positive_index_raises_before_the_strip_walk(monkeypatch):
 
 def test_cached_deep_step_matches_direct_graph():
     batch, pf, pg, head = _setup()
+    head = _with_b1(head, 21)
     gf, gg, gh, ref_loss = deep_direct_grads(batch, pf, pg, head, tau=0.7)
     opt = encoders.init_optimizer("sgd", 1.0)
     res = train_step_deep(batch, pf, pg, head, opt,
@@ -365,12 +379,15 @@ def test_distance_cache_single_use():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("tau", [0.7, 5e-4])
+@pytest.mark.parametrize("tau", [1.0, 0.7, 5e-4])
 def test_head_strip_height_changes_no_loss_or_gA_bit(monkeypatch, tau):
     # 13 anchors (ragged against strips of 3 and 8), 20 targets of which
-    # 7 are hard negatives, and repeated positives
+    # 7 are hard negatives, and repeated positives; every height gives
+    # the direct graph's loss bitwise, b1 being added on phi_pairs' side
     batch, pf, pg, head = _setup(seed=5, n_s=13, n_t=20)
+    head = _with_b1(head, 6)
     batch.r[:4] = batch.r[4]
+    direct_loss = deep_direct_grads(batch, pf, pg, head, tau=tau)[3]
     plan = plan_subbatches(13, 20, 5, 6)
     _, _, pairs = forward_collect(batch, pf, pg, head, plan)
     runs = []
@@ -379,6 +396,7 @@ def test_head_strip_height_changes_no_loss_or_gA_bit(monkeypatch, tau):
         dcache, loss_value = build_distance_cache(pairs, batch.r, tau)
         runs.append((loss_value, dcache.gA, [dcache.gB] + dcache.grad_tail))
     ref_loss, ref_gA, ref_rest = runs[-1]
+    assert ref_loss == direct_loss
     for loss_value, gA, rest in runs:
         assert loss_value == ref_loss
         assert np.array_equal(gA, ref_gA)

@@ -94,6 +94,10 @@ def test_row_contract_holds_with_one_blas_thread():
         # row the same bits whatever the strip height at this thread count
         # too
         "test_deep.py::test_head_strip_height_changes_no_loss_or_gA_bit",
+        # the head's scores and the cached deep loss are bitwise the
+        # direct graph's, with b1 on the same side of the sum
+        "test_deep.py::test_head_scores_are_phi_pairs_bitwise",
+        "test_deep.py::test_cached_deep_step_matches_direct_graph",
         # an input gradient is g @ w.T against a contiguous transpose, a
         # BLAS layout of its own: the taped layer, the encoder node and
         # step3's chunks must still agree bitwise
@@ -105,9 +109,10 @@ def test_row_contract_holds_with_one_blas_thread():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # the strip-height test runs at two temperatures, and the two encoder
-    # tests at three activation sets each
-    assert "10 passed" in proc.stdout, proc.stdout
+    # the strip-height test runs at three temperatures, the head-scores
+    # test at three activations, and the two encoder tests at three
+    # activation sets each
+    assert "15 passed" in proc.stdout, proc.stdout
 
 
 def test_loss_kernels_leave_their_inputs_unchanged():
@@ -118,14 +123,14 @@ def test_loss_kernels_leave_their_inputs_unchanged():
     F, G = rng.normal(size=(2 * S + 3, 8)), rng.normal(size=(S + 1, 8))
     A, B = rng.normal(size=(H + 1, 5)), rng.normal(size=(11, 5))
     r = rng.integers(0, 11, size=H + 1)
-    b1, w2, b2 = rng.normal(size=5), rng.normal(size=(5, 1)), np.ones(1)
-    inputs = (F, G, A, B, b1, w2, b2)
+    w2, b2 = rng.normal(size=(5, 1)), np.ones(1)
+    inputs = (F, G, A, B, w2, b2)
     before = [a.tobytes() for a in inputs]
     contrastive_loss(F, G, np.arange(2 * S + 3) % (S + 1))
     contrastive_loss(F, G, np.arange(2 * S + 3) % (S + 1), 0.5)
     kernels.strip_logsumexp(F, G, 2.0, 0.1)
     for act in kernels.ACTIVATIONS:
-        kernels.head_strip_loss(A, B, r, 2.0, b1, w2, b2, act)
+        kernels.head_strip_loss(A, B, r, 2.0, w2, b2, act)
     assert [a.tobytes() for a in inputs] == before
 
 
@@ -173,7 +178,7 @@ def _loss_kernel_outputs(row, h):
     r = rng.integers(0, m, size=len(A))
     w1a, w1b = rng.normal(size=(d, h)), rng.normal(size=(d, h))
     b1, w2, b2 = rng.normal(size=h), rng.normal(size=(h, 1)), np.ones(1)
-    loss, gA, gB, tail = kernels.head_strip_loss(A, B, r, 2.0, b1, w2, b2,
+    loss, gA, gB, tail = kernels.head_strip_loss(A, B, r, 2.0, w2, b2,
                                                  "tanh")
     scores = kernels.head_scores(F[:len(A)], G[:m], w1a, w1b, b1, w2, b2,
                                  "relu")
@@ -208,8 +213,8 @@ def test_loss_kernels_keep_their_bits_and_the_callers_buffer(monkeypatch,
             assert np.getbufsize() == size
             with pytest.raises(ValueError):
                 kernels.head_strip_loss(one, np.ones((row, 3)), [0, 0, 0],
-                                        1.0, np.ones(2), np.ones((2, 1)),
-                                        np.ones(1), "tanh")
+                                        1.0, np.ones((2, 1)), np.ones(1),
+                                        "tanh")
             assert np.getbufsize() == size
     assert np.getbufsize() == kernels.UFUNC_BUFSIZE
 
@@ -331,10 +336,10 @@ def test_head_strip_loss_counts_its_gradients_when_it_makes_them():
     n, m, h = kernels.HEAD_STRIP + 3, 13, 5
     A, B = rng.normal(size=(n, h)), rng.normal(size=(m, h))
     r = rng.integers(0, m, size=n)
-    b1, w2, b2 = rng.normal(size=h), rng.normal(size=(h, 1)), np.ones(1)
+    w2, b2 = rng.normal(size=(h, 1)), np.ones(1)
     c = MemCounter()
     with use_meter(c):
-        _, gA, gB, tail = kernels.head_strip_loss(A, B, r, 2.0, b1, w2, b2,
+        _, gA, gB, tail = kernels.head_strip_loss(A, B, r, 2.0, w2, b2,
                                                   "tanh")
         assert c.live["gradient-cache"] == gA.size + gB.size == (n + m) * h
         assert c.live["parameters"] == sum(g.size for g in tail) == 2 * h + 1
@@ -343,12 +348,25 @@ def test_head_strip_loss_counts_its_gradients_when_it_makes_them():
     assert c.live == dict.fromkeys(CATEGORIES, 0)
 
 
-def _dense_head_grads(A, B, r, scale, b1, w2, b2, activation):
-    # the head over all n x m pairs at once, in plain numpy: the loss, its
-    # gradients [gA, gB, gb1, gw2, gb2], and for each gradient the same
-    # sums over the magnitudes of their terms
+@pytest.mark.parametrize("bad", [-1, 13])
+def test_head_strip_loss_rejects_a_positive_out_of_range(bad):
+    # positives are read at flat offsets i * m + r_i, where r_i = -1 or
+    # m would read a neighbouring anchor's score
+    rng = np.random.default_rng(9)
+    A, B = rng.normal(size=(5, 3)), rng.normal(size=(13, 3))
+    r = np.full(5, 2)
+    r[3] = bad
+    with pytest.raises(IndexError, match="out of range for 13 targets"):
+        kernels.head_strip_loss(A, B, r, 1.0, np.ones((3, 1)), np.ones(1),
+                                "tanh")
+
+
+def _dense_head_grads(A, B, r, scale, w2, b2, activation):
+    # the head over all n x m pairs at once, in plain numpy, with B
+    # carrying b1: the loss, its gradients [gA, gB, gb1, gw2, gb2], and
+    # for each gradient the same sums over the magnitudes of their terms
     n = A.shape[0]
-    pre = A[:, None] + B[None] + b1
+    pre = A[:, None] + B[None]
     hid = {"tanh": np.tanh(pre), "relu": np.maximum(pre, 0.0),
            "linear": pre}[activation]
     slope = {"tanh": 1.0 - hid * hid, "relu": (hid > 0).astype(float),
@@ -384,9 +402,10 @@ def test_head_strip_loss_gradients_match_a_dense_reference(activation, n, m):
     r = rng.integers(0, m, size=n)
     r[:3] = r[3]
     b1, w2, b2 = (rng.normal(size=shape) for shape in (h, (h, 1), 1))
-    loss, gA, gB, tail = kernels.head_strip_loss(A, B, r, 1.5, b1, w2, b2,
+    B += b1  # the target side carries b1, as kernels.head_target_side adds it
+    loss, gA, gB, tail = kernels.head_strip_loss(A, B, r, 1.5, w2, b2,
                                                  activation)
-    want_loss, want, terms = _dense_head_grads(A, B, r, 1.5, b1, w2, b2,
+    want_loss, want, terms = _dense_head_grads(A, B, r, 1.5, w2, b2,
                                                activation)
     assert abs(loss - want_loss) <= 1e-13 * abs(want_loss)
     # each row of dL/dd sums to zero, so gb2 is zero in exact arithmetic,
