@@ -45,6 +45,7 @@ TILE = 16
 # anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
 # the last strip can end in a zero-padded tile
 STRIP = 64
+PROD_FLOATS = 8192  # most floats per target block of strip_logsumexp's dG
 # anchor rows per strip of head_strip_loss and head_scores; the loss
 # kernel's buffers are in its docstring
 HEAD_STRIP = 8
@@ -144,32 +145,44 @@ def strip_logsumexp(F, G, scale, weight):
     exponentials e and their sums s of ``exp_rows``. The n x m scores
     never exist: anchors go in strips of STRIP rows, and one STRIP x m
     buffer, made before the loop, holds each strip's scores and becomes
-    e and then gS in place. The dF rows are written straight into dF,
-    and dG adds each strip's product through one m x d buffer. Every row
-    goes through the row-stable tiled matmul and ``exp_rows``'
-    arithmetic, so lse and dF are bitwise the dense ones whatever STRIP
-    is; dG sums the strips in order. Each array is counted by the active
-    meter when it is made: dF and dG, the cached step's gradient cache,
-    as n * d + m * d "gradient-cache" floats, and the strip buffer, G
-    transposed, the product buffer and lse as STRIP * m + 2 * m * d + n
-    "activation" floats (min(STRIP, n) rows of strip). The number of
-    buffers does not depend on n.
+    e and then gS in place. The dF rows are written straight into dF;
+    dG adds each strip's product in nb = min(ceil(m * d / PROD_FLOATS),
+    m // 2) or 1 near-equal target blocks through one ceil(m / nb) x d
+    buffer (no block is one row, whose matrix-vector product changed
+    dG's bits). Rows go through the row-stable tiled matmul and
+    ``exp_rows``, so lse and dF are bitwise the dense ones whatever
+    STRIP is; dG sums the strips in order, whatever nb is. Arrays are
+    counted by the active meter when made: dF and dG, the cached step's
+    gradient cache, as n * d + m * d "gradient-cache" floats, and the
+    strip buffer, G transposed, the product buffer and lse as
+    min(STRIP, n) * m + m * d + ceil(m / nb) * d + n "activation"
+    floats, plus TILE * (m + d) (``tail_floats``) if TILE does not
+    divide n: step2's kernel term (``loss.loss_graph_from_reps`` has the
+    other), 91136 at n = m = 1024 and d = 16, 105256 at n = m = 1000.
+    The number of buffers does not depend on n or nb.
     """
     F, G = _c64(F), _c64(G)
-    n, m = F.shape[0], G.shape[0]
+    n, (m, d) = F.shape[0], G.shape
     # G.T once, contiguous, so every strip's scores copy nothing
     Gt = register(_c64(G.T))
     lse = register(np.empty((n, 1)))
     dF = register(np.empty(F.shape), "gradient-cache")
     dG = register(np.zeros(G.shape), "gradient-cache")
     strip = register(np.empty((min(STRIP, n), m)))
-    prod = register(np.empty(G.shape))
+    # each target block's columns and its views of dG and prod, made once;
+    # one block skips the block loop, which took 1.7% longer at n = 256
+    nb = min(-(-m * d // PROD_FLOATS), m // 2) or 1
+    prod = register(np.empty((-(-m // nb), d)))
+    blocks = None if nb == 1 else [
+        (slice(a, b), dG[a:b], prod[:b - a])
+        for a, b in ((j * m // nb, (j + 1) * m // nb) for j in range(nb))]
     coef = scale * weight
     with _row_buffer(m):
         for lo in range(0, n, STRIP):
             hi = min(lo + STRIP, n)
+            f = F[lo:hi]
             # the short last strip is a view of the leading rows
-            p = _tiled_matmul(F[lo:hi], Gt, out=strip[:hi - lo])
+            p = _tiled_matmul(f, Gt, out=strip[:hi - lo])
             # x * 1.0 is x bitwise: at the default temperature this skips
             # a pass over the strip
             if scale != 1.0:
@@ -177,7 +190,11 @@ def strip_logsumexp(F, G, scale, weight):
             lse[lo:hi], s = exp_rows(p)
             p *= coef / s
             _tiled_matmul(p, G, out=dF[lo:hi])
-            dG += np.matmul(p.T, F[lo:hi], out=prod)
+            if blocks is None:
+                dG += np.matmul(p.T, f, out=prod)
+                continue
+            for cols, dg, out in blocks:
+                dg += np.matmul(p[:, cols].T, f, out=out)
     return lse, dF, dG
 
 

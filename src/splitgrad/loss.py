@@ -27,15 +27,8 @@ Three implementations coexist on purpose:
 makes one ``kernels.strip_logsumexp`` call, which streams lse over
 strips of ``kernels.STRIP`` anchors through one reused buffer and
 returns dL/dF and dL/dG, the gradient cache; a small tape of the
-alignment term then adds its gradients into them in place. It holds
-max(STRIP * n_t + 2 * n_t * d + n_s,
-4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4) activation floats
-besides the cache (99328 at n = 1024, d = 16) and never the n_s x n_t
-scores. The second term is the alignment tape's backward: G[r],
-F * G[r] and the latter's gradient, six n_s x 1 columns and four
-scalars, and on top of those either the mul VJP's two n_s x d results,
-live together until F's is added into dF, or G[r]'s gradient and the
-n_t x d scatter the index-rows VJP then makes of it.
+alignment term then adds its gradients into them in place. Neither
+holds the n_s x n_t scores (the peak is in ``loss_graph_from_reps``).
 ``direct_param_grads`` keeps the dense tail (scores, softmax and the
 scores' gradient, about 3 * n_s * n_t floats), for two reasons: the
 direct step is the baseline the cached step is checked against, so it
@@ -206,7 +199,13 @@ def loss_graph_from_reps(F, G, r, tau):
     the O(n_s * d) alignment term over leaves whose gradient buffers are
     those two arrays, so its backward adds c * G[r] and scatter_r(c * F),
     c = -1 / (tau * n_s), into them in place. The step benchmark wraps
-    this function by name.
+    this function by name. Besides the cache it holds the larger of the
+    kernel's term (in its docstring) and the tape's, 4 * n_s * d +
+    max(n_s, n_t) * d + 6 * n_s + 4: G[r], F * G[r] and the latter's
+    gradient, six n_s x 1 columns, four scalars, and either the mul
+    VJP's two n_s x d results or G[r]'s gradient and the n_t x d
+    scatter made of it. At d = 16 and n_s = n_t = n the tape's binds
+    from n = 1552 where TILE divides n, and never where it does not.
     """
     lse, dF, dG = kernels.strip_logsumexp(F, G, 1.0 / tau, 1.0 / F.shape[0])
     tape = ad.Tape()

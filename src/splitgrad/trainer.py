@@ -36,10 +36,9 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   and counted as parameters. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
-  For n_s anchors, n_t targets and embedding width d it holds
-  ``max(STRIP·n_t + 2·n_t·d + n_s, 4·n_s·d + max(n_s, n_t)·d + 6·n_s +
-  4)`` activation floats (see ``loss``), never the n x n scores. At
-  n = 1024 and d = 16 that is 99328.
+  It holds the larger of the kernel's term (in its docstring) and the
+  tape's (in ``loss.loss_graph_from_reps``'), linear in n, never the
+  n x n scores.
 * ``train_step_accumulation``: classic gradient accumulation. Chunks
   are independent small batches, so negatives come only from within a
   chunk; this is deliberately NOT equivalent to the direct step.

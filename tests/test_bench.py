@@ -306,12 +306,14 @@ def test_cache_loss_phase_holds_one_strip_and_a_few_n_by_d(n):
     # the peak is the larger of two exact terms; dF and dG are the
     # gradient cache, so neither counts here. The kernel's: one STRIP x n
     # buffer for each strip's scores and softmax, G transposed, the dG
-    # product buffer and lse. The alignment tape's backward: G[r] and
-    # F * G[r], their two gradients, the n x d scatter added into dG, six
-    # n x 1 columns and four scalars. An unregistered buffer or a second
-    # strip buffer breaks an equality
+    # product buffer of one of nb near-equal target blocks, and lse. The
+    # alignment tape's backward: G[r] and F * G[r], their two gradients,
+    # the n x d scatter added into dG, six n x 1 columns and four
+    # scalars. An unregistered buffer or a second strip or product buffer
+    # breaks an equality
     def kernel_term(d):
-        return kernels.STRIP * n + 2 * n * d + n
+        nb = -(-n * d // kernels.PROD_FLOATS)
+        return kernels.STRIP * n + n * d + -(-n // nb) * d + n
 
     def tape_term(d):
         return 4 * n * d + n * d + 6 * n + 4

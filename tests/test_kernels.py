@@ -103,16 +103,21 @@ def test_row_contract_holds_with_one_blas_thread():
         # step3's chunks must still agree bitwise
         "test_autodiff.py::test_dense_matches_three_op_layer_bitwise",
         "test_trainer.py::"
-        "test_step3_chunks_equal_the_taped_encoder_node_bitwise")]
+        "test_step3_chunks_equal_the_taped_encoder_node_bitwise",
+        # dG's bits do not depend on the target blocks, and one strip's
+        # are the dense graph's
+        "test_kernels.py::test_target_block_size_changes_no_bit",
+        "test_loss.py::"
+        "test_streamed_and_dense_graphs_agree_bitwise_within_one_strip")]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # the strip-height test runs at three temperatures, the head-scores
-    # test at three activations, and the two encoder tests at three
-    # activation sets each
-    assert "15 passed" in proc.stdout, proc.stdout
+    # test at three activations, the two encoder tests at three
+    # activation sets each, and the block-size test at six shapes
+    assert "22 passed" in proc.stdout, proc.stdout
 
 
 def test_loss_kernels_leave_their_inputs_unchanged():
@@ -135,10 +140,11 @@ def test_loss_kernels_leave_their_inputs_unchanged():
 
 
 def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
-    # one strip buffer for every strip: a kernel that allocated per
-    # strip would register more arrays at five strips than at two. Both
-    # sizes end in a short strip, whose zero-padded tail tiles
-    # _tiled_matmul registers once per call
+    # one strip buffer for every strip and one product buffer for every
+    # target block: a kernel that allocated per strip or per block would
+    # register more arrays at five strips than at two, or at four blocks
+    # than at one. Every size ends in a short strip, whose zero-padded
+    # tail tiles _tiled_matmul registers once per call
     registered = []
     real = kernels.register
 
@@ -149,12 +155,38 @@ def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
     monkeypatch.setattr(kernels, "register", spy)
     rng = np.random.default_rng(7)
     counts = []
+    # 3 * 1024 + 5 targets 8 wide are four blocks of 769 or 770 rows
+    many = 3 * (kernels.PROD_FLOATS // 8) + 5
     for n in (kernels.STRIP + 3, 4 * kernels.STRIP + 3):
-        registered.clear()
-        kernels.strip_logsumexp(rng.normal(size=(n, 8)),
-                                rng.normal(size=(n + 5, 8)), 1.0, 1.0 / n)
-        counts.append(len(registered))
-    assert counts[0] == counts[1]
+        for m in (n + 5, many):
+            registered.clear()
+            kernels.strip_logsumexp(rng.normal(size=(n, 8)),
+                                    rng.normal(size=(m, 8)), 1.0, 1.0 / n)
+            counts.append(len(registered))
+        assert (770, 8) in registered
+    assert len(set(counts)) == 1
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+@pytest.mark.parametrize("m", [513, 600])
+def test_target_block_size_changes_no_bit(monkeypatch, m, d):
+    # each dG row sums its strips' products in strip order whatever block
+    # it lands in: limits of 2, 16, 100 and 255 rows a block give the
+    # bits of one block, at strips of 1, 3, 40 and 64 anchors, 70 anchors
+    # in all (a ragged last strip and tile). A one-row block (1 of 513 in
+    # blocks of 256, or 513 split evenly in blocks of at most 2) is a
+    # matrix-vector product and changed dG's bits; the kernel never
+    # makes one, so a limit of 2 rows gives blocks of 2 and 3
+    rng = np.random.default_rng(15)
+    F, G = rng.normal(size=(70, d)), rng.normal(size=(m, d))
+    for strip in (1, 3, 40, 64):
+        monkeypatch.setattr(kernels, "STRIP", strip)
+        bits = []
+        for rows in (2, 16, 100, 255, m + 1):
+            monkeypatch.setattr(kernels, "PROD_FLOATS", rows * d)
+            bits.append([a.tobytes()
+                         for a in kernels.strip_logsumexp(F, G, 2.0, 0.1)])
+        assert all(b == bits[-1] for b in bits), strip
 
 
 @pytest.mark.parametrize("row, size", [(0, 16), (1, 16), (90, 96),

@@ -219,7 +219,10 @@ def test_strip_height_changes_no_loss_or_anchor_gradient_bit(
 
 def test_streamed_and_dense_graphs_agree_bitwise_within_one_strip():
     rng = np.random.default_rng(12)
-    shapes = [(None, None, None)] * 8 + [(kernels.STRIP, 90, 16)]
+    # and 513 targets 8 wide, where a fixed 256-row target block split
+    # left a 1-row block that changed dG's bits
+    shapes = [(None, None, None)] * 8 + [(kernels.STRIP, 90, 16),
+                                         (kernels.STRIP, 513, 8)]
     for n_s, n_t, d in shapes:
         F, G, r = _random_instance(rng, n_s, n_t, d)
         # and tau = 1, at which the strip kernel skips its scale pass

@@ -503,7 +503,41 @@ def test_alignment_tape_peak_takes_the_larger_side(n_s, n_t, d, peak):
         loss_graph_from_reps(F, G, r, 1.0)
     assert c.peak["activation"] == peak == (
         4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4)
-    assert peak > min(kernels.STRIP, n_s) * n_t + 2 * n_t * d + n_s
+    nb = -(-n_t * d // kernels.PROD_FLOATS)
+    assert peak > (min(kernels.STRIP, n_s) * n_t + n_t * d
+                   + -(-n_t // nb) * d + n_s)
+
+
+@pytest.mark.parametrize("n_s, n_t, peak", [
+    pytest.param(100, 100, 11556, id="100-ragged"),
+    pytest.param(1000, 1000, 105256, id="1000-ragged"),
+    pytest.param(1536, 1536, 132608, id="1536-kernel-binds"),
+    pytest.param(1552, 1552, 133476, id="1552-tape-binds"),
+    pytest.param(1638, 1638, 165702, id="1638-ragged-kernel-binds"),
+    pytest.param(2048, 2048, 176132, id="2048-tape-binds"),
+    pytest.param(1024, 2048, 173056, id="hard-negatives"),
+])
+def test_step2_peak_is_the_larger_of_the_kernel_and_tape_terms(n_s, n_t,
+                                                                peak):
+    # the kernel's term (strip_logsumexp's docstring) with the ragged last
+    # strip's tail tile and its product, TILE * (n_t + d) floats, when
+    # n_s is not a multiple of TILE; the alignment tape's term
+    # (loss_graph_from_reps'). At d = 16 the tape binds from n = 1552,
+    # where the targets split into four blocks, if TILE divides n; the
+    # tail tile keeps the kernel's term the larger at any other n, and
+    # with hard negatives the kernel's n_t-wide terms bind
+    d = 16
+    rng = np.random.default_rng(14)
+    F, G = rng.normal(size=(n_s, d)), rng.normal(size=(n_t, d))
+    c = MemCounter()
+    with use_meter(c):
+        loss_graph_from_reps(F, G, rng.permutation(n_t)[:n_s], 1.0)
+    nb = -(-n_t * d // kernels.PROD_FLOATS)
+    kernel_term = (min(kernels.STRIP, n_s) * n_t + n_t * d
+                   + -(-n_t // nb) * d + n_s
+                   + kernels.tail_floats([d, n_t], [(0, n_s)]))
+    tape_term = 4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4
+    assert c.peak["activation"] == peak == max(kernel_term, tape_term)
 
 
 # what no meter sees: numpy (2.x) gives a ufunc call that broadcasts an

@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from splitgrad.bench import RunConfig, profile_single_step
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -24,3 +26,15 @@ def test_library_example_runs_and_prints_a_metered_step():
     # 256 anchors and 256 targets, each encoded in step1 and in step3
     assert int(fwd_rows) == 2 * (256 + 256)
     assert int(act_peak) > 0
+
+
+def test_step2_figure_is_the_measured_loss_phase_peak():
+    # the README's step-2 figure is a count, so a change to the peak
+    # cannot leave it stale: one metered cached step at that shape
+    figures = re.findall(r"At n = 1024 and d = 16 that\s+is (\d+) floats",
+                         README.read_text())
+    assert len(figures) == 1, figures
+    profile = profile_single_step(RunConfig(
+        mode="cache", batch_size=1024, sub_batch_s=32, sub_batch_t=32,
+        embed_dim=16))
+    assert profile["loss_phase_peak"] == int(figures[0])

@@ -278,7 +278,7 @@ def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
 
 
 @pytest.mark.parametrize("mode,n,b,widths,act_peak,loss_peak", [
-    ("cache", 1024, 32, [24, 32, 16], 2048, 99328),
+    ("cache", 1024, 32, [24, 32, 16], 2048, 91136),
     ("cache", 256, 16, [24, 128, 128, 16], 20480, 24832),
     ("deep", 128, 16, [24, 32, 16], 1280, 9344),
 ])
