@@ -282,13 +282,13 @@ def encoder_widths(x_shape, arrays):
     return widths
 
 
-def _encoder_layout(n, widths, keep_top):
-    # (output offset or None, scratch offset) by layer; see encoder_views
+def _encoder_layout(widths, keep_top):
+    # (output offset or None, scratch offset) per row; see encoder_views
     at = 0
     for k, w in enumerate(widths[1:], 1):
         out = None
         if k < len(widths) - 1 or keep_top:
-            out, at = at, at + n * w
+            out, at = at, at + w
         yield out, at
 
 
@@ -299,26 +299,35 @@ def encoder_views(buf, n, widths, keep_top):
     Layer k's output y_k is an n x w_k view, stacked from offset 0; the
     top's is None unless keep_top (no VJP reads a linear top's output).
     Layer k's scratch, a flat view, starts right after y_k, or after
-    y_{L-1} for a top not kept, and takes its weight, bias and input
-    gradients in turn.
+    y_{L-1} for a top not kept, runs to the buffer's end, and takes its
+    weight gradient's row blocks, bias and input gradients in turn.
     """
     outs, scratch = [], []
-    for (out, at), w in zip(_encoder_layout(n, widths, keep_top),
-                            widths[1:]):
+    for (out, at), w in zip(_encoder_layout(widths, keep_top), widths[1:]):
         outs.append(None if out is None
-                    else buf[out:out + n * w].reshape(n, w))
-        scratch.append(buf[at:])
+                    else buf[n * out:n * (out + w)].reshape(n, w))
+        scratch.append(buf[n * at:])
     return outs, scratch
 
 
+def encoder_lines(widths, keep_top, blocked):
+    """(c, d) pairs, c·n + d floats each, whose largest an n-row step3
+    pass's buffer holds: by layer, its scratch's offset (``encoder_views``)
+    plus its input gradient (none for the first layer) or its weight
+    gradient, whole or, if blocked, in ``encoder_vjp``'s smallest row
+    blocks (2 rows, 3 for an odd k_in > 2)."""
+    for k, (_, at) in enumerate(_encoder_layout(widths, keep_top), 1):
+        k_in, k_out = widths[k - 1], widths[k]
+        rows = -(-k_in // max(1, k_in // 2)) if blocked else k_in
+        yield at, rows * k_out
+        if k > 1:
+            yield at + k_in, 0
+
+
 def encoder_floats(n, widths, keep_top):
-    """Floats of the buffer an n-row step3 pass works in: for each layer,
-    its scratch's offset (see ``encoder_views``) plus the larger of its
-    weight gradient and its input gradient (none for the first layer)."""
-    return max(
-        at + max(widths[k - 1] * widths[k],
-                 n * widths[k - 1] if k > 1 else 0)
-        for k, (_, at) in enumerate(_encoder_layout(n, widths, keep_top), 1))
+    """Floats of the buffer an n-row step3 pass works in, by
+    ``encoder_lines`` with whole weight gradients."""
+    return max(c * n + d for c, d in encoder_lines(widths, keep_top, False))
 
 
 def encoder_forward(x, arrays, acts, outs):
@@ -353,20 +362,29 @@ def encoder_vjp(x, arrays, acts, outs, g, grads, scratch, wts):
 
     Layer k's slope product is written over outs[k], the output its
     forward saved, once the layer above has read it (a linear top saves
-    None and has none). Its products go into scratch[k], a flat buffer:
-    its weight and bias gradients, each then added into grads, and its
-    input's gradient, g @ wts[k], for wts from ``weight_transposes``.
-    Returns x's gradient, a view of scratch[0], or None if wts[0] is
-    None. Nothing is counted here.
+    None and has none). Its products go into scratch[k], a flat buffer
+    whose size bounds them: its weight gradient, in near-equal row
+    blocks x[:, rows].T @ g that fit (bitwise the whole product's rows;
+    one block where the whole fits, none of one row, whose matrix-vector
+    product would change the bits), and its bias gradient, each added
+    into grads, and its input's gradient, g @ wts[k], for wts from
+    ``weight_transposes``. Returns x's gradient, a view of scratch[0],
+    or None if wts[0] is None. Nothing is counted here.
     """
     n = g.shape[0]
     for k in range(len(acts) - 1, -1, -1):
         k_in, k_out = arrays[2 * k].shape
         if outs[k] is not None:
             g = kernels.activation_vjp(acts[k], outs[k], g, outs[k])
-        s = scratch[k]
-        grads[2 * k] += np.matmul((outs[k - 1] if k else x).T, g,
-                                  out=s[:k_in * k_out].reshape(k_in, k_out))
+        s, xt, gw = scratch[k], (outs[k - 1] if k else x).T, grads[2 * k]
+        if s.size >= k_in * k_out:
+            gw += np.matmul(xt, g, out=s[:k_in * k_out].reshape(k_in, k_out))
+        else:
+            blocks = min(-(-k_in // (s.size // k_out)), k_in // 2)
+            for lo, hi in itertools.pairwise(
+                    k_in * i // blocks for i in range(blocks + 1)):
+                out = s[:(hi - lo) * k_out].reshape(hi - lo, k_out)
+                gw[lo:hi] += np.matmul(xt[lo:hi], g, out=out)
         # np.sum's bits without its Python wrapper
         grads[2 * k + 1] += np.add.reduce(g, axis=0, out=s[:k_out])
         if wts[k] is None:

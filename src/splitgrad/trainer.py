@@ -16,22 +16,26 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   representation matrices alone gives its per-row gradients, the
   representation gradient cache (step2); each sub-batch is then
   re-encoded and backpropagated with its cached rows as the seed, in
-  one encoder pass with no tape, its parameter gradients added in place
+  encoder passes with no tape, its parameter gradients added in place
   into one buffer per parameter (step3); finally the optimizer runs
   once (step4). Peak activation memory in steps 1 and 3 depends only on
   the sub-batch size: each encoder's passes in a phase work in one flat
-  buffer for the largest chunk. With a linear top, step3's
+  buffer. With a linear top, step3's for sub-batch b and widths w0..wL
   (``autodiff.encoder_views``) is ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k +
-  max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats for sub-batch b and widths
-  w0..wL. Either phase adds, for a chunk of other than a multiple of
-  ``kernels.TILE`` rows, the tiled matmul's tail tile and its product.
-  Step1's (``encoders.forward_rows``) holds the layers below the top in
-  two halves, R·(max of the odd-numbered w_k + max of the even) floats
-  for passes of R rows; keeping no graph, it takes R as the largest
-  multiple of b whose floats, tail tiles counted, fit in step3's for b
-  (``_step1_chunks``), so that step1 peaks at most where step3 does
-  (80 rows at sub-batch 16 for widths 24-128-128-16). A step that runs
-  no step3 keeps R = b. Step3's VJPs form each input gradient against a
+  max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats. Either phase adds, for a
+  pass of other than a multiple of ``kernels.TILE`` rows, the tiled
+  matmul's tail tile and its product. Both run passes of R rows, R the
+  largest multiple of b whose floats, tail tiles counted, fit in step3's
+  for b (``_side_passes``). Step1's (``encoders.forward_rows``) keeps no
+  graph: two halves, R·(max of the odd-numbered w_k + max of the even):
+  80 rows at sub-batch 16 for widths 24-128-128-16. Step3's holds R rows
+  of outputs and input gradients, and forms each weight gradient in row
+  blocks of at least 2 rows that fit in the rest (``encoder_vjp``): 48
+  rows there, the 128 x 128 weight's in two 64-row blocks. Where the
+  input gradient binds (24-32-16), R stays b; a step with no step3 keeps
+  R = b in step1. A pass is a run of consecutive sub-batches, so the
+  sums keep the plan's order. Step3's VJPs form each input gradient
+  against a
   contiguous transpose of its weight, made once per encoder and side
   and counted as parameters. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
@@ -66,9 +70,9 @@ class CacheNotFilledError(RuntimeError):
 @dataclass
 class SubBatchPlan:
     """Ordered contiguous partition of anchor and target indices, the
-    sub-batches step3 re-encodes. runs_step3 is False for a step that
-    runs no step3 (deep mode with frozen encoders): its step1 then
-    encodes in the sub-batches, since no step3 buffer covers more."""
+    sub-batches whose runs step3 re-encodes. runs_step3 is False for a
+    step that runs no step3 (deep mode with frozen encoders): its step1
+    then encodes in the sub-batches, since no step3 buffer covers more."""
 
     anchor_chunks: list
     target_chunks: list
@@ -118,11 +122,12 @@ class StepStats:
     0 in modes without one; act_peak is that of every other window. In
     the cached path a chunk's parameter gradients pass one at a time
     through its encoder buffer's scratch into the step's accumulators
-    (counted as parameters), so act_peak holds one weight or bias
-    gradient, never a whole encoder's. The weight transposes the VJPs
-    multiply by are counted as parameters too: their size is the
-    weights', whatever the batch. Step1's passes take as many rows as
-    fit in step3's peak, so the step1 window may reach act_peak (and a
+    (counted as parameters), so act_peak holds one row block of a weight
+    gradient (the whole one where it fits) or a bias gradient, never a
+    whole encoder's. The weight transposes the VJPs multiply by are
+    counted as parameters too: their size is the weights', whatever the
+    batch. Step1's and step3's passes take as many sub-batches as fit in
+    step3's peak for one, so the step1 window may reach act_peak (and a
     budget trip there) where step3 sets it. cache_floats is the largest
     gradient-cache count over the step, summed over workers in multi
     mode.
@@ -135,8 +140,9 @@ class StepStats:
     ``_apply_optimizer``, the copies ``multiworker.reduce_grads`` makes,
     the loss kernels' per-row columns of a strip, or the iteration
     buffer numpy gives a broadcasting ufunc call, freed when the call
-    returns: up to ``np.getbufsize()`` elements, and at most one row
-    inside the loss kernels' strip loops (``kernels._row_buffer``).
+    returns: up to ``np.getbufsize()`` elements, at most one row inside
+    the loss kernels' strip loops (``kernels._row_buffer``), and at most
+    ``kernels.PASS_BUFSIZE`` inside the encoder passes' loops.
     """
 
     fwd_rows: int
@@ -217,46 +223,54 @@ def step_stats(meters=None):
 # the cached procedure
 # ---------------------------------------------------------------------------
 
-def _step1_chunks(params, rows, chunks):
-    """The passes step1 runs one side's rows in: R rows each, R the
-    largest multiple of the side's sub-batch b whose
-    ``encoders.forward_rows`` floats fit in step3's for b, tail tiles
-    counted on both sides; the sub-batches themselves if no larger R
-    fits. Step1 keeps no graph, so it needs fewer floats per row than
-    step3, and takes more rows per pass for the same peak."""
+def _side_passes(params, rows, chunks, step3=False):
+    """Step1's (or step3's) passes over one side's rows, and the floats
+    step3's buffer takes: R rows each, R the largest multiple of the
+    sub-batch b whose floats (``encoders.forward_floats``, or
+    ``autodiff.encoder_lines`` with weight gradients in their smallest
+    blocks), tail tiles counted, fit in step3's for b; the chunks if no
+    R > b does or they are not b-row sub-batches in order. O(layers)."""
     if not chunks:
-        return chunks
+        return chunks, 0
     widths = ad.encoder_widths(rows.shape, params.arrays)
     keep_top = params.activations[-1] != "linear"
-    b = max(hi - lo for lo, hi in chunks)
+    b, n = max(hi - lo for lo, hi in chunks), rows.shape[0]
     # step3 runs no forward through a linear top
-    budget = (ad.encoder_floats(b, widths, keep_top)
-              + kernels.tail_floats(widths if keep_top else widths[:-1],
-                                    chunks))
-    n, per_row = rows.shape[0], encoders.forward_floats(1, widths)
-    top = -(-n // b)
-    if per_row:
-        top = min(top, budget // (b * per_row))
-    for j in range(top, 1, -1):
-        passes = _chunk_ranges(n, j * b)
-        if (min(j * b, n) * per_row + kernels.tail_floats(widths, passes)
-                <= budget):
-            return passes
-    return chunks
+    tails = widths if keep_top else widths[:-1]
+    whole = ad.encoder_floats(b, widths, keep_top)
+    budget = whole + kernels.tail_floats(tails, chunks)
+    if step3:
+        lines = list(ad.encoder_lines(widths, keep_top, True))
+    else:
+        lines, tails = [(encoders.forward_floats(1, widths), 0)], widths
+
+    def most(room):  # sub-batches per pass whose floats fit in room
+        return min([-(-n // b)] + [(room - d) // (c * b)
+                                   for c, d in lines if c])
+
+    # above `low` a pass fits only with no tail tile
+    low = max(1, most(budget - kernels.tail_floats(tails, [(0, 1)])))
+    R = b * next((j for j in range(most(budget), low, -1)
+                  if j * b % kernels.TILE == n % (j * b) % kernels.TILE
+                  == 0), low)
+    if R == b or chunks != _chunk_ranges(n, b):
+        return chunks, whole
+    passes = _chunk_ranges(n, R)
+    return passes, budget - kernels.tail_floats(tails, passes)
 
 
 def step1_graphless_forward(batch, params_f, params_g, plan):
     """Encode every row without recording; collect all representations.
 
-    Each side runs in the passes of ``_step1_chunks``, or, if the plan
+    Each side runs in the passes of ``_side_passes``, or, if the plan
     runs no step3, in its sub-batches. A row's representation does not
     depend on the pass it is in.
     """
     a_chunks, t_chunks = plan.anchor_chunks, plan.target_chunks
     with memtrace.phase("step1"):
         if plan.runs_step3:
-            a_chunks = _step1_chunks(params_f, batch.anchors, a_chunks)
-            t_chunks = _step1_chunks(params_g, batch.targets, t_chunks)
+            a_chunks = _side_passes(params_f, batch.anchors, a_chunks)[0]
+            t_chunks = _side_passes(params_g, batch.targets, t_chunks)[0]
         F = memtrace.register(np.empty((batch.n_anchors, params_f.out_dim)),
                               "representation-store")
         G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
@@ -286,35 +300,38 @@ def _zero_grads(params):
 
 
 def _accumulate_side(params, rows, chunks, seed_rows, grads):
-    """A side's encoder passes, with no tape, in one buffer registered
+    """A side's encoder passes (``_side_passes``), with no tape and at
+    ``kernels.PASS_BUFSIZE``'s ufunc buffer, in one buffer registered
     while the side runs and laid out by ``autodiff.encoder_views`` (made
-    once for the largest chunk): each chunk's forward keeps what its VJP
-    reads, and the VJP, seeded with the chunk's cached rows, adds each
+    once for the tallest pass): each pass's forward keeps what its VJP
+    reads, and the VJP, seeded with the pass's cached rows, adds each
     layer's gradients into grads."""
     if not chunks:
         return
     arrays, acts = params.arrays, params.activations
     widths = ad.encoder_widths(rows.shape, arrays)
     keep_top = acts[-1] != "linear"
-    b = max(hi - lo for lo, hi in chunks)
+    passes, floats = _side_passes(params, rows, chunks, True)
+    R = max(hi - lo for lo, hi in passes)
     wts = ad.weight_transposes(arrays, False)
-    buf = memtrace.register(np.empty(ad.encoder_floats(b, widths, keep_top)))
-    full = ad.encoder_views(buf, b, widths, keep_top)
-    for lo, hi in chunks:
-        outs, scratch = (full if hi - lo == b else
-                         ad.encoder_views(buf, hi - lo, widths, keep_top))
-        x = rows[lo:hi]
-        ad.encoder_forward(x, arrays, acts, outs)
-        count("fwd_rows", hi - lo)
-        ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads,
-                       scratch, wts)
-        count("bwd_rows", hi - lo)
+    buf = memtrace.register(np.empty(floats))
+    full = ad.encoder_views(buf, R, widths, keep_top)
+    with kernels._row_buffer(kernels.PASS_BUFSIZE):
+        for lo, hi in passes:
+            outs, scratch = (full if hi - lo == R else ad.encoder_views(
+                buf, hi - lo, widths, keep_top))
+            x = rows[lo:hi]
+            ad.encoder_forward(x, arrays, acts, outs)
+            count("fwd_rows", hi - lo)
+            ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads,
+                           scratch, wts)
+            count("bwd_rows", hi - lo)
 
 
 def step3_accumulate(batch, params_f, params_g, plan, cache):
-    """Per-sub-batch encoder passes seeded from the cache; grads summed.
-
-    Chunks run in the plan's order, which sets the order of the sums.
+    """Encoder passes over runs of sub-batches, seeded from the cache;
+    grads summed. Passes run in the plan's order, which sets the order
+    of the sums.
     """
     if not cache.filled:
         raise CacheNotFilledError(

@@ -499,6 +499,35 @@ def test_dense_matches_three_op_layer_bitwise(act):
                 assert np.array_equal(a, r), (act, k, m, n, name)
 
 
+@pytest.mark.parametrize("n,k_in,k_out", [(16, 128, 128), (48, 127, 128),
+                                         (16, 23, 16), (32, 24, 32)])
+def test_weight_gradient_blocks_change_no_bit(n, k_in, k_out):
+    # encoder_vjp forms a weight gradient in near-equal row blocks that fit
+    # its scratch, each a column slice of the layer input times g: at
+    # every limit from the smallest block (2 rows, 3 for an odd k_in) to
+    # the whole product, ragged against k_in or not, the blocks add the
+    # whole product's bits into accumulators that already hold a sum; a
+    # scratch short of the smallest block raises
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(n, k_in))
+    arrays = [rng.normal(size=(k_in, k_out)), rng.normal(size=k_out)]
+    g = rng.normal(size=(n, k_out))
+
+    def grads(rows):
+        acc = [np.full((k_in, k_out), 0.5), np.full(k_out, 0.5)]
+        ad.encoder_vjp(x, arrays, ["linear"], [None], g, acc,
+                       [np.empty(rows * k_out)], [None])
+        return [a.tobytes() for a in acc]
+
+    want = grads(k_in)
+    assert want[0] == (0.5 + x.T @ g).tobytes()
+    smallest = 2 + k_in % 2
+    for rows in range(smallest, k_in):
+        assert grads(rows) == want, rows
+    with pytest.raises(ValueError):
+        grads(smallest - 1)
+
+
 def test_dense_vjp_returns_fresh_arrays():
     # linear has no slope to apply: no gradient may alias the seed, and
     # no slope may be written into the seed or the node's output

@@ -102,6 +102,8 @@ def test_row_contract_holds_with_one_blas_thread():
         # BLAS layout of its own: the taped layer, the encoder node and
         # step3's chunks must still agree bitwise
         "test_autodiff.py::test_dense_matches_three_op_layer_bitwise",
+        # a weight gradient's row blocks are bitwise the whole product
+        "test_autodiff.py::test_weight_gradient_blocks_change_no_bit",
         "test_trainer.py::"
         "test_step3_chunks_equal_the_taped_encoder_node_bitwise",
         # dG's bits do not depend on the target blocks, and one strip's
@@ -116,8 +118,9 @@ def test_row_contract_holds_with_one_blas_thread():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # the strip-height test runs at three temperatures, the head-scores
     # test at three activations, the two encoder tests at three
-    # activation sets each, and the block-size test at six shapes
-    assert "22 passed" in proc.stdout, proc.stdout
+    # activation sets each, the weight-gradient block test at four shapes
+    # and the target-block test at six
+    assert "26 passed" in proc.stdout, proc.stdout
 
 
 def test_loss_kernels_leave_their_inputs_unchanged():

@@ -543,7 +543,8 @@ def test_step2_peak_is_the_larger_of_the_kernel_and_tape_terms(n_s, n_t,
 # what no meter sees: numpy (2.x) gives a ufunc call that broadcasts an
 # operand, such as a bias row or a per-row column, an iteration buffer of
 # up to np.getbufsize() elements (one row inside the loss kernels' strip
-# loops), freed when the call returns; and
+# loops, kernels.PASS_BUFSIZE inside the encoder passes' loops), freed
+# when the call returns; and
 # Python objects (views, lists, the meter's weakrefs) and first-call
 # allocations, under ORACLE_SLACK floats (about 1000 are seen: the
 # meter's weakrefs and its dict's growth, views, numpy's call overhead).
@@ -574,11 +575,13 @@ def test_meter_sees_every_buffer_of_the_cached_step(act):
     # the same oracle, absolute, in every phase: step1's and step3's
     # buffers, the strip kernel's and the alignment term's arrays. The
     # broadcasts are the bias adds of step1's passes of 80 rows and
-    # step3's sub-batches of 16, 128 wide, and the strip's per-row
-    # columns, whose buffer the strip loop holds to one row of 128
-    # scores; the best of two runs drops first-call allocations
+    # step3's of 48, 128 wide, whose buffer the passes' loops hold to
+    # kernels.PASS_BUFSIZE, and the strip's per-row columns, whose buffer
+    # the strip loop holds to one row of 128 scores; the best of two runs
+    # drops first-call allocations
     runs = [_floats_the_meter_misses(act) for _ in range(2)]
-    bounds = {"step1": 80 * 128, "step2": 128, "step3": 16 * 128}
+    bounds = {"step1": kernels.PASS_BUFSIZE, "step2": 128,
+              "step3": kernels.PASS_BUFSIZE}
     for phase, floats in bounds.items():
         missed = min(run[phase] for run in runs)
         assert missed <= _ufunc_buffer(floats) + ORACLE_SLACK, phase

@@ -233,27 +233,28 @@ def test_activation_peak_independent_of_batch_size():
     assert peaks[0] == peaks[1] == peaks[2]
 
 
-def _step3_peak(widths, n, b):
+def _step3_peak(widths, n, b, keep_top=False):
     """The cached step's act_peak for n rows, sub-batch b and encoder
-    widths with a linear top layer.
+    widths with a linear top layer, or a sloped one if keep_top, were
+    step3 to run in its sub-batches.
 
-    Each encoder's step3 buffer holds its layer outputs below the top,
-    stacked, and after each layer's output that layer's scratch: the
-    weight gradient, then the smaller bias gradient, then the gradient of
-    the layer below (none below the first layer); the top layer's
-    scratch starts after the output below it. A chunk of other than a
-    multiple of TILE rows adds, while a layer's forward runs, the tiled
-    matmul's zero-padded tail tile and its product; step3 skips the top
-    layer's forward.
+    Each encoder's step3 buffer holds its layer outputs below the top
+    (and the top's, if kept), stacked, and after each layer's output
+    that layer's scratch: the weight gradient, then the smaller bias
+    gradient, then the gradient of the layer below (none below the first
+    layer); a linear top's scratch starts after the output below it. A
+    chunk of other than a multiple of TILE rows adds, while a layer's
+    forward runs, the tiled matmul's zero-padded tail tile and its
+    product; step3 skips a linear top's forward.
     """
     L = len(widths) - 1
-    buf = max(b * sum(widths[1:k]) + (b * widths[k] if k < L else 0)
+    buf = max(b * sum(widths[1:k + (k < L or keep_top)])
               + max(widths[k - 1] * widths[k],
                     b * widths[k - 1] if k > 1 else 0)
               for k in range(1, L + 1))
     short = b % TILE or n % b % TILE
-    tail = max((TILE * (widths[k - 1] + widths[k]) for k in range(1, L)),
-               default=0)
+    tail = max((TILE * (widths[k - 1] + widths[k])
+                for k in range(1, L + keep_top)), default=0)
     return buf + (tail if short else 0)
 
 
@@ -278,9 +279,11 @@ def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
 
 
 @pytest.mark.parametrize("mode,n,b,widths,act_peak,loss_peak", [
-    ("cache", 1024, 32, [24, 32, 16], 2048, 91136),
-    ("cache", 256, 16, [24, 128, 128, 16], 20480, 24832),
-    ("deep", 128, 16, [24, 32, 16], 1280, 9344),
+    pytest.param("cache", 1024, 32, [24, 32, 16], 2048, 91136,
+                 id="cache-b1024"),
+    pytest.param("cache", 256, 16, [24, 128, 128, 16], 20480, 24832,
+                 id="cache-wide-b256"),
+    pytest.param("deep", 128, 16, [24, 32, 16], 1280, 9344, id="deep-b128"),
 ])
 def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
                                                     act_peak, loss_peak):
@@ -311,9 +314,60 @@ def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
 def test_step1_passes_fill_step3s_budget_at_the_benchmark_shapes(n, b,
                                                                  widths, rows):
     p = encoders.init_params(6, widths)
-    chunks = trainer._step1_chunks(p, np.zeros((n, widths[0])),
-                                   trainer._chunk_ranges(n, b))
+    chunks, _ = trainer._side_passes(p, np.zeros((n, widths[0])),
+                                     trainer._chunk_ranges(n, b))
     assert chunks == trainer._chunk_ranges(n, rows)
+
+
+@pytest.mark.parametrize("n,b,widths,rows", [
+    pytest.param(1024, 32, [24, 32, 16], 32, id="cache-b1024"),
+    # 12288 floats of outputs and two 64-row blocks of the 128 x 128
+    # layer's weight gradient: 20480 of step3's 20480 floats for b
+    pytest.param(256, 16, [24, 128, 128, 16], 48, id="cache-wide-b256"),
+    pytest.param(128, 16, [24, 32, 16], 16, id="deep-b128"),
+])
+def test_step3_passes_fill_their_budget_at_the_benchmark_shapes(n, b, widths,
+                                                                rows):
+    # at 24-32-16 the input gradient binds, not the weight gradient, so
+    # step3 keeps its sub-batches; its buffer is what it was for them
+    p = encoders.init_params(6, widths)
+    passes, floats = trainer._side_passes(
+        p, np.zeros((n, widths[0])), trainer._chunk_ranges(n, b), True)
+    assert passes == trainer._chunk_ranges(n, rows)
+    assert floats == _step3_peak(widths, n, b)
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+def test_encoder_passes_keep_their_bits_at_any_ufunc_buffer(monkeypatch,
+                                                           act):
+    # step1's and step3's loops run at kernels.PASS_BUFSIZE's ufunc
+    # buffer, which bounds each bias add's: at numpy's default buffer and
+    # at 16 elements the representations, the cache and the gradients of
+    # 80-row step1 and 48-row step3 passes keep their bits, and the
+    # caller's buffer size is given back
+    n, widths, b = 64, [24, 128, 128, 16], 16
+    rng = np.random.default_rng(8)
+    batch = loss_mod.aligned_batch(rng.normal(size=(n, widths[0])),
+                                   rng.normal(size=(n, widths[0])))
+    pf = encoders.init_params(1, widths, act)
+    pg = encoders.init_params(2, widths, act)
+    plan = plan_subbatches(n, n, b, b)
+
+    def bits():
+        F, G = step1_graphless_forward(batch, pf, pg, plan)
+        cache, _ = step2_build_cache(F, G, batch.r, 1.0)
+        out = [F, G, cache.u_rows, cache.v_rows]
+        out += sum(step3_accumulate(batch, pf, pg, plan, cache), [])
+        return [a.tobytes() for a in out]
+
+    want = bits()
+    for size in (kernels.UFUNC_BUFSIZE, 16):
+        monkeypatch.setattr(kernels, "PASS_BUFSIZE", size)
+        assert bits() == want, size
+    with np.errstate():
+        np.setbufsize(32)
+        bits()
+        assert np.getbufsize() == 32
 
 
 def _peaks(step):
@@ -340,6 +394,15 @@ def _row_budget_cases(draw):
     )
 
 
+def _sub_batch_passes(params, rows, chunks, step3=False):
+    # the passes and step3 buffer of a step that runs both phases in its
+    # sub-batches
+    widths = ad.encoder_widths(rows.shape, params.arrays)
+    b = max(hi - lo for lo, hi in chunks)
+    return chunks, ad.encoder_floats(b, widths,
+                                     params.activations[-1] != "linear")
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(_row_budget_cases())
 # a linear top's tail tile is step1's alone: counted in step3's budget it
@@ -347,12 +410,14 @@ def _row_budget_cases(draw):
 @example(dict(mode="cache", widths=[4, 2, 8], acts=["tanh", "linear"],
               n_s=70, n_t=70, bs_s=8, bs_t=8, seed=0))
 def test_step1_passes_stay_within_step3s_peak(case):
-    # step1 runs more rows per pass than a sub-batch only where its
-    # buffer and tail tiles fit in step3's: against the same step with
-    # step1 in the sub-batches, the step's act_peak never rises, F and G
-    # and the loss are bitwise the same, and a step with no step3 keeps
-    # step1 as it was. Cases draw widths, activations (a sloped top
-    # included), ragged n, and sub-batches short of a tile or beyond n
+    # step1 and step3 run more rows per pass than a sub-batch only where
+    # their buffers and tail tiles fit in step3's for the sub-batch:
+    # against the same step run in the sub-batches, the step's act_peak
+    # never rises, step3's peak stays the sub-batches' (_step3_peak), F
+    # and G and the loss are bitwise the same, the parameters stay within
+    # 1e-9 of direct, and a step with no step3 keeps step1 as it was.
+    # Cases draw widths, activations (a sloped top included), ragged n,
+    # and sub-batches short of a tile or beyond n
     rng = np.random.default_rng(case["seed"])
     widths, n_s, n_t = case["widths"], case["n_s"], case["n_t"]
     batch = Batch(rng.normal(size=(n_s, widths[0])),
@@ -362,20 +427,20 @@ def test_step1_passes_stay_within_step3s_peak(case):
     pg = encoders.init_params(case["seed"] + 2, widths)
     pf.activations = pg.activations = list(case["acts"])
     bs_s, bs_t, mode = case["bs_s"], case["bs_t"], case["mode"]
-    opt = encoders.init_optimizer("sgd", 1e-2)
+    opt = encoders.init_optimizer("sgd", 1.0)
+    head = deep.init_distance_head(case["seed"] + 3, widths[-1], 4)
 
     def step():
         if mode == "cache":
             return train_step_cached(batch, pf, pg, opt,
                                      TrainConfig(1.0, bs_s, bs_t))
-        head = deep.init_distance_head(case["seed"] + 3, widths[-1], 4)
         return deep.train_step_deep(
             batch, pf, pg, head, opt,
             deep.DeepConfig(1.0, bs_s, bs_t, mode == "deep"))
 
     res, peaks = _peaks(step)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainer, "_step1_chunks", lambda params, rows, c: c)
+        mp.setattr(trainer, "_side_passes", _sub_batch_passes)
         ref_res, ref_peaks = _peaks(step)
     assert res.loss == ref_res.loss
     assert res.stats.act_peak <= ref_res.stats.act_peak
@@ -383,13 +448,22 @@ def test_step1_passes_stay_within_step3s_peak(case):
         assert "step3" not in peaks
         assert peaks == ref_peaks
     else:
-        assert peaks["step3"] == ref_peaks["step3"]
+        keep_top = case["acts"][-1] != "linear"
+        assert peaks["step3"] == ref_peaks["step3"] == max(
+            _step3_peak(widths, n, min(b, n), keep_top)
+            for n, b in ((n_s, bs_s), (n_t, bs_t)))
         assert peaks["step1"] <= max(peaks["step3"], ref_peaks["step1"])
         if ref_peaks["step1"] <= peaks["step3"]:
             assert res.stats.act_peak == ref_res.stats.act_peak
-    if mode == "cache" and case["acts"][-1] == "linear":
-        assert peaks["step3"] == max(_step3_peak(widths, n, min(b, n))
-                                     for n, b in ((n_s, bs_s), (n_t, bs_t)))
+        old = encoders.param_arrays(pf) + encoders.param_arrays(pg)
+        new = (encoders.param_arrays(res.params_f)
+               + encoders.param_arrays(res.params_g))
+        if mode == "cache":
+            gf, gg = direct_param_grads(batch, pf, pg, 1.0)[:2]
+        else:
+            gf, gg = deep.deep_direct_grads(batch, pf, pg, head, 1.0)[:2]
+        want = [a - g for a, g in zip(old, gf + gg)]
+        assert flat_max_rel_err(want, new) <= 1e-9
     plan = plan_subbatches(n_s, n_t, bs_s, bs_t)
     F, G = step1_graphless_forward(batch, pf, pg, plan)
     for p, rows, chunks, got in ((pf, batch.anchors, plan.anchor_chunks, F),
