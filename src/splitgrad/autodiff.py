@@ -310,24 +310,19 @@ def encoder_views(buf, n, widths, keep_top):
     return outs, scratch
 
 
-def encoder_lines(widths, keep_top, blocked):
-    """(c, d) pairs, c·n + d floats each, whose largest an n-row step3
-    pass's buffer holds: by layer, its scratch's offset (``encoder_views``)
-    plus its input gradient (none for the first layer) or its weight
-    gradient, whole or, if blocked, in ``encoder_vjp``'s smallest row
-    blocks (2 rows, 3 for an odd k_in > 2)."""
+def encoder_floats(n, widths, keep_top, blocked=False):
+    """Floats of the buffer an n-row step3 pass works in: the largest, by
+    layer, of its scratch's offset (``encoder_views``) plus its input
+    gradient (none for the first layer) or its weight gradient, whole or,
+    if blocked, in ``encoder_vjp``'s smallest row blocks (2 rows, 3 for an
+    odd k_in > 2)."""
+    most = 0
     for k, (_, at) in enumerate(_encoder_layout(widths, keep_top), 1):
         k_in, k_out = widths[k - 1], widths[k]
         rows = -(-k_in // max(1, k_in // 2)) if blocked else k_in
-        yield at, rows * k_out
-        if k > 1:
-            yield at + k_in, 0
-
-
-def encoder_floats(n, widths, keep_top):
-    """Floats of the buffer an n-row step3 pass works in, by
-    ``encoder_lines`` with whole weight gradients."""
-    return max(c * n + d for c, d in encoder_lines(widths, keep_top, False))
+        most = max(most, n * at + rows * k_out,
+                   n * (at + k_in) if k > 1 else 0)
+    return most
 
 
 def encoder_forward(x, arrays, acts, outs):

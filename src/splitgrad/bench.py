@@ -102,7 +102,8 @@ def validate_config(cfg):
             f"unknown encoder_activation {cfg.encoder_activation!r}; choose "
             f"from {kernels.ACTIVATIONS}"
         )
-    for name in ("encoder_hidden", "embed_dim", "phi_hidden"):
+    for name in ("encoder_hidden", "embed_dim", "phi_hidden", "in_dim_s",
+                 "in_dim_t", "latent_dim"):
         if getattr(cfg, name) < 1:
             raise ConfigError(
                 f"{name} must be >= 1, got {getattr(cfg, name)}"

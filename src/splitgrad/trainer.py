@@ -20,24 +20,15 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   into one buffer per parameter (step3); finally the optimizer runs
   once (step4). Peak activation memory in steps 1 and 3 depends only on
   the sub-batch size: each encoder's passes in a phase work in one flat
-  buffer. With a linear top, step3's for sub-batch b and widths w0..wL
-  (``autodiff.encoder_views``) is ``max_k [b·Σ_{i<k} w_i + [k<L]·b·w_k +
-  max(w_{k−1}·w_k, [k>1]·b·w_{k−1})]`` floats. Either phase adds, for a
-  pass of other than a multiple of ``kernels.TILE`` rows, the tiled
-  matmul's tail tile and its product. Both run passes of R rows, R the
-  largest multiple of b whose floats, tail tiles counted, fit in step3's
-  for b (``_side_passes``). Step1's (``encoders.forward_rows``) keeps no
-  graph: two halves, R·(max of the odd-numbered w_k + max of the even):
-  80 rows at sub-batch 16 for widths 24-128-128-16. Step3's holds R rows
-  of outputs and input gradients, and forms each weight gradient in row
-  blocks of at least 2 rows that fit in the rest (``encoder_vjp``): 48
-  rows there, the 128 x 128 weight's in two 64-row blocks. Where the
-  input gradient binds (24-32-16), R stays b; a step with no step3 keeps
-  R = b in step1. A pass is a run of consecutive sub-batches, so the
-  sums keep the plan's order. Step3's VJPs form each input gradient
-  against a
-  contiguous transpose of its weight, made once per encoder and side
-  and counted as parameters. Step2 is one
+  buffer (``encoders.forward_rows``' in step1, ``autodiff.encoder_floats``
+  in step3, whose VJP forms each weight gradient in row blocks that fit),
+  and each phase's passes take as many consecutive sub-batches as fit,
+  tail tiles counted, in step3's buffer for one (``_pass_plan`` states
+  the rule); a step with no step3 keeps step1 in its sub-batches. As a
+  pass is a run of consecutive sub-batches, the sums keep the plan's
+  order. Step3's VJPs form each input gradient against a contiguous
+  transpose of its weight, made once per encoder and side and counted
+  as parameters. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   It holds the larger of the kernel's term (in its docstring) and the
@@ -52,6 +43,7 @@ Forward/backward work is tallied in module counters as encoder rows
 processed, so op-count claims are measured rather than assumed.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +118,9 @@ class StepStats:
     gradient (the whole one where it fits) or a bias gradient, never a
     whole encoder's. The weight transposes the VJPs multiply by are
     counted as parameters too: their size is the weights', whatever the
-    batch. Step1's and step3's passes take as many sub-batches as fit in
-    step3's peak for one, so the step1 window may reach act_peak (and a
-    budget trip there) where step3 sets it. cache_floats is the largest
+    batch. Step1's and step3's passes (``_pass_plan``) fit in step3's
+    peak for one sub-batch, so the step1 window may reach act_peak (and
+    a budget trip there) where step3 sets it. cache_floats is the largest
     gradient-cache count over the step, summed over workers in multi
     mode.
 
@@ -223,54 +215,65 @@ def step_stats(meters=None):
 # the cached procedure
 # ---------------------------------------------------------------------------
 
-def _side_passes(params, rows, chunks, step3=False):
-    """Step1's (or step3's) passes over one side's rows, and the floats
-    step3's buffer takes: R rows each, R the largest multiple of the
-    sub-batch b whose floats (``encoders.forward_floats``, or
-    ``autodiff.encoder_lines`` with weight gradients in their smallest
-    blocks), tail tiles counted, fit in step3's for b; the chunks if no
-    R > b does or they are not b-row sub-batches in order. O(layers)."""
+def _side_plan(params, rows, chunks):
+    """``_pass_plan`` for one side's rows in the given chunks."""
+    return _pass_plan(tuple(ad.encoder_widths(rows.shape, params.arrays)),
+                      params.activations[-1] != "linear", rows.shape[0],
+                      tuple(chunks))
+
+
+@functools.cache
+def _pass_plan(widths, keep_top, n, chunks):
+    """(step1's passes, step3's passes, step3's buffer floats) for n rows
+    in chunks through layers of widths; cached, so made once per shape.
+
+    For b-row sub-batches in row order, each phase runs passes of R
+    rows: the tallest R of b·⌈n/b⌉, ..., 2b whose floats for min(R, n)
+    rows (``encoders.forward_floats`` in step1, ``autodiff.encoder_floats``
+    with blocked weight gradients in step3) and tail tiles
+    (``kernels.tail_floats``) fit in the budget, step3's floats for b and
+    the sub-batches' tail tiles. Where no R fits, and for other chunks
+    (a reversed plan keeps its order), the phase runs the chunks. Step3's
+    buffer is the budget less its passes' tail tiles, so its peak is the
+    chunks'.
+    """
     if not chunks:
-        return chunks, 0
-    widths = ad.encoder_widths(rows.shape, params.arrays)
-    keep_top = params.activations[-1] != "linear"
-    b, n = max(hi - lo for lo, hi in chunks), rows.shape[0]
+        return chunks, chunks, 0
+    b = max(hi - lo for lo, hi in chunks)
     # step3 runs no forward through a linear top
-    tails = widths if keep_top else widths[:-1]
-    whole = ad.encoder_floats(b, widths, keep_top)
-    budget = whole + kernels.tail_floats(tails, chunks)
-    if step3:
-        lines = list(ad.encoder_lines(widths, keep_top, True))
-    else:
-        lines, tails = [(encoders.forward_floats(1, widths), 0)], widths
+    tails3 = widths if keep_top else widths[:-1]
+    budget = (ad.encoder_floats(b, widths, keep_top)
+              + kernels.tail_floats(tails3, chunks))
+    heights = (range(b * -(-n // b), b, -b)
+               if chunks == tuple(_chunk_ranges(n, b)) else ())
 
-    def most(room):  # sub-batches per pass whose floats fit in room
-        return min([-(-n // b)] + [(room - d) // (c * b)
-                                   for c, d in lines if c])
+    def passes(floats, tails):
+        for R in heights:
+            # R-row passes hold min(R, n) rows, the last one n % R
+            m = min(R, n)
+            if floats(m) + kernels.tail_floats(
+                    tails, [(0, m), (0, n % R)]) <= budget:
+                return tuple(_chunk_ranges(n, R))
+        return chunks
 
-    # above `low` a pass fits only with no tail tile
-    low = max(1, most(budget - kernels.tail_floats(tails, [(0, 1)])))
-    R = b * next((j for j in range(most(budget), low, -1)
-                  if j * b % kernels.TILE == n % (j * b) % kernels.TILE
-                  == 0), low)
-    if R == b or chunks != _chunk_ranges(n, b):
-        return chunks, whole
-    passes = _chunk_ranges(n, R)
-    return passes, budget - kernels.tail_floats(tails, passes)
+    step3 = passes(lambda m: ad.encoder_floats(m, widths, keep_top, True),
+                   tails3)
+    return (passes(lambda m: encoders.forward_floats(m, widths), widths),
+            step3, budget - kernels.tail_floats(tails3, step3))
 
 
 def step1_graphless_forward(batch, params_f, params_g, plan):
     """Encode every row without recording; collect all representations.
 
-    Each side runs in the passes of ``_side_passes``, or, if the plan
+    Each side runs in step1's passes of ``_side_plan``, or, if the plan
     runs no step3, in its sub-batches. A row's representation does not
     depend on the pass it is in.
     """
     a_chunks, t_chunks = plan.anchor_chunks, plan.target_chunks
     with memtrace.phase("step1"):
         if plan.runs_step3:
-            a_chunks = _side_passes(params_f, batch.anchors, a_chunks)[0]
-            t_chunks = _side_passes(params_g, batch.targets, t_chunks)[0]
+            a_chunks = _side_plan(params_f, batch.anchors, a_chunks)[0]
+            t_chunks = _side_plan(params_g, batch.targets, t_chunks)[0]
         F = memtrace.register(np.empty((batch.n_anchors, params_f.out_dim)),
                               "representation-store")
         G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
@@ -300,7 +303,7 @@ def _zero_grads(params):
 
 
 def _accumulate_side(params, rows, chunks, seed_rows, grads):
-    """A side's encoder passes (``_side_passes``), with no tape and at
+    """A side's step3 passes (``_side_plan``), with no tape and at
     ``kernels.PASS_BUFSIZE``'s ufunc buffer, in one buffer registered
     while the side runs and laid out by ``autodiff.encoder_views`` (made
     once for the tallest pass): each pass's forward keeps what its VJP
@@ -311,7 +314,7 @@ def _accumulate_side(params, rows, chunks, seed_rows, grads):
     arrays, acts = params.arrays, params.activations
     widths = ad.encoder_widths(rows.shape, arrays)
     keep_top = acts[-1] != "linear"
-    passes, floats = _side_passes(params, rows, chunks, True)
+    _, passes, floats = _side_plan(params, rows, chunks)
     R = max(hi - lo for lo, hi in passes)
     wts = ad.weight_transposes(arrays, False)
     buf = memtrace.register(np.empty(floats))

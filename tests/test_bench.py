@@ -675,6 +675,26 @@ def test_cli_unknown_activation_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["profile", "train"])
+@pytest.mark.parametrize("line", ["in_dim_s = 0", "in_dim_t = -3",
+                                  "latent_dim = 0"])
+def test_cli_bad_input_widths_exit_2(tmp_path, verb, line):
+    # profile builds no task, so only validate_config stands between a
+    # bad width and a traceback (or, for latent_dim, a run that succeeds)
+    config = _fast_config(tmp_path)
+    with open(config, "a") as fh:
+        fh.write(line + "\n")
+    out = tmp_path / "run"
+    proc = _cli(verb, "--mode", "cache", "--config", config, *_FAST,
+                "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert f"{line.split()[0]} must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_cli_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("batchsize = 64\n")

@@ -5,6 +5,9 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
+
+from splitgrad import encoders, trainer
 from splitgrad.bench import RunConfig, profile_single_step
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,3 +41,21 @@ def test_step2_figure_is_the_measured_loss_phase_peak():
         mode="cache", batch_size=1024, sub_batch_s=32, sub_batch_t=32,
         embed_dim=16))
     assert profile["loss_phase_peak"] == int(figures[0])
+
+
+def test_pass_heights_are_the_plans():
+    # the step1 / step3 pass heights the README cites are the ones the
+    # plan gives each encoder at its sub-batch, on a batch of 1024 rows
+    text = " ".join(README.read_text().split())
+    cited = re.findall(r"(\d+) / (\d+) rows at sub-batch (\d+) on a "
+                       r"([\d-]+)", text)
+    assert len(cited) == 2, cited
+    assert {c[3] for c in cited} == {"24-128-128-16", "24-32-16"}
+    for step1, step3, b, widths in cited:
+        widths = [int(w) for w in widths.split("-")]
+        p = encoders.init_params(0, widths)
+        passes1, passes3, _ = trainer._side_plan(
+            p, np.zeros((1024, widths[0])),
+            trainer._chunk_ranges(1024, int(b)))
+        # each phase's first pass is (0, R)
+        assert (passes1[0][1], passes3[0][1]) == (int(step1), int(step3))

@@ -314,9 +314,9 @@ def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
 def test_step1_passes_fill_step3s_budget_at_the_benchmark_shapes(n, b,
                                                                  widths, rows):
     p = encoders.init_params(6, widths)
-    chunks, _ = trainer._side_passes(p, np.zeros((n, widths[0])),
-                                     trainer._chunk_ranges(n, b))
-    assert chunks == trainer._chunk_ranges(n, rows)
+    chunks = trainer._side_plan(p, np.zeros((n, widths[0])),
+                                trainer._chunk_ranges(n, b))[0]
+    assert list(chunks) == trainer._chunk_ranges(n, rows)
 
 
 @pytest.mark.parametrize("n,b,widths,rows", [
@@ -331,10 +331,45 @@ def test_step3_passes_fill_their_budget_at_the_benchmark_shapes(n, b, widths,
     # at 24-32-16 the input gradient binds, not the weight gradient, so
     # step3 keeps its sub-batches; its buffer is what it was for them
     p = encoders.init_params(6, widths)
-    passes, floats = trainer._side_passes(
-        p, np.zeros((n, widths[0])), trainer._chunk_ranges(n, b), True)
-    assert passes == trainer._chunk_ranges(n, rows)
+    _, passes, floats = trainer._side_plan(
+        p, np.zeros((n, widths[0])), trainer._chunk_ranges(n, b))
+    assert list(passes) == trainer._chunk_ranges(n, rows)
     assert floats == _step3_peak(widths, n, b)
+
+
+@pytest.mark.parametrize("widths,top,n,b,phase,heights", [
+    # one pass covers every row: n rows, whole tiles, fit the budget
+    ([24, 32, 16], "linear", 16, 3, "step3", [16]),
+    ([24, 32, 16], "linear", 32, 5, "step1", [32]),
+    ([4, 2, 8], "linear", 16, 3, "step3", [16]),
+    # no layer costs step1 floats per row, but every candidate's
+    # 32-float tail tile overruns step3's 1-float budget; step3 keeps no
+    # output of a lone linear layer and runs no forward, so no row costs
+    # it a float either, and it runs one pass
+    ([1, 1], "linear", 500, 8, "step1", [8] * 62 + [4]),
+    ([1, 1], "linear", 500, 8, "step3", [500]),
+])
+def test_pass_plan_counts_the_rows_a_pass_holds(widths, top, n, b, phase,
+                                                 heights):
+    p = encoders.init_params(6, widths)
+    p.activations[-1] = top
+    step1, step3, _ = trainer._side_plan(p, np.zeros((n, widths[0])),
+                                         trainer._chunk_ranges(n, b))
+    passes = step1 if phase == "step1" else step3
+    assert [hi - lo for lo, hi in passes] == heights
+
+
+@pytest.mark.parametrize("n_s,n_t,searches", [(24, 30, 2), (24, 24, 1)])
+def test_pass_plan_is_made_once_per_side_shape(n_s, n_t, searches):
+    # two cached steps call the plan four times each: the search runs
+    # once per side shape, and every other call reads its result
+    batch, pf, pg = _setup(n_s=n_s, n_t=n_t)
+    opt = encoders.init_optimizer("sgd", 1e-2)
+    trainer._pass_plan.cache_clear()
+    for _ in range(2):
+        train_step_cached(batch, pf, pg, opt, TrainConfig(1.0, 8, 8))
+    info = trainer._pass_plan.cache_info()
+    assert (info.misses, info.hits) == (searches, 8 - searches)
 
 
 @pytest.mark.parametrize("act", ["tanh", "relu"])
@@ -381,7 +416,7 @@ def _peaks(step):
 @st.composite
 def _row_budget_cases(draw):
     widths = ([draw(st.integers(1, 12))]
-              + draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+              + draw(st.lists(st.integers(1, 40), max_size=3))
               + [draw(st.integers(1, 10))])
     sizes = st.sampled_from((1, 3, 8, 16, 17, 32, 48))
     return dict(
@@ -394,13 +429,12 @@ def _row_budget_cases(draw):
     )
 
 
-def _sub_batch_passes(params, rows, chunks, step3=False):
-    # the passes and step3 buffer of a step that runs both phases in its
-    # sub-batches
+def _sub_batch_plan(params, rows, chunks):
+    # the plan of a step that runs both phases in its sub-batches
     widths = ad.encoder_widths(rows.shape, params.arrays)
     b = max(hi - lo for lo, hi in chunks)
-    return chunks, ad.encoder_floats(b, widths,
-                                     params.activations[-1] != "linear")
+    return chunks, chunks, ad.encoder_floats(
+        b, widths, params.activations[-1] != "linear")
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -409,6 +443,19 @@ def _sub_batch_passes(params, rows, chunks, step3=False):
 # would admit 16-row passes whose tail tops step3's peak
 @example(dict(mode="cache", widths=[4, 2, 8], acts=["tanh", "linear"],
               n_s=70, n_t=70, bs_s=8, bs_t=8, seed=0))
+# one pass covers every row and holds n rows, not a multiple of b: step3
+# runs one 16-row pass at b = 3, step1 one 32-row pass at b = 5, and at
+# 4-2-8 the act peak falls below the sub-batches' (118 against 166)
+@example(dict(mode="cache", widths=[24, 32, 16], acts=["tanh", "linear"],
+              n_s=16, n_t=16, bs_s=3, bs_t=3, seed=0))
+@example(dict(mode="deep", widths=[24, 32, 16], acts=["tanh", "linear"],
+              n_s=32, n_t=32, bs_s=5, bs_t=5, seed=0))
+@example(dict(mode="cache", widths=[4, 2, 8], acts=["tanh", "linear"],
+              n_s=16, n_t=16, bs_s=3, bs_t=3, seed=0))
+# a single linear layer: every step1 candidate's tail tile overruns
+# step3's budget, so step1 keeps the sub-batches
+@example(dict(mode="cache", widths=[1, 1], acts=["linear"],
+              n_s=500, n_t=500, bs_s=8, bs_t=8, seed=0))
 def test_step1_passes_stay_within_step3s_peak(case):
     # step1 and step3 run more rows per pass than a sub-batch only where
     # their buffers and tail tiles fit in step3's for the sub-batch:
@@ -440,7 +487,7 @@ def test_step1_passes_stay_within_step3s_peak(case):
 
     res, peaks = _peaks(step)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainer, "_side_passes", _sub_batch_passes)
+        mp.setattr(trainer, "_side_plan", _sub_batch_plan)
         ref_res, ref_peaks = _peaks(step)
     assert res.loss == ref_res.loss
     assert res.stats.act_peak <= ref_res.stats.act_peak
