@@ -85,14 +85,17 @@ def validate_config(cfg):
                 f"mode {cfg.mode!r} requires positive sub-batch sizes, got "
                 f"{cfg.sub_batch_s} / {cfg.sub_batch_t}"
             )
-    if cfg.mode == "multi" and cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    if cfg.mode == "multi" and not 1 <= cfg.workers <= cfg.batch_size:
+        raise ConfigError(f"workers must be in [1, batch_size "
+                          f"{cfg.batch_size}], got {cfg.workers}")
     try:
         loss_mod.validate_temperature(cfg.temperature)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.optimizer not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if not (cfg.lr > 0 and np.isfinite(cfg.lr)):
@@ -348,14 +351,19 @@ MODES = tuple(STEPS)
 
 
 def _check_finite(mode, step_idx, loss, state):
-    """Stop a run whose loss or updated parameters left the finite floats."""
+    """Stop a run whose loss, updated parameters or optimizer state
+    (Adam's v, where a gradient's square overflows) left the finite
+    floats."""
     arrays = state.params_f.arrays + state.params_g.arrays
     if state.head is not None:
         arrays += deep_mod.head_arrays(state.head)
+    moments = (state.opt_state.m or []) + (state.opt_state.v or [])
     if not np.isfinite(loss):
         what = f"loss {loss}"
     elif not all(np.isfinite(a).all() for a in arrays):
         what = "parameters"
+    elif not all(np.isfinite(a).all() for a in moments):
+        what = "optimizer state"
     else:
         return
     raise NonFiniteError(

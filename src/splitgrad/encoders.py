@@ -6,8 +6,10 @@ layer is linear so embeddings are unconstrained. The same code path runs
 taped and graph-less, which is what makes the two modes bit-identical:
 ``autodiff.encoder_forward`` and ``encoder_vjp`` are the one encoder
 loop. A taped pass (``encode_graph``) records one ``encoder`` node over
-all layers; ``forward_rows`` is the graph-less pass, chunk by chunk,
-that the cached step's step1 and ``encode``, the value-level entry, run.
+all layers. With no tape, ``forward_rows`` runs R-row passes of the
+forward, for the cached step's step1 and for ``encode``, the value-level
+entry, and ``accumulate_rows`` those of the forward and VJP, for step3's
+parameter gradients; the cached step picks R (``trainer._pass_plan``).
 
 An encoder's parameters are one flat list, ``EncoderParams.arrays`` =
 [w1, b1, w2, b2, ...]: the order the encoder loop, the gradient lists,
@@ -92,44 +94,74 @@ def encode(params, inputs):
     """Embed input rows without recording; returns a plain array, which
     is registered. The rows are bitwise those a tape would give."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    n = inputs.shape[0]
-    out = register(np.empty((n, params.out_dim)))
-    return forward_rows(params, inputs, [(0, n)], out)
+    out = register(np.empty((inputs.shape[0], params.out_dim)))
+    return forward_rows(params, inputs, inputs.shape[0], out)
 
 
 def forward_floats(n, widths):
-    """Floats of the buffer ``forward_rows`` makes for chunks of at most
-    n rows through layers of widths w0..wL: two halves of n rows, each
-    as wide as the widest layer below the top that it takes."""
+    """Floats of the buffer ``forward_rows`` makes for passes of n rows
+    through layers of widths w0..wL: two halves of n rows, each as wide
+    as the widest layer below the top that it takes."""
     hidden = widths[1:-1]
     return n * (max(hidden[::2], default=0) + max(hidden[1::2], default=0))
 
 
-def forward_rows(params, rows, chunks, out):
-    """Each (lo, hi) chunk of rows through the encoder, with no tape, its
-    top layer straight into out[lo:hi]; returns out. Layer k below the
-    top goes into half k % 2 of one registered buffer of
-    ``forward_floats`` for the largest chunk, viewed once for it, at
-    ``kernels.PASS_BUFSIZE``'s ufunc buffer."""
-    if not chunks:
-        return out
+def _row_passes(n, R, floats, views, run):
+    # run(lo, hi, views(buf, hi - lo)) for each R-row pass of n rows in
+    # order, the last one ragged, in one registered buffer of floats, at
+    # kernels.PASS_BUFSIZE's ufunc buffer; no rows make no buffer
+    if not n:
+        return
+    R = min(R, n)
+    buf = register(np.empty(floats))
+    full = views(buf, R)
+    with kernels._row_buffer(kernels.PASS_BUFSIZE):
+        for lo in range(0, n, R):
+            hi = min(lo + R, n)
+            run(lo, hi, full if hi - lo == R else views(buf, hi - lo))
+
+
+def forward_rows(params, rows, R, out):
+    """R-row passes of rows through the encoder, with no tape, each
+    pass's top layer straight into out[lo:hi]; returns out. Layer k
+    below the top goes into half k % 2 of one buffer of
+    ``forward_floats`` for the passes."""
     arrays, acts = params.arrays, params.activations
     widths = ad.encoder_widths(rows.shape, arrays)
-    b = max(hi - lo for lo, hi in chunks)
-    buf = register(np.empty(forward_floats(b, widths)))
-    # half 1 starts after b rows of half 0's widest layer
-    at = b * max(widths[1:-1:2], default=0)
+    m = min(R, rows.shape[0])
+    # half 1 starts after m rows of half 0's widest layer
+    at = m * max(widths[1:-1:2], default=0)
 
-    def views(n):
+    def views(buf, n):
         return [buf[k % 2 * at:][:n * w].reshape(n, w)
                 for k, w in enumerate(widths[1:-1])]
 
-    full = views(b)
-    with kernels._row_buffer(kernels.PASS_BUFSIZE):
-        for lo, hi in chunks:
-            outs = (full if hi - lo == b else views(hi - lo)) + [out[lo:hi]]
-            ad.encoder_forward(rows[lo:hi], arrays, acts, outs)
+    def run(lo, hi, outs):
+        ad.encoder_forward(rows[lo:hi], arrays, acts, outs + [out[lo:hi]])
+
+    _row_passes(rows.shape[0], R, forward_floats(m, widths), views, run)
     return out
+
+
+def accumulate_rows(params, rows, R, floats, seed_rows, grads):
+    """R-row passes of rows through the encoder and back, with no tape,
+    in one buffer of floats laid out by ``autodiff.encoder_views``: each
+    pass's forward keeps what its VJP reads, and the VJP, seeded with the
+    pass's rows of seed_rows, adds each layer's gradients into grads."""
+    arrays, acts = params.arrays, params.activations
+    widths = ad.encoder_widths(rows.shape, arrays)
+    keep_top = acts[-1] != "linear"
+    wts = ad.weight_transposes(arrays, False)
+
+    def run(lo, hi, layout):
+        outs, scratch = layout
+        x = rows[lo:hi]
+        ad.encoder_forward(x, arrays, acts, outs)
+        ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads,
+                       scratch, wts)
+
+    _row_passes(rows.shape[0], R, floats,
+                lambda buf, n: ad.encoder_views(buf, n, widths, keep_top), run)
 
 
 def make_leaves(params):
@@ -190,7 +222,9 @@ def init_optimizer(kind="adam", lr=1e-3):
 
 
 def optimizer_step(state, params, grads):
-    """One update over a flat list of arrays; pure in all arguments."""
+    """One update over a flat list of arrays; pure in all arguments. A
+    gradient whose square overflows leaves Adam's v infinite, unflagged:
+    a run's finite check (``bench._check_finite``) stops it."""
     if len(params) != len(grads):
         raise ValueError(
             f"optimizer_step: {len(params)} params vs {len(grads)} grads"
@@ -209,15 +243,11 @@ def optimizer_step(state, params, grads):
     v = state.v if state.v is not None else [np.zeros_like(p) for p in params]
     size = max((p.size for p in params), default=0)
     scratch = (np.empty(size), np.empty(size))
-    new_params, new_m, new_v = [], [], []
-    for p, g, mk, vk in zip(params, grads, m, v):
-        p2, m2, v2 = kernels.adam_update(
-            p, mk, vk, g, state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t,
-            scratch,
-        )
-        new_params.append(p2)
-        new_m.append(m2)
-        new_v.append(v2)
+    with np.errstate(over="ignore"):
+        steps = [kernels.adam_update(p, mk, vk, g, state.lr, ADAM_BETA1,
+                                     ADAM_BETA2, ADAM_EPS, t, scratch)
+                 for p, g, mk, vk in zip(params, grads, m, v)]
+    new_params, new_m, new_v = ([s[i] for s in steps] for i in range(3))
     return new_params, replace(state, t=t, m=new_m, v=new_v)
 
 

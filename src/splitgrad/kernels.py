@@ -97,12 +97,12 @@ def _tiled_matmul(x, w, out=None):
     return out
 
 
-def tail_floats(widths, chunks):
+def tail_floats(widths, n, R):
     """Floats ``_tiled_matmul`` registers, a zero-padded tail tile and its
-    product, when chunks of rows pass through products w0 x w1, w1 x w2,
-    ... of widths w0, w1, ...: the widest product's, if some chunk is
-    short of a whole tile, else none."""
-    if all((hi - lo) % TILE == 0 for lo, hi in chunks):
+    product, when n rows pass in R-row passes (the last holds n mod R)
+    through products w0 x w1, w1 x w2, ... of widths w0, w1, ...: the
+    widest product's, if some pass is short of a whole tile, else none."""
+    if min(R, n) % TILE == 0 and n % R % TILE == 0:
         return 0
     return TILE * max((a + b for a, b in zip(widths, widths[1:])), default=0)
 

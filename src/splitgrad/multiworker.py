@@ -7,7 +7,7 @@ start at (``a_lo``, ``t_lo``). A step exchanges data exactly twice:
 
 1. after the graph-less forward, an all-gather concatenates every
    worker's representations in rank order;
-2. after the per-sub-batch encoder passes, gradients are sum-reduced.
+2. after the step3 encoder passes, gradients are sum-reduced.
 
 Each worker builds the step2 cache over the gathered sets, normalized by
 the global anchor count, and its step3 reads views of the rows of its own
@@ -137,7 +137,7 @@ def train_step_multi(group, batch, config):
 
     Every worker runs, under its own meter with the active meter's
     budget: graph-less forward on its slice, all-gather, loss backward
-    over the gathered representations, per-sub-batch encoder passes
+    over the gathered representations, step3 encoder passes
     seeded from its own rows of that cache (no communication), sum
     reduction, and the optimizer update on its own replica. The result
     carries rank 0's replica.

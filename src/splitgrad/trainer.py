@@ -14,21 +14,18 @@ through ``_apply_optimizer``. Four step flavors are defined here:
 * ``train_step_cached``: the memory-constant procedure. A graph-less
   forward collects all representations (step1); the loss over the
   representation matrices alone gives its per-row gradients, the
-  representation gradient cache (step2); each sub-batch is then
-  re-encoded and backpropagated with its cached rows as the seed, in
-  encoder passes with no tape, its parameter gradients added in place
-  into one buffer per parameter (step3); finally the optimizer runs
-  once (step4). Peak activation memory in steps 1 and 3 depends only on
-  the sub-batch size: each encoder's passes in a phase work in one flat
-  buffer (``encoders.forward_rows``' in step1, ``autodiff.encoder_floats``
-  in step3, whose VJP forms each weight gradient in row blocks that fit),
-  and each phase's passes take as many consecutive sub-batches as fit,
-  tail tiles counted, in step3's buffer for one (``_pass_plan`` states
-  the rule); a step with no step3 keeps step1 in its sub-batches. As a
-  pass is a run of consecutive sub-batches, the sums keep the plan's
-  order. Step3's VJPs form each input gradient against a contiguous
-  transpose of its weight, made once per encoder and side and counted
-  as parameters. Step2 is one
+  representation gradient cache (step2); the rows are then re-encoded
+  and backpropagated with their cached rows as the seed, in encoder
+  passes with no tape, their parameter gradients added in place into
+  one buffer per parameter (step3); finally the optimizer runs once
+  (step4). Peak activation memory in steps 1 and 3 depends only on the
+  sub-batch size b: each encoder's passes in a phase work in one flat
+  buffer (``encoders.forward_rows``' in step1,
+  ``encoders.accumulate_rows``' in step3, whose VJP forms each weight
+  gradient in row blocks that fit), and each phase runs R-row passes in
+  row order, R the tallest multiple of b whose buffer and tail tiles fit
+  a b-row sub-batch's budget (``_pass_plan`` states the rule); a step
+  with no step3 keeps step1 in b-row passes. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
   It holds the larger of the kernel's term (in its docstring) and the
@@ -61,28 +58,21 @@ class CacheNotFilledError(RuntimeError):
 
 @dataclass
 class SubBatchPlan:
-    """Ordered contiguous partition of anchor and target indices, the
-    sub-batches whose runs step3 re-encodes. runs_step3 is False for a
-    step that runs no step3 (deep mode with frozen encoders): its step1
-    then encodes in the sub-batches, since no step3 buffer covers more."""
+    """Anchor and target sub-batch sizes, each at most its side's rows:
+    the memory budget of the side's encoder passes (``_pass_plan``).
+    runs_step3 is False for a step that runs no step3 (deep mode with
+    frozen encoders), whose step1 then runs sub-batch passes."""
 
-    anchor_chunks: list
-    target_chunks: list
+    sub_batch_s: int
+    sub_batch_t: int
     runs_step3: bool = True
 
 
-def _chunk_ranges(n, size):
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
 def plan_subbatches(n_anchors, n_targets, bs_s, bs_t):
-    """Contiguous chunks of the requested sizes; only the last may be short."""
+    """The requested sub-batch sizes, each capped at its side's rows."""
     if bs_s < 1 or bs_t < 1:
         raise ValueError(f"sub-batch sizes must be >= 1, got {bs_s}, {bs_t}")
-    return SubBatchPlan(
-        anchor_chunks=_chunk_ranges(n_anchors, bs_s),
-        target_chunks=_chunk_ranges(n_targets, bs_t),
-    )
+    return SubBatchPlan(min(bs_s, n_anchors), min(bs_t, n_targets))
 
 
 @dataclass
@@ -112,14 +102,14 @@ class StepStats:
     fwd_rows and bwd_rows count encoder rows run forward and backward.
     loss_phase_peak is the activation peak of the ``LOSS_PHASE`` window,
     0 in modes without one; act_peak is that of every other window. In
-    the cached path a chunk's parameter gradients pass one at a time
+    the cached path a pass's parameter gradients pass one at a time
     through its encoder buffer's scratch into the step's accumulators
     (counted as parameters), so act_peak holds one row block of a weight
     gradient (the whole one where it fits) or a bias gradient, never a
     whole encoder's. The weight transposes the VJPs multiply by are
     counted as parameters too: their size is the weights', whatever the
-    batch. Step1's and step3's passes (``_pass_plan``) fit in step3's
-    peak for one sub-batch, so the step1 window may reach act_peak (and
+    batch. Step1's and step3's R-row passes fit a b-row sub-batch's
+    budget (``_pass_plan``), so the step1 window may reach act_peak (and
     a budget trip there) where step3 sets it. cache_floats is the largest
     gradient-cache count over the step, summed over workers in multi
     mode.
@@ -215,71 +205,68 @@ def step_stats(meters=None):
 # the cached procedure
 # ---------------------------------------------------------------------------
 
-def _side_plan(params, rows, chunks):
-    """``_pass_plan`` for one side's rows in the given chunks."""
+def _side_plan(params, rows, b):
+    """``_pass_plan`` for one side's rows in b-row sub-batches."""
     return _pass_plan(tuple(ad.encoder_widths(rows.shape, params.arrays)),
-                      params.activations[-1] != "linear", rows.shape[0],
-                      tuple(chunks))
+                      params.activations[-1] != "linear", rows.shape[0], b)
 
 
 @functools.cache
-def _pass_plan(widths, keep_top, n, chunks):
-    """(step1's passes, step3's passes, step3's buffer floats) for n rows
-    in chunks through layers of widths; cached, so made once per shape.
+def _pass_plan(widths, keep_top, n, b):
+    """(step1's pass height, step3's pass height, step3's buffer floats)
+    for n rows in b-row sub-batches through layers of widths; cached, so
+    made once per shape.
 
-    For b-row sub-batches in row order, each phase runs passes of R
+    Each phase runs R-row passes in row order, the last holding n mod R
     rows: the tallest R of b·⌈n/b⌉, ..., 2b whose floats for min(R, n)
     rows (``encoders.forward_floats`` in step1, ``autodiff.encoder_floats``
     with blocked weight gradients in step3) and tail tiles
-    (``kernels.tail_floats``) fit in the budget, step3's floats for b and
-    the sub-batches' tail tiles. Where no R fits, and for other chunks
-    (a reversed plan keeps its order), the phase runs the chunks. Step3's
-    buffer is the budget less its passes' tail tiles, so its peak is the
-    chunks'.
+    (``kernels.tail_floats``) fit in the phase's budget, else b. Step3's
+    budget is its floats and tail tiles for the sub-batches; step1's is
+    the larger of that and step1's own for them, which sub-batch passes
+    hold anyway. Step3's buffer is its budget less its passes' tail
+    tiles, so its peak is the sub-batches'. A side with no rows runs no
+    pass.
     """
-    if not chunks:
-        return chunks, chunks, 0
-    b = max(hi - lo for lo, hi in chunks)
+    if not n:
+        return 0, 0, 0
     # step3 runs no forward through a linear top
     tails3 = widths if keep_top else widths[:-1]
+
+    floats1 = functools.partial(encoders.forward_floats, widths=widths)
+    floats3 = functools.partial(ad.encoder_floats, widths=widths,
+                                keep_top=keep_top, blocked=True)
+
+    def height(floats, tails, budget):
+        return next((R for R in range(b * -(-n // b), b, -b)
+                     if floats(min(R, n)) + kernels.tail_floats(tails, n, R)
+                     <= budget), b)
+
     budget = (ad.encoder_floats(b, widths, keep_top)
-              + kernels.tail_floats(tails3, chunks))
-    heights = (range(b * -(-n // b), b, -b)
-               if chunks == tuple(_chunk_ranges(n, b)) else ())
-
-    def passes(floats, tails):
-        for R in heights:
-            # R-row passes hold min(R, n) rows, the last one n % R
-            m = min(R, n)
-            if floats(m) + kernels.tail_floats(
-                    tails, [(0, m), (0, n % R)]) <= budget:
-                return tuple(_chunk_ranges(n, R))
-        return chunks
-
-    step3 = passes(lambda m: ad.encoder_floats(m, widths, keep_top, True),
-                   tails3)
-    return (passes(lambda m: encoders.forward_floats(m, widths), widths),
-            step3, budget - kernels.tail_floats(tails3, step3))
+              + kernels.tail_floats(tails3, n, b))
+    R3 = height(floats3, tails3, budget)
+    R1 = height(floats1, widths,
+                max(budget, floats1(b) + kernels.tail_floats(widths, n, b)))
+    return R1, R3, budget - kernels.tail_floats(tails3, n, R3)
 
 
 def step1_graphless_forward(batch, params_f, params_g, plan):
     """Encode every row without recording; collect all representations.
 
     Each side runs in step1's passes of ``_side_plan``, or, if the plan
-    runs no step3, in its sub-batches. A row's representation does not
+    runs no step3, in sub-batch passes. A row's representation does not
     depend on the pass it is in.
     """
-    a_chunks, t_chunks = plan.anchor_chunks, plan.target_chunks
     with memtrace.phase("step1"):
-        if plan.runs_step3:
-            a_chunks = _side_plan(params_f, batch.anchors, a_chunks)[0]
-            t_chunks = _side_plan(params_g, batch.targets, t_chunks)[0]
         F = memtrace.register(np.empty((batch.n_anchors, params_f.out_dim)),
                               "representation-store")
         G = memtrace.register(np.empty((batch.n_targets, params_g.out_dim)),
                               "representation-store")
-        encoders.forward_rows(params_f, batch.anchors, a_chunks, F)
-        encoders.forward_rows(params_g, batch.targets, t_chunks, G)
+        for params, rows, b, out in (
+                (params_f, batch.anchors, plan.sub_batch_s, F),
+                (params_g, batch.targets, plan.sub_batch_t, G)):
+            R = _side_plan(params, rows, b)[0] if plan.runs_step3 else b
+            encoders.forward_rows(params, rows, R, out)
     count("fwd_rows", batch.n_anchors + batch.n_targets)
     return F, G
 
@@ -302,53 +289,25 @@ def _zero_grads(params):
             for p in params.arrays]
 
 
-def _accumulate_side(params, rows, chunks, seed_rows, grads):
-    """A side's step3 passes (``_side_plan``), with no tape and at
-    ``kernels.PASS_BUFSIZE``'s ufunc buffer, in one buffer registered
-    while the side runs and laid out by ``autodiff.encoder_views`` (made
-    once for the tallest pass): each pass's forward keeps what its VJP
-    reads, and the VJP, seeded with the pass's cached rows, adds each
-    layer's gradients into grads."""
-    if not chunks:
-        return
-    arrays, acts = params.arrays, params.activations
-    widths = ad.encoder_widths(rows.shape, arrays)
-    keep_top = acts[-1] != "linear"
-    _, passes, floats = _side_plan(params, rows, chunks)
-    R = max(hi - lo for lo, hi in passes)
-    wts = ad.weight_transposes(arrays, False)
-    buf = memtrace.register(np.empty(floats))
-    full = ad.encoder_views(buf, R, widths, keep_top)
-    with kernels._row_buffer(kernels.PASS_BUFSIZE):
-        for lo, hi in passes:
-            outs, scratch = (full if hi - lo == R else ad.encoder_views(
-                buf, hi - lo, widths, keep_top))
-            x = rows[lo:hi]
-            ad.encoder_forward(x, arrays, acts, outs)
-            count("fwd_rows", hi - lo)
-            ad.encoder_vjp(x, arrays, acts, outs, seed_rows[lo:hi], grads,
-                           scratch, wts)
-            count("bwd_rows", hi - lo)
-
-
 def step3_accumulate(batch, params_f, params_g, plan, cache):
-    """Encoder passes over runs of sub-batches, seeded from the cache;
-    grads summed. Passes run in the plan's order, which sets the order
-    of the sums.
-    """
+    """Each side's step3 passes of ``_side_plan`` in row order, seeded
+    with its cached rows; returns both sides' parameter gradients, summed
+    in the passes' order."""
     if not cache.filled:
         raise CacheNotFilledError(
             "representation gradient cache consumed before being filled"
         )
     cache.filled = False
     with memtrace.phase("step3"):
-        grads_f = _zero_grads(params_f)
-        grads_g = _zero_grads(params_g)
-        _accumulate_side(params_f, batch.anchors, plan.anchor_chunks,
-                         cache.u_rows, grads_f)
-        _accumulate_side(params_g, batch.targets, plan.target_chunks,
-                         cache.v_rows, grads_g)
-    return grads_f, grads_g
+        grads = _zero_grads(params_f), _zero_grads(params_g)
+        sides = ((params_f, batch.anchors, plan.sub_batch_s, cache.u_rows),
+                 (params_g, batch.targets, plan.sub_batch_t, cache.v_rows))
+        for (params, rows, b, seed_rows), acc in zip(sides, grads):
+            _, R, floats = _side_plan(params, rows, b)
+            encoders.accumulate_rows(params, rows, R, floats, seed_rows, acc)
+    count("fwd_rows", batch.n_anchors + batch.n_targets)
+    count("bwd_rows", batch.n_anchors + batch.n_targets)
+    return grads
 
 
 def _apply_optimizer(params_f, params_g, grads_f, grads_g, opt_state,
@@ -420,7 +379,8 @@ def _accumulation_chunks(batch, chunk_size):
     """
     n_s, n_t = batch.n_anchors, batch.n_targets
     out = []
-    for a_lo, a_hi in _chunk_ranges(n_s, chunk_size):
+    for a_lo in range(0, n_s, chunk_size):
+        a_hi = min(a_lo + chunk_size, n_s)
         t_lo = a_lo * n_t // n_s
         t_hi = a_hi * n_t // n_s
         r_chunk = batch.r[a_lo:a_hi]

@@ -79,6 +79,9 @@ def test_validate_config_errors():
         (dict(batch_size=0), "batch_size"),
         (dict(mode="cache", sub_batch_s=0), "sub-batch"),
         (dict(mode="multi", workers=0), "workers"),
+        # a worker beyond the batch would hold no rows
+        (dict(mode="multi", workers=17), "workers"),
+        (dict(seed=-1), "seed"),
         (dict(temperature=0.0), "temperature"),
         (dict(temperature=float("nan")), "temperature"),
         (dict(temperature=float("inf")), "temperature"),
@@ -104,6 +107,7 @@ def test_validate_config_errors():
         with pytest.raises(ConfigError, match=fragment):
             validate_config(_small(**overrides))
     assert validate_config(_small()) is not None
+    assert validate_config(_small(mode="multi", workers=16)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +611,43 @@ def test_cli_train_untrainable_temperature_exits_2(tmp_path, tau):
     assert "temperature" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("warnings", ["default", "error"])
+def test_cli_train_overflowing_optimizer_state_exits_4(tmp_path, warnings):
+    # at tau = 1e-300 the loss (about 1e299) and the parameters stay
+    # finite, but the gradient's square overflows Adam's v to inf, so
+    # every update would be m / inf = 0; with warnings as errors too
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-W", warnings, "-m", "splitgrad.cli", "train",
+         "--mode", "cache", "--config", _fast_config(tmp_path), *_FAST,
+         "--temperature", "1e-300", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "step 0: non-finite optimizer state" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["profile", "train"])
+def test_cli_negative_seed_exits_2(tmp_path, verb):
+    out = tmp_path / "run"
+    proc = _cli(verb, "--mode", "cache", "--config", _fast_config(tmp_path),
+                *_FAST, "--seed", "-1", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: seed must be >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_check_finite_stops_non_finite_optimizer_state():
+    state = bench.init_state(_small(mode="cache"))
+    state.opt_state.m = [np.zeros(3)]
+    state.opt_state.v = [np.array([0.0, np.inf, 0.0])]
+    with pytest.raises(bench.NonFiniteError,
+                       match="step 2: non-finite optimizer state"):
+        bench._check_finite("cache", 2, 1.0, state)
 
 
 def test_check_finite_stops_non_finite_parameters_under_a_finite_loss():

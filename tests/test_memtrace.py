@@ -308,7 +308,7 @@ def test_budget_trips_in_the_encoder_pass_and_names_the_phase():
                                  f"in phase 'step3'") as info:
             trainer.train_step_cached(batch, pf, pg, opt, cfg)
     names = {e.name for e in info.traceback}
-    assert {"_accumulate_side", "register_array", "track_alloc"} <= names
+    assert {"accumulate_rows", "register_array", "track_alloc"} <= names
     assert not {"encoder_forward", "encoder_vjp", "backward"} & names
     del info
     gc.collect()
@@ -535,7 +535,7 @@ def test_step2_peak_is_the_larger_of_the_kernel_and_tape_terms(n_s, n_t,
     nb = -(-n_t * d // kernels.PROD_FLOATS)
     kernel_term = (min(kernels.STRIP, n_s) * n_t + n_t * d
                    + -(-n_t // nb) * d + n_s
-                   + kernels.tail_floats([d, n_t], [(0, n_s)]))
+                   + kernels.tail_floats([d, n_t], n_s, kernels.STRIP))
     tape_term = 4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4
     assert c.peak["activation"] == peak == max(kernel_term, tape_term)
 

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from splitgrad import autodiff as ad
 from splitgrad import encoders, memtrace, trainer
 from splitgrad.autodiff import ShapeMismatchError, flat_max_rel_err
 from splitgrad.loss import Batch, contrastive_loss, direct_param_grads
@@ -200,6 +201,34 @@ def test_counters_sum_worker_rows():
     n = batch.n_anchors + batch.n_targets
     assert res.stats.fwd_rows == 2 * n
     assert res.stats.bwd_rows == n
+
+
+def test_workers_that_hold_no_rows_run_no_pass(monkeypatch):
+    # 5 workers on 3 anchors and 4 targets: some hold no anchors or no
+    # targets, and a side with no rows runs no encoder pass, yet one
+    # unit-lr SGD step is direct's, with its loss bitwise
+    batch, pf, pg = _setup(n_s=3, n_t=4)
+    opt = encoders.init_optimizer("sgd", 1.0)
+    group = WorkerGroup(5, pf, pg, opt)
+    assert [(r.n_anchors, r.n_targets) for r in group.partition(batch)] == [
+        (0, 0), (1, 1), (0, 1), (1, 1), (1, 1)]
+    passes, real = [], ad.encoder_forward
+
+    def spy(x, *rest):
+        passes.append(x.shape[0])
+        return real(x, *rest)
+
+    monkeypatch.setattr(ad, "encoder_forward", spy)
+    res = train_step_multi(group, batch, TrainConfig(1.0, 8, 8))
+    # step1 and step3 each encode every row once, in passes of rows
+    assert sum(passes) == 2 * (3 + 4) and min(passes) > 0
+    monkeypatch.setattr(ad, "encoder_forward", real)
+    ref = trainer.train_step_direct(batch, pf, pg, opt, 1.0)
+    assert res.loss == ref.loss
+    assert flat_max_rel_err(
+        encoders.param_arrays(ref.params_f) + encoders.param_arrays(ref.params_g),
+        encoders.param_arrays(res.params_f) + encoders.param_arrays(res.params_g),
+    ) < 1e-9
 
 
 @pytest.mark.parametrize("n_workers", [2, 3, 5])

@@ -54,8 +54,6 @@ def test_pass_heights_are_the_plans():
     for step1, step3, b, widths in cited:
         widths = [int(w) for w in widths.split("-")]
         p = encoders.init_params(0, widths)
-        passes1, passes3, _ = trainer._side_plan(
-            p, np.zeros((1024, widths[0])),
-            trainer._chunk_ranges(1024, int(b)))
-        # each phase's first pass is (0, R)
-        assert (passes1[0][1], passes3[0][1]) == (int(step1), int(step3))
+        R1, R3, _ = trainer._side_plan(p, np.zeros((1024, widths[0])),
+                                       int(b))
+        assert (R1, R3) == (int(step1), int(step3))

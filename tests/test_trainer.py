@@ -13,7 +13,6 @@ from splitgrad.kernels import TILE
 from splitgrad.loss import Batch, direct_param_grads
 from splitgrad.trainer import (
     CacheNotFilledError,
-    SubBatchPlan,
     TrainConfig,
     plan_subbatches,
     step1_graphless_forward,
@@ -35,9 +34,13 @@ def _setup(seed=0, n_s=24, n_t=30, din=10, d=8):
 
 
 def test_plan_covers_every_row_once():
+    # each size is capped at its side's rows, so one sub-batch covers a
+    # short side and a side with no rows has none
     plan = plan_subbatches(10, 7, 4, 3)
-    assert plan.anchor_chunks == [(0, 4), (4, 8), (8, 10)]
-    assert plan.target_chunks == [(0, 3), (3, 6), (6, 7)]
+    assert (plan.sub_batch_s, plan.sub_batch_t, plan.runs_step3) == (4, 3,
+                                                                     True)
+    plan = plan_subbatches(3, 0, 4, 3)
+    assert (plan.sub_batch_s, plan.sub_batch_t) == (3, 0)
 
 
 def test_plan_rejects_nonpositive_sizes():
@@ -130,18 +133,6 @@ def test_sub_batch_sweep_matches_direct():
         cache, _ = step2_build_cache(F, G, batch.r, 0.7)
         cgf, cgg = step3_accumulate(batch, pf, pg, plan, cache)
         assert flat_max_rel_err(gf + gg, cgf + cgg) < 1e-9
-
-
-def test_chunk_order_does_not_change_gradients_materially():
-    batch, pf, pg = _setup()
-    plan = plan_subbatches(24, 30, 7, 9)
-    F, G = step1_graphless_forward(batch, pf, pg, plan)
-    cache, _ = step2_build_cache(F, G, batch.r, 1.0)
-    fwd = step3_accumulate(batch, pf, pg, plan, cache)
-    cache2, _ = step2_build_cache(F, G, batch.r, 1.0)
-    rev = SubBatchPlan(plan.anchor_chunks[::-1], plan.target_chunks[::-1])
-    bwd = step3_accumulate(batch, pf, pg, rev, cache2)
-    assert flat_max_rel_err(fwd[0] + fwd[1], bwd[0] + bwd[1]) < 1e-12
 
 
 def test_cache_is_single_use():
@@ -314,9 +305,7 @@ def test_benchmark_workload_shapes_keep_their_peaks(mode, n, b, widths,
 def test_step1_passes_fill_step3s_budget_at_the_benchmark_shapes(n, b,
                                                                  widths, rows):
     p = encoders.init_params(6, widths)
-    chunks = trainer._side_plan(p, np.zeros((n, widths[0])),
-                                trainer._chunk_ranges(n, b))[0]
-    assert list(chunks) == trainer._chunk_ranges(n, rows)
+    assert trainer._side_plan(p, np.zeros((n, widths[0])), b)[0] == rows
 
 
 @pytest.mark.parametrize("n,b,widths,rows", [
@@ -331,9 +320,8 @@ def test_step3_passes_fill_their_budget_at_the_benchmark_shapes(n, b, widths,
     # at 24-32-16 the input gradient binds, not the weight gradient, so
     # step3 keeps its sub-batches; its buffer is what it was for them
     p = encoders.init_params(6, widths)
-    _, passes, floats = trainer._side_plan(
-        p, np.zeros((n, widths[0])), trainer._chunk_ranges(n, b))
-    assert list(passes) == trainer._chunk_ranges(n, rows)
+    _, R, floats = trainer._side_plan(p, np.zeros((n, widths[0])), b)
+    assert R == rows
     assert floats == _step3_peak(widths, n, b)
 
 
@@ -342,21 +330,21 @@ def test_step3_passes_fill_their_budget_at_the_benchmark_shapes(n, b, widths,
     ([24, 32, 16], "linear", 16, 3, "step3", [16]),
     ([24, 32, 16], "linear", 32, 5, "step1", [32]),
     ([4, 2, 8], "linear", 16, 3, "step3", [16]),
-    # no layer costs step1 floats per row, but every candidate's
-    # 32-float tail tile overruns step3's 1-float budget; step3 keeps no
-    # output of a lone linear layer and runs no forward, so no row costs
-    # it a float either, and it runs one pass
-    ([1, 1], "linear", 500, 8, "step1", [8] * 62 + [4]),
+    # no layer costs step1 floats per row, and every candidate's
+    # 32-float tail tile tops step3's 1-float budget but not step1's,
+    # which holds the tail tile of its own 8-row sub-batches; step3 keeps
+    # no output of a lone linear layer and runs no forward, so no row
+    # costs it a float either, and it runs one pass too
+    ([1, 1], "linear", 500, 8, "step1", [500]),
     ([1, 1], "linear", 500, 8, "step3", [500]),
 ])
 def test_pass_plan_counts_the_rows_a_pass_holds(widths, top, n, b, phase,
                                                  heights):
     p = encoders.init_params(6, widths)
     p.activations[-1] = top
-    step1, step3, _ = trainer._side_plan(p, np.zeros((n, widths[0])),
-                                         trainer._chunk_ranges(n, b))
-    passes = step1 if phase == "step1" else step3
-    assert [hi - lo for lo, hi in passes] == heights
+    step1, step3, _ = trainer._side_plan(p, np.zeros((n, widths[0])), b)
+    R = step1 if phase == "step1" else step3
+    assert [min(R, n - lo) for lo in range(0, n, R)] == heights
 
 
 @pytest.mark.parametrize("n_s,n_t,searches", [(24, 30, 2), (24, 24, 1)])
@@ -429,11 +417,10 @@ def _row_budget_cases(draw):
     )
 
 
-def _sub_batch_plan(params, rows, chunks):
+def _sub_batch_plan(params, rows, b):
     # the plan of a step that runs both phases in its sub-batches
     widths = ad.encoder_widths(rows.shape, params.arrays)
-    b = max(hi - lo for lo, hi in chunks)
-    return chunks, chunks, ad.encoder_floats(
+    return b, b, ad.encoder_floats(
         b, widths, params.activations[-1] != "linear")
 
 
@@ -452,8 +439,9 @@ def _sub_batch_plan(params, rows, chunks):
               n_s=32, n_t=32, bs_s=5, bs_t=5, seed=0))
 @example(dict(mode="cache", widths=[4, 2, 8], acts=["tanh", "linear"],
               n_s=16, n_t=16, bs_s=3, bs_t=3, seed=0))
-# a single linear layer: every step1 candidate's tail tile overruns
-# step3's budget, so step1 keeps the sub-batches
+# a single linear layer: every step1 candidate's tail tile tops step3's
+# budget, but not the sub-batches' own step1 floats, which hold one too:
+# step1 runs one 500-row pass at the sub-batches' peak
 @example(dict(mode="cache", widths=[1, 1], acts=["linear"],
               n_s=500, n_t=500, bs_s=8, bs_t=8, seed=0))
 def test_step1_passes_stay_within_step3s_peak(case):
@@ -513,9 +501,9 @@ def test_step1_passes_stay_within_step3s_peak(case):
         assert flat_max_rel_err(want, new) <= 1e-9
     plan = plan_subbatches(n_s, n_t, bs_s, bs_t)
     F, G = step1_graphless_forward(batch, pf, pg, plan)
-    for p, rows, chunks, got in ((pf, batch.anchors, plan.anchor_chunks, F),
-                                 (pg, batch.targets, plan.target_chunks, G)):
-        want = encoders.forward_rows(p, rows, chunks, np.empty(got.shape))
+    for p, rows, b, got in ((pf, batch.anchors, plan.sub_batch_s, F),
+                            (pg, batch.targets, plan.sub_batch_t, G)):
+        want = encoders.forward_rows(p, rows, b, np.empty(got.shape))
         assert got.tobytes() == want.tobytes()
 
 
@@ -524,12 +512,12 @@ def test_step1_passes_stay_within_step3s_peak(case):
                                   ("tanh", "relu", "tanh")],
                          ids=["tanh", "relu", "sloped-top"])
 def test_step3_chunks_equal_the_taped_encoder_node_bitwise(acts):
-    # one encoder loop, two callers: step3's chunks run the encoder node's
+    # one encoder loop, two callers: step3's passes run the encoder node's
     # forward and VJP with no tape in one buffer, and must add into the
     # accumulators exactly what encode_graph and Tape.backward give the
     # leaves from the same seed rows, added into zeroed accumulators in
     # the same order, by the test or, with preset leaf buffers, by
-    # backward itself; the second chunk is ragged. A sloped top's output
+    # backward itself; the second pass is ragged. A sloped top's output
     # is kept by step3 and saved as a copy by the node, whose VJP writes
     # its slope product there: the node's output stays as it was
     rng = np.random.default_rng(12)
@@ -539,12 +527,15 @@ def test_step3_chunks_equal_the_taped_encoder_node_bitwise(acts):
     seed = rng.normal(size=(21, 6))
     seed0 = seed.copy()
     arrays = encoders.param_arrays(p)
-    chunks = [(0, 16), (16, 21)]
+    widths = ad.encoder_widths(rows.shape, arrays)
+    keep_top = acts[-1] != "linear"
     untaped = [np.zeros_like(a) for a in arrays]
-    trainer._accumulate_side(p, rows, chunks, seed, untaped)
+    encoders.accumulate_rows(p, rows, 16,
+                             ad.encoder_floats(16, widths, keep_top), seed,
+                             untaped)
     for preset in (False, True):
         taped = [np.zeros_like(a) for a in arrays]
-        for lo, hi in chunks:
+        for lo, hi in [(0, 16), (16, 21)]:
             tape = ad.Tape()
             leaves = [tape.leaf(a, acc if preset else None)
                       for a, acc in zip(arrays, taped)]
@@ -563,9 +554,11 @@ def test_step3_chunks_equal_the_taped_encoder_node_bitwise(acts):
         assert np.array_equal(seed, seed0)
         for a, r in zip(untaped, taped):
             assert a.tobytes() == r.tobytes()
-    # and the same as the leaf gradients of one taped pass, for one chunk
+    # and the same as the leaf gradients of one taped pass, for one pass
     first = [np.zeros_like(a) for a in arrays]
-    trainer._accumulate_side(p, rows, [(0, 21)], seed, first)
+    encoders.accumulate_rows(p, rows, 21,
+                             ad.encoder_floats(21, widths, keep_top), seed,
+                             first)
     tape = ad.Tape()
     with ad.recording(tape):
         leaves = encoders.make_leaves(p)
