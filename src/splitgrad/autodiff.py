@@ -38,9 +38,10 @@ Design choices that equivalence tests depend on:
   backward adds into it in place, as it adds into any gradient it
   already holds, so a caller that sums gradients over several tapes
   keeps no per-tape copy;
-* backward drops its references to a VJP's results before it calls the
-  next VJP, so a result that was added into an existing gradient is
-  freed, and uncounted, at once;
+* a node keeps its output's shape, not the output, and backward drops
+  its ctx once its VJP returns and the VJP's results before the next
+  VJP: an op's output lives while a Tensor or a later ctx holds it, and
+  a result added into an existing gradient is freed at once;
 * the gradient of relu at exactly 0 is 0;
 * row-softmax and row-logsumexp subtract the row max before
   exponentiation, and row-logsumexp's gradient is the strip kernel's
@@ -118,8 +119,8 @@ def _as_f64(data):
 class Node:
     op_kind: str
     inputs: tuple
-    output: np.ndarray
-    ctx: tuple
+    shape: tuple  # the output's; the output is its Tensor's to hold
+    ctx: object  # what the forward saved; None once the VJP has run
     vjp: object
 
 
@@ -129,9 +130,10 @@ _token_counter = itertools.count(1)
 class Tape:
     """Append-only record of operations plus per-node gradient buffers.
 
-    The tape holds no counts: every array it keeps, an op's output or a
-    gradient, was registered in ``memtrace`` when it was made, and is
-    uncounted when it is freed.
+    A node holds its output's shape and, until backward has run its VJP,
+    what its forward saved; a gradient stays until the tape is freed.
+    The tape holds no counts: every array it keeps was registered in
+    ``memtrace`` when it was made, and is uncounted when it is freed.
     """
 
     def __init__(self):
@@ -144,7 +146,7 @@ class Tape:
         return len(self.nodes)
 
     def add_node(self, op_kind, inputs, output, ctx, vjp):
-        self.nodes.append(Node(op_kind, inputs, output, ctx, vjp))
+        self.nodes.append(Node(op_kind, inputs, output.shape, ctx, vjp))
         self.grads.append(None)
         return len(self.nodes) - 1
 
@@ -167,31 +169,31 @@ class Tape:
 
         grad seeds the node's gradient and must have its shape; it is used
         as given, neither copied nor counted again. Without a seed the
-        node must be a scalar and is seeded with one. The all-ones seed
-        and every VJP result are registered before they are stored or
-        added; a result added into a gradient is dropped, and so
-        uncounted, before the next VJP runs.
+        node must be a scalar and is seeded with one, registered. A node's
+        ctx is dropped when its VJP returns; each result is then registered
+        and stored or added, an added one dropped before the next VJP.
         """
         idx = self._resolve(node)
-        out = self.nodes[idx].output
-        if grad is None and out.size != 1:
+        shape = self.nodes[idx].shape
+        if grad is None and np.prod(shape) != 1:
             raise ValueError(
                 f"backward without a seed gradient requires a scalar node, "
-                f"got shape {tuple(out.shape)}"
+                f"got shape {shape}"
             )
-        if grad is not None and grad.shape != out.shape:
-            raise _shape_error("backward seed", grad.shape, out.shape)
+        if grad is not None and grad.shape != shape:
+            raise _shape_error("backward seed", grad.shape, shape)
         if self._backward_done:
             raise TapeReuseError(
                 "backward already run on this tape; a tape is single-use")
         self._backward_done = True
         nodes, grads = self.nodes, self.grads
-        grads[idx] = register(np.ones_like(out)) if grad is None else grad
+        grads[idx] = register(np.ones(shape)) if grad is None else grad
         for k in range(idx, -1, -1):
             g, node = grads[k], nodes[k]
             if g is None or node.vjp is None:
                 continue
             input_grads = node.vjp(node.ctx, g, node.inputs)
+            node.ctx = None
             for in_idx, in_grad in zip(node.inputs, input_grads):
                 if in_idx is None or in_grad is None:
                     continue
@@ -213,7 +215,7 @@ class Tape:
         idx = self._resolve(ref)
         g = self.grads[idx]
         if g is None:
-            return np.zeros_like(self.nodes[idx].output)
+            return np.zeros(self.nodes[idx].shape)
         return g
 
     def _resolve(self, ref):
@@ -438,12 +440,13 @@ def _bw_add(ctx, g, taped):
 def _fw_mul(attrs, x, y):
     if x.shape != y.shape:
         raise _shape_error("mul", x.shape, y.shape)
-    return x * y, (x, y)
+    return x * y, [x, y]
 
 
 def _bw_mul(ctx, g, taped):
-    x, y = ctx
-    return g * y, g * x
+    gx = g * ctx[1]
+    del ctx[1]  # y (G[r] in the alignment term) is freed before g * x
+    return gx, g * ctx[0]
 
 
 def _fw_scalar_mul(attrs, x):

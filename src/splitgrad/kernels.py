@@ -46,7 +46,7 @@ from .memtrace import register
 TILE = 16
 # anchor rows per strip of strip_logsumexp; a multiple of TILE, so only
 # the last strip can end in a zero-padded tile
-STRIP = 64
+STRIP = 32
 PROD_FLOATS = 8192  # most floats per target block of strip_logsumexp's dG
 # anchor rows per strip of head_strip_loss and head_scores; the loss
 # kernel's buffers are in its docstring
@@ -161,7 +161,7 @@ def strip_logsumexp(F, G, scale, weight):
     min(STRIP, n) * m + m * d + ceil(m / nb) * d + n "activation"
     floats, plus TILE * (m + d) (``tail_floats``) if TILE does not
     divide n: step2's kernel term (``loss.loss_graph_from_reps`` has the
-    other), 91136 at n = m = 1024 and d = 16, 105256 at n = m = 1000.
+    other), 58368 at n = m = 1024 and d = 16, 73256 at n = m = 1000.
     The number of buffers does not depend on n or nb.
     """
     F, G = _c64(F), _c64(G)

@@ -200,12 +200,13 @@ def loss_graph_from_reps(F, G, r, tau):
     those two arrays, so its backward adds c * G[r] and scatter_r(c * F),
     c = -1 / (tau * n_s), into them in place. The step benchmark wraps
     this function by name. Besides the cache it holds the larger of the
-    kernel's term (in its docstring) and the tape's, 4 * n_s * d +
-    max(n_s, n_t) * d + 6 * n_s + 4: G[r], F * G[r] and the latter's
-    gradient, six n_s x 1 columns, four scalars, and either the mul
-    VJP's two n_s x d results or G[r]'s gradient and the n_t x d
-    scatter made of it. At d = 16 and n_s = n_t = n the tape's binds
-    from n = 1552 where TILE divides n, and never where it does not.
+    kernel's term (in its docstring) and the tape's, 2 * n_s * d +
+    max(n_s, n_t) * d + 4 * n_s + 3: F * G[r]'s gradient, four n_s x 1
+    columns, three scalars, and either the mul VJP's two n_s x d
+    results or G[r]'s gradient and the n_t x d scatter made of it (F *
+    G[r] and G[r] are freed as their VJPs finish reading them). At d =
+    16 and n_s = n_t = n the tape's binds from n = 2576 where TILE
+    divides n (below that only at n = 16), never where it does not.
     """
     lse, dF, dG = kernels.strip_logsumexp(F, G, 1.0 / tau, 1.0 / F.shape[0])
     tape = ad.Tape()
@@ -213,7 +214,7 @@ def loss_graph_from_reps(F, G, r, tau):
         neg_pos = _neg_positive_logits(tape.leaf(F, dF), tape.leaf(G, dG),
                                        r, tau)
         loss_t = _mean_gap(ad.constant(lse), neg_pos)
-    # the add node holds lse + neg_pos; lse itself is not needed again
+    # no VJP reads lse: the name alone would hold it through the backward
     del lse
     tape.backward(loss_t)
     return float(loss_t.data), dF, dG

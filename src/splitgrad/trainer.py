@@ -28,8 +28,9 @@ through ``_apply_optimizer``. Four step flavors are defined here:
   with no step3 keeps step1 in b-row passes. Step2 is one
   ``kernels.strip_logsumexp`` call, whose dL/dF and dL/dG are the cache,
   and a small tape of the alignment term that adds into them in place.
-  It holds the larger of the kernel's term (in its docstring) and the
-  tape's (in ``loss.loss_graph_from_reps``'), linear in n, never the
+  It holds the larger of the kernel's term, min(STRIP, n_s) * n_t +
+  n_t * d + ceil(n_t / nb) * d + n_s (its docstring's), and the tape's,
+  2 * n_s * d + max(n_s, n_t) * d + 4 * n_s + 3 (``loss``'), never the
   n x n scores.
 * ``train_step_accumulation``: classic gradient accumulation. Chunks
   are independent small batches, so negatives come only from within a

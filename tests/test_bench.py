@@ -311,16 +311,17 @@ def test_cache_loss_phase_holds_one_strip_and_a_few_n_by_d(n):
     # gradient cache, so neither counts here. The kernel's: one STRIP x n
     # buffer for each strip's scores and softmax, G transposed, the dG
     # product buffer of one of nb near-equal target blocks, and lse. The
-    # alignment tape's backward: G[r] and F * G[r], their two gradients,
-    # the n x d scatter added into dG, six n x 1 columns and four
-    # scalars. An unregistered buffer or a second strip or product buffer
-    # breaks an equality
+    # alignment tape's backward: the gradients of F * G[r] and G[r], the
+    # n x d scatter added into dG, four n x 1 columns and three scalars;
+    # G[r] and F * G[r] are freed as their VJPs let go of them. An
+    # unregistered buffer, a second strip or product buffer, or a
+    # forward's output held past its VJP breaks an equality
     def kernel_term(d):
         nb = -(-n * d // kernels.PROD_FLOATS)
         return kernels.STRIP * n + n * d + -(-n // nb) * d + n
 
     def tape_term(d):
-        return 4 * n * d + n * d + 6 * n + 4
+        return 2 * n * d + n * d + 4 * n + 3
 
     peak = _profile("cache", n, 32)["loss_phase_peak"]
     assert peak == kernel_term(16) > tape_term(16)
@@ -392,9 +393,10 @@ def test_parse_config_file(tmp_path):
 # command line
 # ---------------------------------------------------------------------------
 
-def _cli(*args, cwd=None):
+def _cli(*args, cwd=None, warnings="error"):
+    # warnings are errors, as in the suite itself, unless a test asks
     return subprocess.run(
-        [sys.executable, "-m", "splitgrad.cli", *args],
+        [sys.executable, "-W", warnings, "-m", "splitgrad.cli", *args],
         capture_output=True, text=True, cwd=cwd,
     )
 
@@ -584,18 +586,21 @@ def test_cli_train_and_eval_reject_k_larger_than_eval_split(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_train_non_finite_exits_4(tmp_path):
+@pytest.mark.parametrize("mode", ["cache", "direct"])
+@pytest.mark.parametrize("warnings", ["default", "error"])
+def test_cli_train_non_finite_exits_4(tmp_path, warnings, mode):
     # Adam moves the parameters by about 1e308 on step 0 (still finite);
-    # step 1's forward overflows, so the check after step 1 fails
+    # step 1's forward overflows, so the check after step 1 fails, with
+    # warnings as errors too: the overflow is not a warning
     config = _fast_config(tmp_path)
     with open(config, "a") as fh:
         fh.write("lr = 1e308\n")
     out = tmp_path / "run"
-    proc = _cli("train", "--mode", "cache", "--config", config, *_FAST,
-                "--out", str(out))
+    proc = _cli("train", "--mode", mode, "--config", config, *_FAST,
+                "--out", str(out), warnings=warnings)
     assert proc.returncode == 4, proc.stderr
-    assert "mode cache, step 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert f"mode {mode}, step 1: non-finite loss nan" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     for path in out.glob("*"):
         text = path.read_text()
         assert "NaN" not in text and "Infinity" not in text
@@ -619,11 +624,9 @@ def test_cli_train_overflowing_optimizer_state_exits_4(tmp_path, warnings):
     # finite, but the gradient's square overflows Adam's v to inf, so
     # every update would be m / inf = 0; with warnings as errors too
     out = tmp_path / "run"
-    proc = subprocess.run(
-        [sys.executable, "-W", warnings, "-m", "splitgrad.cli", "train",
-         "--mode", "cache", "--config", _fast_config(tmp_path), *_FAST,
-         "--temperature", "1e-300", "--out", str(out)],
-        capture_output=True, text=True)
+    proc = _cli("train", "--mode", "cache", "--config", _fast_config(tmp_path),
+                *_FAST, "--temperature", "1e-300", "--out", str(out),
+                warnings=warnings)
     assert proc.returncode == 4, proc.stderr
     assert "step 0: non-finite optimizer state" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
@@ -750,8 +753,9 @@ def test_cli_bad_flag_exits_2():
 
 
 def test_cli_budget_separates_direct_from_cache(tmp_path):
-    """A budget between the two peaks kills direct but admits cache."""
-    budget = 20000
+    """A budget between the two peaks (cache 4160, direct 16643) kills
+    direct but admits cache."""
+    budget = 10000
 
     def step_peak(mode):
         # the budget bounds every live activation float of the step; the
@@ -811,11 +815,11 @@ def test_cli_profile_reads_the_run_config(tmp_path):
     args = ("--config", str(cfg), "--batch-size", "64")
     proc = _cli("profile", "--modes", "cache", *args)
     assert proc.returncode == 0, proc.stderr
-    assert "loss_phase_peak=10628" in proc.stdout
+    assert "loss_phase_peak=6403" in proc.stdout
     ok = _cli("train", "--mode", "cache", *args, "--activation-budget",
-              "10628", "--out", str(tmp_path / "ok"))
+              "6403", "--out", str(tmp_path / "ok"))
     assert ok.returncode == 0, ok.stderr
     over = _cli("train", "--mode", "cache", *args, "--activation-budget",
-                "10627", "--out", str(tmp_path / "over"))
+                "6402", "--out", str(tmp_path / "over"))
     assert over.returncode == 3, over.stderr
     assert "in phase 'step2'" in over.stderr

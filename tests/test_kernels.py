@@ -175,14 +175,14 @@ def test_strip_logsumexp_makes_its_buffers_once(monkeypatch):
 def test_target_block_size_changes_no_bit(monkeypatch, m, d):
     # each dG row sums its strips' products in strip order whatever block
     # it lands in: limits of 2, 16, 100 and 255 rows a block give the
-    # bits of one block, at strips of 1, 3, 40 and 64 anchors, 70 anchors
-    # in all (a ragged last strip and tile). A one-row block (1 of 513 in
-    # blocks of 256, or 513 split evenly in blocks of at most 2) is a
-    # matrix-vector product and changed dG's bits; the kernel never
+    # bits of one block, at strips of 1, 3, 32, 40 and 64 anchors, 70
+    # anchors in all (a ragged last strip and tile). A one-row block (1 of
+    # 513 in blocks of 256, or 513 split evenly in blocks of at most 2) is
+    # a matrix-vector product and changed dG's bits; the kernel never
     # makes one, so a limit of 2 rows gives blocks of 2 and 3
     rng = np.random.default_rng(15)
     F, G = rng.normal(size=(70, d)), rng.normal(size=(m, d))
-    for strip in (1, 3, 40, 64):
+    for strip in (1, 3, 32, 40, 64):
         monkeypatch.setattr(kernels, "STRIP", strip)
         bits = []
         for rows in (2, 16, 100, 255, m + 1):

@@ -192,12 +192,10 @@ def _small_graph(tape):
     """x (4x3) and w (3x5) leaves; s = sum(h * h), h = tanh(x @ w + b).
 
     Each array is registered on its own and counted until it is freed:
-    the outputs h, h * h and s (41 floats), the copy of h that the
-    encoder node saves for its VJP to write its slope product over (20),
-    since h's own array is never written, and, after backward, the
-    gradients the tape stores: the seed (1), those of h * h and of h (20
-    each) and the leaves' (12 and 15). The second VJP result of h * h is
-    added into h's gradient and freed at once.
+    the caller's h and s (21 floats), and the copy of h that the encoder
+    node saves for its VJP to write its slope product over (20), since
+    h's own array is never written. h * h (20) is freed as soon as the
+    sum is made: the sum's VJP reads only its shape.
     """
     rng = np.random.default_rng(4)
     x = tape.leaf(rng.normal(size=(4, 3)))
@@ -215,13 +213,33 @@ def test_freed_tape_returns_live_activation_floats():
         before = c.live["activation"]
         tape = Tape()
         x, w, h, s = _small_graph(tape)
-        assert c.live["activation"] == before + 41 + 20
-        h0 = h.data.copy()
-        tape.backward(s)
-        # the second VJP result of h * h was added in and released
-        assert c.live["activation"] == before + 41 + 20 + 41 + 12 + 15
-        assert np.array_equal(h.data, h0)
-        del tape, x, w, h, s
+        assert c.live["activation"] == before + 21 + 20
+        h0, enc, mul, top = h.data.copy(), h.index, h.index + 1, s.index
+        # with the caller's Tensors dropped the tape holds only what a
+        # VJP will read: h, in the mul node's context, and the copy
+        del h, s
+        assert c.live["activation"] == before + 20 + 20
+        live = {}
+        for k in (top, mul, enc):
+            def spy(ctx, g, taped, vjp=tape.nodes[k].vjp, k=k):
+                live[k] = c.live["activation"]
+                return vjp(ctx, g, taped)
+
+            tape.nodes[k].vjp = spy
+        tape.backward(top)
+        # as each VJP starts: the seed (1) is added; then the gradient of
+        # h * h (20); then h's gradient (20), while h itself was freed
+        # with the mul node's context, before the encoder's VJP ran
+        assert live == {top: before + 40 + 1, mul: before + 40 + 21,
+                        enc: before + 20 + 41}
+        # the copy went with the encoder's context; the gradients stay:
+        # the seed, those of h * h and of h, and the leaves' (12 and 15)
+        assert c.live["activation"] == before + 41 + 12 + 15
+        assert [n.ctx for n in tape.nodes if n.vjp is not None] == [None] * 3
+        # an interior node's gradient outlives its VJP
+        assert np.array_equal(tape.grad(mul), np.ones((4, 5)))
+        assert np.array_equal(tape.grad(enc), 2 * h0)
+        del tape, x, w
         assert c.live["activation"] == before
     assert kept.size == 7
 
@@ -246,11 +264,11 @@ def test_encoder_node_backward_holds_one_buffer_and_no_copies():
     # the encoder node's VJP writes each slope product over the output
     # its forward saved and every other product into one shared scratch,
     # and returns its parameter gradients as made: the peak is what the
-    # forward left live plus that scratch, and once backward has
-    # registered the gradients the scratch is gone. The scratch is the
-    # largest of the weight gradients (200, 240 and 72 floats) and the
-    # input gradients of layers 2 and 3 (32 x 20 and 32 x 12); the first
-    # layer's input is a constant and gets none
+    # tape holds plus that scratch, and once backward has registered the
+    # gradients the scratch and the saved outputs are gone. The scratch
+    # is the largest of the weight gradients (200, 240 and 72 floats) and
+    # the input gradients of layers 2 and 3 (32 x 20 and 32 x 12); the
+    # first layer's input is a constant and gets none
     rng = np.random.default_rng(7)
     widths = [10, 20, 12, 6]
     p = encoders.init_params(3, widths, "relu")
@@ -261,11 +279,18 @@ def test_encoder_node_backward_holds_one_buffer_and_no_copies():
             leaves = encoders.make_leaves(p)
             out = encoders.encode_graph(leaves, ad.constant(
                 rng.normal(size=(32, 10))))
+        assert c.live["activation"] == 32 * (20 + 12 + 6)
+        # no VJP reads a linear top's output: the caller's Tensor was its
+        # one holder, and the tape keeps the two hidden outputs
+        idx = out.index
+        del out
         held = c.live["activation"]
-        assert held == 32 * (20 + 12 + 6)
-        tape.backward(out, rng.normal(size=(32, 6)))
+        assert held == 32 * (20 + 12)
+        tape.backward(idx, rng.normal(size=(32, 6)))
         assert c.peak["activation"] == held + 32 * 20
-        assert c.live["activation"] == held + encoders.total_floats(p)
+        assert c.live["activation"] == encoders.total_floats(p)
+    del tape, leaves
+    assert c.live["activation"] == 0
 
 
 def test_encode_holds_two_hidden_layers_at_most():
@@ -472,9 +497,12 @@ def _floats_the_meter_misses(act):
 def _alignment_floats_the_meter_misses(n_t):
     # 64 anchors, n_t targets 64 wide: the alignment tape's backward sets
     # step2's peak (see test_alignment_tape_peak_takes_the_larger_side),
-    # far above the strip kernel's 1600 floats. With 8 targets the
-    # positives repeat; with 64 they are a permutation, as in every
-    # aligned batch, so an unregistered copy of the scattered rows shows
+    # above the strip kernel's 1344 floats, or 10304 at 64 targets. It
+    # also shows a mul VJP that holds y beside both its products: the
+    # meter, counting them from the VJP's return, would miss n_s x d
+    # floats. With 8 targets the positives repeat; with 64 they are a
+    # permutation, as in every aligned batch, so an unregistered copy of
+    # the scattered rows shows
     rng = np.random.default_rng(10)
     F, G = rng.normal(size=(64, 64)), rng.normal(size=(n_t, 64))
     r = rng.integers(0, 8, size=64) if n_t == 8 else rng.permutation(n_t)
@@ -482,19 +510,21 @@ def _alignment_floats_the_meter_misses(n_t):
     with use_meter(c):
         (_, dF, dG), seen = _traced_peak(
             lambda: loss_graph_from_reps(F, G, r, 1.0))
-    assert c.peak["activation"] == 20868
+    assert c.peak["activation"] == 12547
     return seen - c.peak["activation"] - dF.size - dG.size
 
 
-@pytest.mark.parametrize("n_s, n_t, d, peak", [(64, 8, 64, 20868),
-                                              (48, 64, 64, 16676)])
+@pytest.mark.parametrize("n_s, n_t, d, peak", [(64, 8, 64, 12547),
+                                              (48, 64, 64, 10435)])
 def test_alignment_tape_peak_takes_the_larger_side(n_s, n_t, d, peak):
-    # the alignment tape's backward holds G[r], F * G[r], the latter's
-    # gradient, six n_s columns and four scalars, and on top either the
-    # mul VJP's two n_s x d results, live together until F's is added
-    # into dF, or G[r]'s gradient and the n_t x d scatter the index-rows
-    # VJP makes of it: the larger side sets the last d-wide term, and the
-    # tape, not the strip kernel, sets step2's peak
+    # the alignment tape's backward holds F * G[r]'s gradient, four n_s
+    # columns and three scalars, and on top either the mul VJP's two
+    # n_s x d results, live together until F's is added into dF, or
+    # G[r]'s gradient and the n_t x d scatter the index-rows VJP makes of
+    # it: the larger side sets the last d-wide term, and the tape, not
+    # the strip kernel, sets step2's peak. F * G[r] is gone by then,
+    # freed with the ones-matmul node's context, and G[r] goes as soon as
+    # the mul VJP has formed its product with it
     rng = np.random.default_rng(10)
     F, G = rng.normal(size=(n_s, d)), rng.normal(size=(n_t, d))
     r = rng.integers(0, n_t, size=n_s)
@@ -502,30 +532,33 @@ def test_alignment_tape_peak_takes_the_larger_side(n_s, n_t, d, peak):
     with use_meter(c):
         loss_graph_from_reps(F, G, r, 1.0)
     assert c.peak["activation"] == peak == (
-        4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4)
+        2 * n_s * d + max(n_s, n_t) * d + 4 * n_s + 3)
     nb = -(-n_t * d // kernels.PROD_FLOATS)
     assert peak > (min(kernels.STRIP, n_s) * n_t + n_t * d
                    + -(-n_t // nb) * d + n_s)
 
 
 @pytest.mark.parametrize("n_s, n_t, peak", [
-    pytest.param(100, 100, 11556, id="100-ragged"),
-    pytest.param(1000, 1000, 105256, id="1000-ragged"),
-    pytest.param(1536, 1536, 132608, id="1536-kernel-binds"),
-    pytest.param(1552, 1552, 133476, id="1552-tape-binds"),
-    pytest.param(1638, 1638, 165702, id="1638-ragged-kernel-binds"),
-    pytest.param(2048, 2048, 176132, id="2048-tape-binds"),
-    pytest.param(1024, 2048, 173056, id="hard-negatives"),
+    pytest.param(100, 100, 8356, id="100-ragged"),
+    pytest.param(1000, 1000, 73256, id="1000-ragged"),
+    pytest.param(1536, 1536, 83456, id="1536-kernel-binds"),
+    pytest.param(1638, 1638, 113286, id="1638-ragged-kernel-binds"),
+    pytest.param(2048, 2048, 108544, id="2048-kernel-binds"),
+    pytest.param(2560, 2560, 133632, id="2560-kernel-binds"),
+    pytest.param(2576, 2576, 133955, id="2576-tape-binds"),
+    pytest.param(2600, 2600, 176200, id="2600-ragged-kernel-binds"),
+    pytest.param(1024, 2048, 107520, id="hard-negatives"),
 ])
 def test_step2_peak_is_the_larger_of_the_kernel_and_tape_terms(n_s, n_t,
                                                                 peak):
     # the kernel's term (strip_logsumexp's docstring) with the ragged last
     # strip's tail tile and its product, TILE * (n_t + d) floats, when
     # n_s is not a multiple of TILE; the alignment tape's term
-    # (loss_graph_from_reps'). At d = 16 the tape binds from n = 1552,
-    # where the targets split into four blocks, if TILE divides n; the
-    # tail tile keeps the kernel's term the larger at any other n, and
-    # with hard negatives the kernel's n_t-wide terms bind
+    # (loss_graph_from_reps'). At d = 16 the tape binds from n = 2576,
+    # where the targets split into six blocks, if TILE divides n (below
+    # that only at n = 16, whose one strip is 16 rows); the tail tile
+    # keeps the kernel's term the larger at any other n, and with hard
+    # negatives the kernel's n_t-wide terms bind
     d = 16
     rng = np.random.default_rng(14)
     F, G = rng.normal(size=(n_s, d)), rng.normal(size=(n_t, d))
@@ -536,7 +569,7 @@ def test_step2_peak_is_the_larger_of_the_kernel_and_tape_terms(n_s, n_t,
     kernel_term = (min(kernels.STRIP, n_s) * n_t + n_t * d
                    + -(-n_t // nb) * d + n_s
                    + kernels.tail_floats([d, n_t], n_s, kernels.STRIP))
-    tape_term = 4 * n_s * d + max(n_s, n_t) * d + 6 * n_s + 4
+    tape_term = 2 * n_s * d + max(n_s, n_t) * d + 4 * n_s + 3
     assert c.peak["activation"] == peak == max(kernel_term, tape_term)
 
 

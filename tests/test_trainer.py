@@ -270,9 +270,9 @@ def test_step3_act_peak_holds_one_layer_of_parameter_gradients(widths, act,
 
 
 @pytest.mark.parametrize("mode,n,b,widths,act_peak,loss_peak", [
-    pytest.param("cache", 1024, 32, [24, 32, 16], 2048, 91136,
+    pytest.param("cache", 1024, 32, [24, 32, 16], 2048, 58368,
                  id="cache-b1024"),
-    pytest.param("cache", 256, 16, [24, 128, 128, 16], 20480, 24832,
+    pytest.param("cache", 256, 16, [24, 128, 128, 16], 20480, 16640,
                  id="cache-wide-b256"),
     pytest.param("deep", 128, 16, [24, 32, 16], 1280, 9344, id="deep-b128"),
 ])
